@@ -25,8 +25,9 @@ run_suite() {
 run_fuzz_smoke() {
   local build_dir=$1
   # Differential fuzz smoke: optimized strategies vs the naive reference
-  # oracle on a fixed seed (~1200 checks, well under 2 s). Exits non-zero —
-  # with a shrunk repro file — on any divergence. See docs/testing.md.
+  # oracle on a fixed seed (2700 checks, Best Match under all six variants;
+  # well under 2 s). Exits non-zero — with a shrunk repro file — on any
+  # divergence. See docs/testing.md.
   echo "=== fuzz smoke ($build_dir) ==="
   "$build_dir/src/tools/goalrec_fuzz" --seed=42 --rounds=300 --quiet \
       --out="$build_dir"

@@ -19,21 +19,19 @@ int64_t GoalIndex(std::span<const model::GoalId> goal_space,
   return it - goal_space.begin();
 }
 
-}  // namespace
-
 // Unweighted goal-space vectors hold small non-negative integers, and
 // doubles add, subtract and multiply integers exactly while every
 // intermediate stays below 2^53 — under that bound the dense strict-order
-// accumulation and the sparse touched-slots-only accumulation compute the
-// *same real number*, hence the same double, and the kernel is
-// bit-identical to the reference walk. `dims` is the goal-space size and
-// `cap` bounds every vector entry; the 8·n margin generously covers the
-// worst intermediate (≈ 3·n·cap²). Declared in the header because the
-// sharded root merge must evaluate the identical predicate over the global
-// dimensions and posting totals.
+// accumulation and the goal-major partial sums compute the *same real
+// number*, hence the same double, and the kernel is bit-identical to the
+// reference walk. `dims` is the goal-space size and `cap` bounds every
+// vector entry; the 8·n margin generously covers the worst intermediate
+// (≈ 3·n·cap²).
 bool SparseDistanceIsExact(size_t dims, double cap) {
   return (8.0 * static_cast<double>(dims) + 8.0) * cap * cap < 9.0e15;
 }
+
+}  // namespace
 
 BestMatchRecommender::BestMatchRecommender(
     const model::ImplementationLibrary* library, BestMatchOptions options)
@@ -110,18 +108,25 @@ void BestMatchRecommender::RecommendPooled(util::IdSpan activity, size_t k,
         model::Activity(activity.begin(), activity.end()), k, stop);
     return;
   }
-  // Build GS(H) and AS(H) − H straight from the postings scatter: one
-  // per-implementation counting pass gives IS(H); goals dedup through the
-  // goal marker, candidates through the action marker. Same sets as
-  // QueryContext::Create, without materialising IS(H)'s sorted union or the
-  // candidate sort (the top-k order is total, so candidate order is free).
   QueryWorkspace& ws = *workspace;
   ws.activity.assign(activity.begin(), activity.end());
   util::Normalize(ws.activity);
+  DeriveSpaces(ws.activity, ws, ws.candidates);
+  RecommendOver(ws.activity, ws.goal_space, ws.candidates, k, stop, ws, out);
+}
+
+// GS(H) and AS(H) − H straight from the postings scatter: one
+// per-implementation counting pass gives IS(H); goals dedup through the
+// goal marker, candidates through the action marker. Same sets as
+// QueryContext::Create, without materialising IS(H)'s sorted union or the
+// candidate sort (the top-k order is total, so candidate order is free).
+void BestMatchRecommender::DeriveSpaces(util::IdSpan activity,
+                                        QueryWorkspace& ws,
+                                        model::IdSet& candidates) const {
   const uint32_t num_actions = library_->num_actions();
   ws.BeginHMark(num_actions);
   ws.BeginImplPass(library_->num_implementations());
-  for (model::ActionId h : ws.activity) {
+  for (model::ActionId h : activity) {
     if (h >= num_actions) continue;  // action unseen by the library
     ws.MarkH(h);
     for (model::ImplId p : library_->ImplsOfAction(h)) ws.BumpImplCount(p);
@@ -130,21 +135,17 @@ void BestMatchRecommender::RecommendPooled(util::IdSpan activity, size_t k,
   ws.goal_space.clear();
   for (model::ImplId p : ws.touched_impls()) {
     model::GoalId g = library_->GoalOf(p);
-    if (ws.GoalSlotOf(g) == QueryWorkspace::kNoSlot) {
-      ws.SetGoalSlot(g, 0);
-      ws.goal_space.push_back(g);
-    }
+    if (ws.TestAndMarkGoal(g)) ws.goal_space.push_back(g);
   }
   std::sort(ws.goal_space.begin(), ws.goal_space.end());
   ws.BeginActionPass(num_actions);
-  ws.candidates.clear();
+  candidates.clear();
   for (model::ImplId p : ws.touched_impls()) {
     for (model::ActionId a : library_->ActionsOf(p)) {
       if (ws.InH(a)) continue;
-      if (ws.TestAndMark(a)) ws.candidates.push_back(a);
+      if (ws.TestAndMark(a)) candidates.push_back(a);
     }
   }
-  RecommendOver(ws.activity, ws.goal_space, ws.candidates, k, stop, ws, out);
 }
 
 RecommendationList BestMatchRecommender::RecommendInContext(
@@ -163,22 +164,153 @@ void BestMatchRecommender::RecommendInContext(const QueryContext& context,
                 context.stop, *context.workspace, out);
 }
 
-// The scoring kernel. The dense evaluation embeds every candidate as a full
-// |GS(H)|-dimensional vector and walks all of it per distance; the kernel
-// exploits that a candidate touches only the goals of its own postings:
+// The goal-major scan. The dense evaluation embeds every candidate as a
+// full |GS(H)|-dimensional vector; a candidate's vector is non-zero only on
+// goals whose implementations contain it, so the scan walks the
+// implementations of GS(H)'s goals once, goal by goal, and counts per
+// action how many of goal g_i's implementations contain it: that count is
+// c_i (capped at 1 for kBoolean). H's own actions counted the same way give
+// the profile entry h_i. Each (action, goal) count is folded into the
+// action's partial as soon as a later goal touches the action — h_i is
+// complete by then — and the rest after the last goal:
 //
-//   * an epoch-stamped goal → slot map replaces the per-posting binary
-//     search into the sorted goal space;
-//   * the profile is built by one sparse scatter over H's postings
-//     (bit-identical: integer counts accumulate exactly in doubles);
-//   * per candidate, only the touched slots are visited, and the distance
-//     is reconstructed from precomputed whole-profile totals — Euclidean
-//     from Σh², Manhattan from Σh, cosine from ‖H⃗‖ — all exact-integer
-//     arithmetic certified by SparseDistanceIsExact, so the result is the
-//     bit-identical double the dense strict-order walk produces. Candidates
-//     that exceed the certificate (astronomically large counts) fall back
-//     to the dense walk.
+//   Euclidean  x += (h − c)² − h²      distance² = Σh² + x
+//   Manhattan  x += |h − c| − h        distance  = Σh + x
+//   Cosine     x += h·c, y += c²       distance  = 1 − x / (‖H⃗‖·√y)
 //
+// Every term is an exact integer under SparseDistanceIsExact, so the sums
+// equal the dense strict-order walk's whatever the order. The scan never
+// looks at the postings of the candidates themselves, which reach far
+// outside GS(H) for well-connected actions.
+//
+// Entry state per action a, against the pass's base stamp: stamp < base is
+// stale (untouched this query); hits == kInH with stamp >= base marks a ∈ H;
+// otherwise stamp = base + 1 + i names the goal slot whose count `hits`
+// still holds unfolded.
+bool BestMatchRecommender::ScanGoals(util::IdSpan activity,
+                                     std::span<const model::GoalId> goal_space,
+                                     const util::StopToken* stop,
+                                     QueryWorkspace& ws) const {
+  constexpr uint32_t kInH = 0xFFFFFFFFu;
+  const size_t n = goal_space.size();
+  const uint32_t num_actions = library_->num_actions();
+  const bool boolean =
+      options_.representation == GoalVectorRepresentation::kBoolean;
+  const util::DistanceMetric metric = options_.metric;
+  const uint32_t base = ws.BeginPartialPass(num_actions, n);
+  for (model::ActionId a : activity) {
+    if (a < num_actions) ws.partials[a] = {base, kInH, 0.0, 0.0};
+  }
+  uint32_t folds = 0;
+  const auto fold = [&](QueryWorkspace::ActionPartial& e) {
+    const double h = ws.profile[e.stamp - base - 1];
+    const double c = boolean ? 1.0 : static_cast<double>(e.hits);
+    switch (metric) {
+      case util::DistanceMetric::kEuclidean: {
+        const double d = h - c;
+        e.x += d * d - h * h;
+        break;
+      }
+      case util::DistanceMetric::kManhattan:
+        e.x += std::abs(h - c) - h;
+        break;
+      case util::DistanceMetric::kCosine:
+        e.x += h * c;
+        e.y += c * c;
+        break;
+    }
+    ++folds;
+  };
+  ws.profile.assign(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    if (stop != nullptr && stop->ShouldStop()) return false;
+    const uint32_t cur = base + 1 + static_cast<uint32_t>(i);
+    double h = 0.0;
+    for (model::ImplId p : library_->ImplsOfGoal(goal_space[i])) {
+      for (model::ActionId a : library_->ActionsOf(p)) {
+        QueryWorkspace::ActionPartial& e = ws.partials[a];
+        if (e.stamp == cur) {
+          if (e.hits != kInH) {
+            ++e.hits;
+          } else if (!boolean) {
+            h += 1.0;
+          }
+        } else if (e.stamp < base) {  // first touch this query
+          e = {cur, 1, 0.0, 0.0};
+          ws.partial_actions.push_back(a);
+        } else if (e.hits == kInH) {  // first touch of this goal, a ∈ H
+          e.stamp = cur;
+          h += 1.0;
+        } else {  // first touch of this goal: fold the previous goal's count
+          fold(e);
+          e.stamp = cur;
+          e.hits = 1;
+        }
+      }
+    }
+    ws.profile[i] = h;
+  }
+  for (model::ActionId a : ws.partial_actions) fold(ws.partials[a]);
+  ws.kernel_stats.slots_touched += folds;
+  return true;
+}
+
+void BestMatchRecommender::RankCandidates(
+    std::span<const model::GoalId> goal_space, util::IdSpan candidates,
+    size_t k, QueryWorkspace& ws, RecommendationList& out) const {
+  out.clear();
+  if (k == 0 || goal_space.empty()) return;
+  const size_t n = goal_space.size();
+  // Whole-profile totals (exact integers; ‖H⃗‖ matches util::Norm2 bitwise
+  // because Σh² is the same exact integer either way).
+  double max_h = 0.0, s1 = 0.0, s2 = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    double h = ws.profile[i];
+    max_h = std::max(max_h, h);
+    s1 += h;
+    s2 += h * h;
+  }
+  const double norm_h = std::sqrt(s2);
+  const bool profile_exact = SparseDistanceIsExact(n, max_h);
+  const util::DistanceMetric metric = options_.metric;
+  ws.top_k.Reset(k);
+  for (model::ActionId a : candidates) {
+    double cap = std::max(
+        max_h, static_cast<double>(library_->ImplsOfAction(a).size()));
+    if (!profile_exact || !SparseDistanceIsExact(n, cap)) {
+      // Astronomically large counts: the partial sums may have rounded, so
+      // take the dense strict-order walk instead.
+      ++ws.kernel_stats.dense_fallbacks;
+      ActionVectorInto(a, goal_space, ws.action_vec);
+      ws.top_k.Push(-util::Distance(ws.profile, ws.action_vec, metric), a);
+      continue;
+    }
+    const QueryWorkspace::ActionPartial& e = ws.partials[a];
+    double distance = 0.0;
+    switch (metric) {
+      case util::DistanceMetric::kEuclidean:
+        distance = std::sqrt(s2 + e.x);
+        break;
+      case util::DistanceMetric::kManhattan:
+        distance = s1 + e.x;
+        break;
+      case util::DistanceMetric::kCosine: {
+        double nb = std::sqrt(e.y);
+        // Same expression shape as util::CosineSimilarity, same operands.
+        double sim = (norm_h == 0.0 || nb == 0.0) ? 0.0 : e.x / (norm_h * nb);
+        distance = 1.0 - sim;
+        break;
+      }
+    }
+    // Negate: smaller distance ranks first under the shared
+    // higher-score-wins comparator.
+    ws.top_k.Push(-distance, a);
+  }
+  ws.top_k.TakeInto([&out](double score, uint32_t id) {
+    out.push_back(ScoredAction{id, score});
+  });
+}
+
 // Goal weights scale dimensions by arbitrary doubles, which breaks the
 // exact-integer argument, so the weighted path keeps the dense evaluation.
 void BestMatchRecommender::RecommendOver(
@@ -198,300 +330,54 @@ void BestMatchRecommender::RecommendOver(
     for (model::ActionId a : candidates) {
       if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
       ActionVectorInto(a, goal_space, ws.action_vec);
-      double distance = util::Distance(ws.profile, ws.action_vec,
-                                       options_.metric);
-      // Negate: smaller distance ranks first under the shared
-      // higher-score-wins comparator.
-      ws.top_k.Push(-distance, a);
+      ws.top_k.Push(-util::Distance(ws.profile, ws.action_vec,
+                                    options_.metric),
+                    a);
     }
     ws.top_k.TakeInto([&out](double score, uint32_t id) {
       out.push_back(ScoredAction{id, score});
     });
-    span.Annotate("emitted", out.size());
-    if (stop != nullptr && stop->StopRequested()) {
-      span.Annotate("stopped_early", true);
-    }
-    return;
+  } else if (ScanGoals(activity, goal_space, stop, ws)) {
+    obs::FlightRecorder::Default().Record(
+        obs::RecorderEventType::kStageStamp,
+        static_cast<uint16_t>(obs::KernelStage::kScatter),
+        static_cast<uint32_t>(activity.size()));
+    RankCandidates(goal_space, candidates, k, ws, out);
+    obs::FlightRecorder::Default().Record(
+        obs::RecorderEventType::kStageStamp,
+        static_cast<uint16_t>(obs::KernelStage::kRank),
+        static_cast<uint32_t>(candidates.size()));
+    obs::FlightRecorder::Default().Record(
+        obs::RecorderEventType::kStageStamp,
+        static_cast<uint16_t>(obs::KernelStage::kEmit),
+        static_cast<uint32_t>(out.size()));
   }
-
-  const size_t n = goal_space.size();
-  const uint32_t num_actions = library_->num_actions();
-  const bool boolean =
-      options_.representation == GoalVectorRepresentation::kBoolean;
-
-  ws.BeginGoalPass(library_->num_goals());
-  for (size_t i = 0; i < n; ++i) {
-    ws.SetGoalSlot(goal_space[i], static_cast<uint32_t>(i));
-  }
-
-  // Sparse profile scatter. slot_stamp deduplicates per-action goal hits for
-  // the boolean representation (ActionVectorInto's idempotent 1.0 per
-  // action) and later gates the per-candidate accumulator; one monotone
-  // stamp counter serves both, grounded once per query.
-  ws.profile.assign(n, 0.0);
-  ws.slot_stamp.assign(n, 0);
-  if (ws.slot_value.size() < n) ws.slot_value.resize(n);
-  uint32_t stamp = 0;
-  for (model::ActionId a : activity) {
-    if (a >= num_actions) continue;  // action unseen by the library
-    ++stamp;
-    for (model::ImplId p : library_->ImplsOfAction(a)) {
-      uint32_t slot = ws.GoalSlotOf(library_->GoalOf(p));
-      if (slot == QueryWorkspace::kNoSlot) continue;  // goal outside F_GS(H)
-      if (boolean && ws.slot_stamp[slot] == stamp) continue;
-      ws.slot_stamp[slot] = stamp;
-      ws.profile[slot] += 1.0;
-    }
-  }
-
-  obs::FlightRecorder::Default().Record(
-      obs::RecorderEventType::kStageStamp,
-      static_cast<uint16_t>(obs::KernelStage::kScatter),
-      static_cast<uint32_t>(activity.size()));
-
-  // Whole-profile totals (exact integers; ‖H⃗‖ matches util::Norm2 bitwise
-  // because Σh² is the same exact integer either way).
-  double max_h = 0.0, s1 = 0.0, s2 = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double h = ws.profile[i];
-    max_h = std::max(max_h, h);
-    s1 += h;
-    s2 += h * h;
-  }
-  const double norm_h = std::sqrt(s2);
-  const bool profile_exact = SparseDistanceIsExact(n, max_h);
-  const util::DistanceMetric metric = options_.metric;
-
-  ws.top_k.Reset(k);
-  for (model::ActionId a : candidates) {
-    if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
-    std::span<const model::ImplId> postings = library_->ImplsOfAction(a);
-    double cap = std::max(max_h, static_cast<double>(postings.size()));
-    if (!profile_exact || !SparseDistanceIsExact(n, cap)) {
-      ++ws.kernel_stats.dense_fallbacks;
-      ActionVectorInto(a, goal_space, ws.action_vec);
-      ws.top_k.Push(-util::Distance(ws.profile, ws.action_vec, metric), a);
-      continue;
-    }
-    ++stamp;
-    ws.touched_slots.clear();
-    for (model::ImplId p : postings) {
-      uint32_t slot = ws.GoalSlotOf(library_->GoalOf(p));
-      if (slot == QueryWorkspace::kNoSlot) continue;  // goal outside F_GS(H)
-      if (ws.slot_stamp[slot] != stamp) {
-        ws.slot_stamp[slot] = stamp;
-        ws.slot_value[slot] = 1.0;
-        ws.touched_slots.push_back(slot);
-      } else if (!boolean) {
-        ws.slot_value[slot] += 1.0;
-      }
-    }
-    double distance = 0.0;
-    switch (metric) {
-      case util::DistanceMetric::kEuclidean: {
-        // Σ_i (h_i − c_i)² = Σh² + Σ_touched ((h−c)² − h²), exactly.
-        double d2 = s2;
-        for (uint32_t slot : ws.touched_slots) {
-          double h = ws.profile[slot];
-          double d = h - ws.slot_value[slot];
-          d2 += d * d - h * h;
-        }
-        distance = std::sqrt(d2);
-        break;
-      }
-      case util::DistanceMetric::kManhattan: {
-        double m = s1;
-        for (uint32_t slot : ws.touched_slots) {
-          double h = ws.profile[slot];
-          m += std::abs(h - ws.slot_value[slot]) - h;
-        }
-        distance = m;
-        break;
-      }
-      case util::DistanceMetric::kCosine: {
-        double dot = 0.0, c2 = 0.0;
-        for (uint32_t slot : ws.touched_slots) {
-          double c = ws.slot_value[slot];
-          dot += ws.profile[slot] * c;
-          c2 += c * c;
-        }
-        double nb = std::sqrt(c2);
-        // Same expression shape as util::CosineSimilarity, same operands.
-        double sim = (norm_h == 0.0 || nb == 0.0) ? 0.0 : dot / (norm_h * nb);
-        distance = 1.0 - sim;
-        break;
-      }
-    }
-    ws.kernel_stats.slots_touched +=
-        static_cast<uint32_t>(ws.touched_slots.size());
-    ws.top_k.Push(-distance, a);
-  }
-  obs::FlightRecorder::Default().Record(
-      obs::RecorderEventType::kStageStamp,
-      static_cast<uint16_t>(obs::KernelStage::kRank),
-      static_cast<uint32_t>(candidates.size()));
-  ws.top_k.TakeInto([&out](double score, uint32_t id) {
-    out.push_back(ScoredAction{id, score});
-  });
-  obs::FlightRecorder::Default().Record(
-      obs::RecorderEventType::kStageStamp,
-      static_cast<uint16_t>(obs::KernelStage::kEmit),
-      static_cast<uint32_t>(out.size()));
   span.Annotate("emitted", out.size());
   if (stop != nullptr && stop->StopRequested()) {
     span.Annotate("stopped_early", true);
   }
 }
 
-// Phase A of the sharded fan-out. Goal-colocated partitioning means every
-// implementation of a goal is on the goal's shard, so the shard's scatter
-// over the activity postings sees ALL contributions to each of its goals:
-// the slice's per-goal profile values equal the unsharded kernel's values
-// for those goals, and the disjoint slices reassemble into the exact global
-// profile. Slice totals (Σh, Σh², max h) are exact integers whenever the
-// root's certificate passes — precisely when they are used.
-void BestMatchRecommender::BuildShardProfile(util::IdSpan activity,
-                                             const util::StopToken* stop,
-                                             QueryWorkspace& ws,
-                                             BestMatchShardProfile& out) const {
+// The shard's side of the sharded fan-out. Goal-colocated partitioning
+// puts every implementation of a goal on the goal's shard, so the scan over
+// the shard's GS(H) slice sees everything the unsharded scan sees for those
+// goals: the same profile entries and the same per-goal terms, which the
+// root sums across the disjoint slices.
+void BestMatchRecommender::ScanShard(util::IdSpan activity,
+                                     const util::StopToken* stop,
+                                     QueryWorkspace& ws,
+                                     BestMatchShardProfile& out) const {
   // Weights scale dimensions by arbitrary doubles, which breaks the
   // exact-integer partial-sum argument the root merge rests on.
   GOALREC_CHECK(options_.goal_weights == nullptr);
-  out.goals.clear();
-  out.h.clear();
-  out.candidates.clear();
-  out.s1 = out.s2 = out.max_h = 0.0;
-
-  const uint32_t num_actions = library_->num_actions();
-  ws.BeginHMark(num_actions);
-  ws.BeginImplPass(library_->num_implementations());
-  for (model::ActionId h : activity) {
-    if (h >= num_actions) continue;  // action unseen by the library
-    ws.MarkH(h);
-    for (model::ImplId p : library_->ImplsOfAction(h)) ws.BumpImplCount(p);
-  }
-
-  // Local GS(H) slice, sorted; slots index it exactly as the unsharded
-  // kernel's slots index the global goal space.
-  ws.BeginGoalPass(library_->num_goals());
-  ws.goal_space.clear();
-  for (model::ImplId p : ws.touched_impls()) {
-    model::GoalId g = library_->GoalOf(p);
-    if (ws.GoalSlotOf(g) == QueryWorkspace::kNoSlot) {
-      ws.SetGoalSlot(g, 0);  // provisional: only the marked-ness matters yet
-      ws.goal_space.push_back(g);
-    }
-  }
-  std::sort(ws.goal_space.begin(), ws.goal_space.end());
-  const size_t n = ws.goal_space.size();
-  for (size_t i = 0; i < n; ++i) {
-    ws.SetGoalSlot(ws.goal_space[i], static_cast<uint32_t>(i));
-  }
-
-  // Local candidate slice AS(H) − H (H is shard-independent).
-  ws.BeginActionPass(num_actions);
-  for (model::ImplId p : ws.touched_impls()) {
-    for (model::ActionId a : library_->ActionsOf(p)) {
-      if (ws.InH(a)) continue;
-      if (ws.TestAndMark(a)) out.candidates.push_back(a);
-    }
-  }
-
-  // Sparse profile scatter over the slice — the same arithmetic as the
-  // unsharded kernel restricted to this shard's goals.
-  const bool boolean =
-      options_.representation == GoalVectorRepresentation::kBoolean;
-  ws.profile.assign(n, 0.0);
-  ws.slot_stamp.assign(n, 0);
-  if (ws.slot_value.size() < n) ws.slot_value.resize(n);
-  uint32_t stamp = 0;
-  for (model::ActionId a : activity) {
-    if (a >= num_actions) continue;
-    if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
-    ++stamp;
-    for (model::ImplId p : library_->ImplsOfAction(a)) {
-      uint32_t slot = ws.GoalSlotOf(library_->GoalOf(p));
-      if (slot == QueryWorkspace::kNoSlot) continue;  // goal outside F_GS(H)
-      if (boolean && ws.slot_stamp[slot] == stamp) continue;
-      ws.slot_stamp[slot] = stamp;
-      ws.profile[slot] += 1.0;
-    }
-  }
-
+  DeriveSpaces(activity, ws, out.candidates);
+  ScanGoals(activity, ws.goal_space, stop, ws);
   out.goals.assign(ws.goal_space.begin(), ws.goal_space.end());
-  out.h.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    double h = ws.profile[i];
-    out.h[i] = h;
-    out.max_h = std::max(out.max_h, h);
-    out.s1 += h;
-    out.s2 += h * h;
-  }
-}
-
-// Phase B of the sharded fan-out: this shard's exact-integer contribution
-// to each global candidate's distance. The per-candidate slot scatter and
-// the metric partials are literally the unsharded kernel's inner loop
-// restricted to this shard's slots, so the root's recombination
-// (shard_merge.cc) sums the same integer terms the unsharded kernel sums.
-void BestMatchRecommender::ShardCandidatePartials(
-    util::IdSpan candidates, const util::StopToken* stop, QueryWorkspace& ws,
-    std::vector<BestMatchCandidatePartial>& out) const {
-  GOALREC_CHECK(options_.goal_weights == nullptr);
-  const size_t n = ws.goal_space.size();
-  const bool boolean =
-      options_.representation == GoalVectorRepresentation::kBoolean;
-  const util::DistanceMetric metric = options_.metric;
-  out.clear();
-  out.resize(candidates.size());
-  // Fresh stamps for this pass; the goal→slot map and ws.profile are the
-  // slice state BuildShardProfile left behind.
-  ws.slot_stamp.assign(n, 0);
-  if (ws.slot_value.size() < n) ws.slot_value.resize(n);
-  uint32_t stamp = 0;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
-    const model::ActionId a = candidates[i];
-    std::span<const model::ImplId> postings = library_->ImplsOfAction(a);
-    BestMatchCandidatePartial& partial = out[i];
-    partial.postings = static_cast<uint32_t>(postings.size());
-    ++stamp;
-    ws.touched_slots.clear();
-    for (model::ImplId p : postings) {
-      uint32_t slot = ws.GoalSlotOf(library_->GoalOf(p));
-      if (slot == QueryWorkspace::kNoSlot) continue;  // goal outside F_GS(H)
-      if (ws.slot_stamp[slot] != stamp) {
-        ws.slot_stamp[slot] = stamp;
-        ws.slot_value[slot] = 1.0;
-        ws.touched_slots.push_back(slot);
-      } else if (!boolean) {
-        ws.slot_value[slot] += 1.0;
-      }
-    }
-    switch (metric) {
-      case util::DistanceMetric::kEuclidean:
-        for (uint32_t slot : ws.touched_slots) {
-          double h = ws.profile[slot];
-          double d = h - ws.slot_value[slot];
-          partial.x += d * d - h * h;
-        }
-        break;
-      case util::DistanceMetric::kManhattan:
-        for (uint32_t slot : ws.touched_slots) {
-          double h = ws.profile[slot];
-          partial.x += std::abs(h - ws.slot_value[slot]) - h;
-        }
-        break;
-      case util::DistanceMetric::kCosine:
-        for (uint32_t slot : ws.touched_slots) {
-          double c = ws.slot_value[slot];
-          partial.x += ws.profile[slot] * c;
-          partial.y += c * c;
-        }
-        break;
-    }
-    ws.kernel_stats.slots_touched +=
-        static_cast<uint32_t>(ws.touched_slots.size());
+  out.h.assign(ws.profile.begin(), ws.profile.end());
+  out.partials.clear();
+  for (model::ActionId a : ws.partial_actions) {
+    const QueryWorkspace::ActionPartial& e = ws.partials[a];
+    out.partials.push_back(BestMatchActionPartial{a, e.x, e.y});
   }
 }
 

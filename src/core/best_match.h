@@ -29,14 +29,6 @@ enum class GoalVectorRepresentation {
   kImplementationCount,
 };
 
-/// Exactness certificate for the sparse distance kernel (and for the
-/// sharded partial merge, which must evaluate the identical predicate over
-/// global totals): true when every intermediate of the distance arithmetic
-/// over `dims` goal-space dimensions with entries bounded by `cap` stays an
-/// exact integer below 2^53, making the sparse accumulation bit-identical
-/// to the dense strict-order walk.
-bool SparseDistanceIsExact(size_t dims, double cap);
-
 struct BestMatchOptions {
   GoalVectorRepresentation representation =
       GoalVectorRepresentation::kImplementationCount;
@@ -60,14 +52,15 @@ class BestMatchRecommender : public Recommender {
   RecommendationList Recommend(const model::Activity& activity,
                                size_t k) const override;
 
-  /// Deadline-aware Recommend: the per-candidate vectorisation loop (the
-  /// strategy's dominant cost, §5.4) polls `stop` and the result is a
-  /// best-effort partial once it fires.
+  /// Deadline-aware Recommend: the scoring scan (the strategy's dominant
+  /// cost, §5.4) polls `stop` once per goal of GS(H). Every distance is
+  /// complete only when the scan ends, so a query stopped mid-scan returns
+  /// an empty list rather than half-summed distances.
   RecommendationList RecommendCancellable(
       const model::Activity& activity, size_t k,
       const util::StopToken* stop) const override;
 
-  /// Zero-allocation serving path: spaces, profile and per-candidate vectors
+  /// Zero-allocation serving path: spaces, profile and per-action partials
   /// all live on `workspace`'s reusable buffers.
   void RecommendPooled(util::IdSpan activity, size_t k,
                        const util::StopToken* stop, QueryWorkspace* workspace,
@@ -91,28 +84,26 @@ class BestMatchRecommender : public Recommender {
   util::DenseVector ActionVector(model::ActionId action,
                                  const model::IdSet& goal_space) const;
 
-  /// Sharded fan-out, phase A (shard_merge.h): derives this shard's GS(H)
-  /// slice and candidate set from the postings scatter, builds the profile
-  /// sub-vector over the slice, and records the slice totals the root needs
-  /// (Σh, Σh², max h). Goal-colocated partitioning makes the slices
-  /// disjoint, so the root reconstructs every global profile quantity by
-  /// exact-integer sums/maxes. Leaves the slice's goal→slot map, profile
-  /// and H marker in `ws` for ShardCandidatePartials. `activity` must be
+  /// Sharded fan-out, shard side (shard_merge.h): derives this shard's
+  /// GS(H) slice and candidate set from the postings scatter, then runs the
+  /// goal-major scan over the slice, recording the profile slice and the
+  /// partials of every action outside H that the slice's implementations
+  /// touch. Goal-colocated partitioning makes the slices disjoint, so the
+  /// root rebuilds every global quantity by exact-integer sums. A scan
+  /// stopped by `stop` leaves `out` half-summed. `activity` must be
   /// normalised. Unweighted recommenders only.
-  void BuildShardProfile(util::IdSpan activity, const util::StopToken* stop,
-                         QueryWorkspace& ws,
-                         BestMatchShardProfile& out) const;
+  void ScanShard(util::IdSpan activity, const util::StopToken* stop,
+                 QueryWorkspace& ws, BestMatchShardProfile& out) const;
 
-  /// Sharded fan-out, phase B: for every action in `candidates` (the root's
-  /// global candidate union, any order), this shard's local posting count
-  /// and exact-integer distance partial over its GS(H) slice, aligned with
-  /// `candidates`. Must run on the same workspace as BuildShardProfile,
-  /// after it, with no other workspace use in between (it reads the slice
-  /// state phase A left behind).
-  void ShardCandidatePartials(util::IdSpan candidates,
-                              const util::StopToken* stop, QueryWorkspace& ws,
-                              std::vector<BestMatchCandidatePartial>& out)
-      const;
+  /// Ranks `candidates` by the distance read off `ws.profile` (aligned with
+  /// the sorted `goal_space`) and the live partials in `ws.partials`, and
+  /// emits the top `k` into `out`. Candidates outside the exactness
+  /// certificate are re-embedded densely over this recommender's library.
+  /// The unsharded kernel's read-off, and the sharded root's over the base
+  /// library once MergeBestMatchShards has filled `ws`.
+  void RankCandidates(std::span<const model::GoalId> goal_space,
+                      util::IdSpan candidates, size_t k, QueryWorkspace& ws,
+                      RecommendationList& out) const;
 
  private:
   /// ActionVector into a reused buffer (assign, no reallocation once warm).
@@ -122,6 +113,15 @@ class BestMatchRecommender : public Recommender {
   void ProfileInto(util::IdSpan activity,
                    std::span<const model::GoalId> goal_space,
                    util::DenseVector& out, util::DenseVector& scratch) const;
+  /// Sorted GS(H) into ws.goal_space and AS(H) − H into `candidates`, from
+  /// one scatter over H's postings.
+  void DeriveSpaces(util::IdSpan activity, QueryWorkspace& ws,
+                    model::IdSet& candidates) const;
+  /// The goal-major scan: ws.profile over `goal_space` and the partials of
+  /// every action outside H. Returns false when `stop` fired mid-scan.
+  bool ScanGoals(util::IdSpan activity,
+                 std::span<const model::GoalId> goal_space,
+                 const util::StopToken* stop, QueryWorkspace& ws) const;
   void RecommendOver(util::IdSpan activity,
                      std::span<const model::GoalId> goal_space,
                      util::IdSpan candidates, size_t k,

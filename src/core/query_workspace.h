@@ -14,7 +14,7 @@
 
 // Pooled per-query scratch memory. Every buffer the query path needs — the
 // derived spaces IS(H)/GS(H)/AS(H)−H, the Focus implementation ranking, the
-// Breadth score accumulator, Best Match's goal-space vectors, the top-k heap
+// Breadth score accumulator, Best Match's profile and partials, the top-k heap
 // — lives here and is *reused* across queries: after a few warm-up queries
 // the capacities stabilise and the steady-state per-query path performs zero
 // heap allocations (bench/micro_snapshot asserts this).
@@ -139,34 +139,24 @@ class QueryWorkspace {
   /// when the scatter walked every posting of H — in first-touch order.
   const model::IdSet& touched_impls() const { return touched_impls_; }
 
-  // --- Epoch-stamped goal → slot map ------------------------------------
+  // --- Epoch-stamped goal marker ---------------------------------------
   //
-  // Best Match's dense goal-space index: goal id → position in the sorted
-  // GS(H), replacing a binary search per posting. Doubles as a plain goal
-  // marker (slot value unused) when deduplicating GS(H) itself.
+  // Deduplicates GS(H) while Best Match collects it from the scatter.
 
-  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
-
-  /// Starts a fresh goal→slot pass over goal ids < `num_goals`.
+  /// Starts a fresh goal-marker pass over goal ids < `num_goals`.
   void BeginGoalPass(size_t num_goals) {
-    if (goal_epoch_.size() < num_goals) {
-      goal_epoch_.resize(num_goals, 0);
-      goal_slot_.resize(num_goals, 0);
-    }
+    if (goal_epoch_.size() < num_goals) goal_epoch_.resize(num_goals, 0);
     if (++goal_mark_ == 0) {
       std::fill(goal_epoch_.begin(), goal_epoch_.end(), 0u);
       goal_mark_ = 1;
     }
   }
 
-  void SetGoalSlot(model::GoalId g, uint32_t slot) {
+  /// Marks `g`; returns true iff it was unmarked in the current pass.
+  bool TestAndMarkGoal(model::GoalId g) {
+    if (goal_epoch_[g] == goal_mark_) return false;
     goal_epoch_[g] = goal_mark_;
-    goal_slot_[g] = slot;
-  }
-
-  /// Slot assigned this pass, or kNoSlot.
-  uint32_t GoalSlotOf(model::GoalId g) const {
-    return goal_epoch_[g] == goal_mark_ ? goal_slot_[g] : kNoSlot;
+    return true;
   }
 
   // --- Reusable buffers -------------------------------------------------
@@ -186,12 +176,32 @@ class QueryWorkspace {
   util::ScoredTopK top_k;                      ///< Reset(k) before use
   util::DenseVector profile;                   ///< Best Match H⃗
   util::DenseVector action_vec;                ///< Best Match a⃗ scratch
-  /// Best Match slot-indexed candidate scratch (kernel-managed): sparse
-  /// per-candidate counts over GS(H) slots plus the stamp array that
-  /// doubles as the kBoolean profile dedup.
-  std::vector<double> slot_value;
-  std::vector<uint32_t> slot_stamp;
-  model::IdSet touched_slots;
+  /// Best Match goal-major accumulator (best_match.cc), indexed by action
+  /// id: `hits` of the goal slot that `stamp` names and the metric partials
+  /// folded so far. Stamps only grow, so an entry is live only when its
+  /// stamp is at least the pass's base; stale entries need no reset.
+  struct ActionPartial {
+    uint32_t stamp = 0;
+    uint32_t hits = 0;
+    double x = 0.0;
+    double y = 0.0;
+  };
+  std::vector<ActionPartial> partials;
+  model::IdSet partial_actions;  ///< live non-H partials, first-touch order
+
+  /// Starts a partial pass over action ids < `num_actions` that uses the
+  /// stamps base + 1 .. base + `slots`; returns base.
+  uint32_t BeginPartialPass(size_t num_actions, size_t slots) {
+    if (partials.size() < num_actions) partials.resize(num_actions);
+    if (partial_stamp_ > 0xFFFFFFFEu - slots) {
+      for (ActionPartial& e : partials) e.stamp = 0;
+      partial_stamp_ = 0;
+    }
+    const uint32_t base = partial_stamp_ + 1;
+    partial_stamp_ = base + static_cast<uint32_t>(slots);
+    partial_actions.clear();
+    return base;
+  }
   /// Breadth's dense score accumulator: used instead of the epoch-stamped
   /// sparse array when the scatter's credit mass is large enough that an
   /// O(num_actions) assign-reset plus unconditional adds beats per-credit
@@ -205,7 +215,7 @@ class QueryWorkspace {
   /// before each rung attempt.
   struct KernelStats {
     uint32_t dense_fallbacks = 0;  ///< candidates scored via the dense path
-    uint32_t slots_touched = 0;    ///< slot-scatter entries across candidates
+    uint32_t slots_touched = 0;    ///< (action, goal) folds in the scan
     uint32_t dense_resets = 0;     ///< Breadth dense-accumulator activations
   };
   KernelStats kernel_stats;
@@ -223,7 +233,7 @@ class QueryWorkspace {
   model::IdSet touched_impls_;
   uint32_t goal_mark_ = 0;
   std::vector<uint32_t> goal_epoch_;
-  std::vector<uint32_t> goal_slot_;
+  uint32_t partial_stamp_ = 0;
 };
 
 /// A mutex-guarded free list of workspaces. Acquire() hands out an RAII

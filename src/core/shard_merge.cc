@@ -1,45 +1,6 @@
 #include "core/shard_merge.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "util/dense_vector.h"
-#include "util/logging.h"
-
 namespace goalrec::core {
-namespace {
-
-// Index of `goal` within the sorted global goal space, or -1 when absent —
-// the same binary search the unsharded kernel's dense fallback performs.
-int64_t GoalIndex(std::span<const model::GoalId> goal_space,
-                  model::GoalId goal) {
-  auto it = std::lower_bound(goal_space.begin(), goal_space.end(), goal);
-  if (it == goal_space.end() || *it != goal) return -1;
-  return it - goal_space.begin();
-}
-
-// BestMatchRecommender::ActionVectorInto replicated over the BASE library
-// for the root's dense fallback: same posting walk, same binary search,
-// same idempotent-or-counting writes, no goal weights (the sharded path is
-// unweighted by construction) — hence the bit-identical embedding.
-void ActionVectorInto(const model::ImplementationLibrary& base,
-                      GoalVectorRepresentation representation,
-                      model::ActionId action,
-                      std::span<const model::GoalId> goal_space,
-                      util::DenseVector& out) {
-  out.assign(goal_space.size(), 0.0);
-  for (model::ImplId p : base.ImplsOfAction(action)) {
-    int64_t idx = GoalIndex(goal_space, base.GoalOf(p));
-    if (idx < 0) continue;  // goal outside F_GS(H)
-    if (representation == GoalVectorRepresentation::kBoolean) {
-      out[static_cast<size_t>(idx)] = 1.0;
-    } else {
-      out[static_cast<size_t>(idx)] += 1.0;
-    }
-  }
-}
-
-}  // namespace
 
 void MergeFocusEmissions(std::span<const std::vector<ShardEmission>> streams,
                          uint32_t num_actions, size_t k,
@@ -106,10 +67,10 @@ void MergeBreadthPartials(
   });
 }
 
-void MergeBestMatchProfiles(std::span<const BestMatchShardProfile> shards,
-                            uint32_t num_actions, QueryWorkspace& root_ws,
-                            BestMatchMergeState& state) {
-  state = BestMatchMergeState{};
+void MergeBestMatchShards(std::span<const BestMatchShardProfile> shards,
+                          const BestMatchRecommender& root, uint32_t num_actions,
+                          size_t k, QueryWorkspace& root_ws,
+                          RecommendationList& out) {
   // Candidate union through the root's action marker; the leaves already
   // excluded H. Order is shard-major, which is deterministic for a given
   // shard count and immaterial to the result (the final top-k comparator
@@ -126,10 +87,7 @@ void MergeBestMatchProfiles(std::span<const BestMatchShardProfile> shards,
   // GS(H) with its aligned profile values. Cursors live in scratch.
   root_ws.scratch.assign(shards.size(), 0);
   root_ws.goal_space.clear();
-  size_t total = 0;
-  for (const BestMatchShardProfile& shard : shards) total += shard.goals.size();
-  root_ws.profile.assign(total, 0.0);
-  size_t filled = 0;
+  root_ws.profile.clear();
   for (;;) {
     size_t best = shards.size();
     for (size_t s = 0; s < shards.size(); ++s) {
@@ -143,100 +101,25 @@ void MergeBestMatchProfiles(std::span<const BestMatchShardProfile> shards,
     if (best == shards.size()) break;
     uint32_t cursor = root_ws.scratch[best]++;
     root_ws.goal_space.push_back(shards[best].goals[cursor]);
-    root_ws.profile[filled++] = shards[best].h[cursor];
+    root_ws.profile.push_back(shards[best].h[cursor]);
   }
-  // Scalar totals: sums/maxes of exact integers (exact whenever the
-  // certificate that gates their use passes).
+  // Each action's partial is a sum of exact integers over disjoint goal
+  // slices, so summing the slices in shard order gives the same double the
+  // unsharded scan folds goal by goal.
+  const uint32_t live = root_ws.BeginPartialPass(num_actions, 1) + 1;
   for (const BestMatchShardProfile& shard : shards) {
-    state.s1 += shard.s1;
-    state.s2 += shard.s2;
-    state.max_h = std::max(state.max_h, shard.max_h);
-  }
-  state.norm_h = std::sqrt(state.s2);
-  state.profile_exact =
-      SparseDistanceIsExact(root_ws.goal_space.size(), state.max_h);
-}
-
-void ScoreBestMatchCandidates(
-    const model::ImplementationLibrary& base,
-    GoalVectorRepresentation representation, util::DistanceMetric metric,
-    const BestMatchMergeState& state,
-    std::span<const std::vector<BestMatchCandidatePartial>> partials, size_t k,
-    const util::StopToken* stop, QueryWorkspace& root_ws,
-    RecommendationList& out) {
-  out.clear();
-  if (k == 0) return;
-  const size_t n = root_ws.goal_space.size();
-  if (n == 0) return;  // empty goal space ⇒ empty list, as unsharded
-  const size_t num_candidates = root_ws.candidates.size();
-  for (const std::vector<BestMatchCandidatePartial>& shard : partials) {
-    GOALREC_CHECK(shard.size() == num_candidates);
-  }
-  root_ws.top_k.Reset(k);
-  for (size_t i = 0; i < num_candidates; ++i) {
-    if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
-    const model::ActionId a = root_ws.candidates[i];
-    uint64_t total_postings = 0;
-    for (const std::vector<BestMatchCandidatePartial>& shard : partials) {
-      total_postings += shard[i].postings;
-    }
-    // The unsharded kernel's cap is the BASE library's posting count —
-    // which equals the sum of per-shard counts, every implementation
-    // living on exactly one shard.
-    double cap =
-        std::max(state.max_h, static_cast<double>(total_postings));
-    if (!state.profile_exact || !SparseDistanceIsExact(n, cap)) {
-      // Same escape hatch as the unsharded kernel: embed the candidate
-      // densely over the global goal space (base library postings) and
-      // take the strict-order distance.
-      ++root_ws.kernel_stats.dense_fallbacks;
-      ActionVectorInto(base, representation, a, root_ws.goal_space,
-                       root_ws.action_vec);
-      root_ws.top_k.Push(
-          -util::Distance(root_ws.profile, root_ws.action_vec, metric), a);
-      continue;
-    }
-    double distance = 0.0;
-    switch (metric) {
-      case util::DistanceMetric::kEuclidean: {
-        // Σ_i (h_i − c_i)² = Σh² + Σ_shards Σ_touched ((h−c)² − h²): every
-        // term is an exact integer, so the regrouped sum is the same real
-        // number — hence the same double — as the unsharded accumulation.
-        double d2 = state.s2;
-        for (const std::vector<BestMatchCandidatePartial>& shard : partials) {
-          d2 += shard[i].x;
-        }
-        distance = std::sqrt(d2);
-        break;
-      }
-      case util::DistanceMetric::kManhattan: {
-        double m = state.s1;
-        for (const std::vector<BestMatchCandidatePartial>& shard : partials) {
-          m += shard[i].x;
-        }
-        distance = m;
-        break;
-      }
-      case util::DistanceMetric::kCosine: {
-        double dot = 0.0, c2 = 0.0;
-        for (const std::vector<BestMatchCandidatePartial>& shard : partials) {
-          dot += shard[i].x;
-          c2 += shard[i].y;
-        }
-        double nb = std::sqrt(c2);
-        // Same expression shape and operands as the unsharded kernel.
-        double sim = (state.norm_h == 0.0 || nb == 0.0)
-                         ? 0.0
-                         : dot / (state.norm_h * nb);
-        distance = 1.0 - sim;
-        break;
+    for (const BestMatchActionPartial& p : shard.partials) {
+      QueryWorkspace::ActionPartial& e = root_ws.partials[p.action];
+      if (e.stamp != live) {
+        e = QueryWorkspace::ActionPartial{live, 0, p.x, p.y};
+      } else {
+        e.x += p.x;
+        e.y += p.y;
       }
     }
-    root_ws.top_k.Push(-distance, a);
   }
-  root_ws.top_k.TakeInto([&out](double score, uint32_t id) {
-    out.push_back(ScoredAction{id, score});
-  });
+  root.RankCandidates(root_ws.goal_space, root_ws.candidates, k, root_ws,
+                      out);
 }
 
 }  // namespace goalrec::core

@@ -15,8 +15,8 @@
 // Root-side recombination of per-shard partial results into the exact
 // global recommendation list. Each function is the counterpart of a shard
 // entry point (FocusRecommender::EmitShardForMerge,
-// BreadthRecommender::AccumulateShard, BestMatchRecommender::
-// BuildShardProfile / ShardCandidatePartials) and is proven bit-identical
+// BreadthRecommender::AccumulateShard, BestMatchRecommender::ScanShard),
+// each answered in one fan-out round, and is proven bit-identical
 // to the corresponding unsharded kernel by the oracle differential wall
 // (tests/oracle/sharded_test.cc): all partials are exact integers in
 // doubles, so recombining them in any order reproduces the single-scan
@@ -46,44 +46,19 @@ void MergeBreadthPartials(
     uint32_t num_actions, size_t k, QueryWorkspace& root_ws,
     RecommendationList& out);
 
-/// Global Best Match profile state reconstructed from phase-A shard
-/// profiles. The merged goal space and aligned profile vector live in the
-/// root workspace (goal_space / profile); this struct carries the scalar
-/// totals and the global exactness certificate.
-struct BestMatchMergeState {
-  double s1 = 0.0;
-  double s2 = 0.0;
-  double max_h = 0.0;
-  double norm_h = 0.0;
-  /// SparseDistanceIsExact(|GS(H)|, max_h) over the GLOBAL dimensions —
-  /// the same predicate the unsharded kernel evaluates.
-  bool profile_exact = false;
-};
-
-/// Merges phase-A shard profiles: the disjoint sorted slices are k-way
-/// merged into root_ws.goal_space / root_ws.profile (global sorted GS(H)
-/// with aligned exact-integer profile values), scalar totals are summed /
-/// maxed into `state`, and the global candidate union is built into
-/// root_ws.candidates (deduped through root_ws's action marker — the
-/// leaves already excluded H).
-void MergeBestMatchProfiles(std::span<const BestMatchShardProfile> shards,
-                            uint32_t num_actions, QueryWorkspace& root_ws,
-                            BestMatchMergeState& state);
-
-/// Combines phase-B partials into final distances and the global top-k.
-/// `partials[s][i]` is shard s's partial for root_ws.candidates[i] (every
-/// inner vector sized to the candidate count). Candidates whose global
-/// certificate fails are re-scored densely at the root against `base` —
-/// the identical fallback the unsharded kernel takes, counted in
-/// root_ws.kernel_stats.dense_fallbacks. Requires the root workspace state
-/// left by MergeBestMatchProfiles.
-void ScoreBestMatchCandidates(
-    const model::ImplementationLibrary& base,
-    GoalVectorRepresentation representation, util::DistanceMetric metric,
-    const BestMatchMergeState& state,
-    std::span<const std::vector<BestMatchCandidatePartial>> partials, size_t k,
-    const util::StopToken* stop, QueryWorkspace& root_ws,
-    RecommendationList& out);
+/// Merges Best Match shard outputs and ranks: the disjoint sorted slices
+/// are k-way merged into root_ws.goal_space / root_ws.profile (global
+/// sorted GS(H) with aligned exact-integer profile values), the candidate
+/// union is built into root_ws.candidates (deduped through root_ws's action
+/// marker — the leaves already excluded H), the per-shard action partials
+/// are summed into root_ws.partials, and `root` — a BestMatchRecommender
+/// over the base library — reads the distances off and emits the top `k`.
+/// Certificate checks and dense fallbacks use the base library's postings,
+/// exactly as the unsharded kernel does.
+void MergeBestMatchShards(std::span<const BestMatchShardProfile> shards,
+                          const BestMatchRecommender& root, uint32_t num_actions,
+                          size_t k, QueryWorkspace& root_ws,
+                          RecommendationList& out);
 
 }  // namespace goalrec::core
 

@@ -38,9 +38,23 @@ struct ShardActionScore {
   double score = 0.0;
 };
 
-/// Best Match phase-A output of one shard: the shard's slice of the goal
-/// space GS(H) with the profile values over it, the whole-slice totals the
-/// sparse distance kernel needs, and the shard-local candidate set.
+/// One action's Best Match partial from one shard's goal-major scan: its
+/// exact-integer distance terms summed over the shard's GS(H) slice.
+///   Euclidean: Σ ((h−c)² − h²)      (x; y unused)
+///   Manhattan: Σ (|h−c| − h)        (x; y unused)
+///   Cosine:    Σ h·c (x) and Σ c² (y)
+struct BestMatchActionPartial {
+  model::ActionId action = 0;
+  double x = 0.0;
+  double y = 0.0;
+};
+
+/// Best Match output of one shard, produced in a single fan-out round: the
+/// shard's slice of GS(H) with the profile values over it, the shard-local
+/// candidate set, and the partials of every action outside H that the
+/// slice's implementations contain. A shard cannot tell which of those
+/// actions are candidates elsewhere, so it sends them all and the root
+/// keeps the ones in the candidate union.
 struct BestMatchShardProfile {
   /// Shard-local GS(H) slice, sorted ascending. Disjoint across shards
   /// (goal-colocated partitioning), so the global GS(H) is the merged
@@ -48,29 +62,11 @@ struct BestMatchShardProfile {
   model::IdSet goals;
   /// Profile values aligned with `goals` (exact integers).
   std::vector<double> h;
-  /// Σh, Σh², max h over the slice — the root sums/maxes these into the
-  /// global profile totals.
-  double s1 = 0.0;
-  double s2 = 0.0;
-  double max_h = 0.0;
   /// Shard-local AS(H) − H. The root unions these into the global
-  /// candidate list for phase B.
+  /// candidate list.
   model::IdSet candidates;
-};
-
-/// Best Match phase-B output of one shard for ONE global candidate: the
-/// shard's exact-integer contribution to the candidate's distance, plus the
-/// shard-local posting count (the root sums posting counts to evaluate the
-/// global exactness certificate).
-struct BestMatchCandidatePartial {
-  /// |ImplsOfAction(a)| on this shard.
-  uint32_t postings = 0;
-  /// Metric-dependent partial over the shard's GS(H) slice:
-  ///   Euclidean: Σ_touched ((h−c)² − h²)      (x; y unused)
-  ///   Manhattan: Σ_touched (|h−c| − h)        (x; y unused)
-  ///   Cosine:    Σ h·c (x) and Σ c² (y)
-  double x = 0.0;
-  double y = 0.0;
+  /// Per-action partials over the slice, one entry per action.
+  std::vector<BestMatchActionPartial> partials;
 };
 
 }  // namespace goalrec::core

@@ -19,7 +19,6 @@ struct ShardedRecommender::FanoutScratch {
   std::vector<std::vector<core::ShardEmission>> emissions;
   std::vector<std::vector<core::ShardActionScore>> partials;
   std::vector<core::BestMatchShardProfile> profiles;
-  std::vector<std::vector<core::BestMatchCandidatePartial>> cand_partials;
   // Per-shard copies of the query's StopToken. The token's strided poll
   // counter is deliberately non-atomic (its contract is "poll from one
   // thread at a time"), so the shard tasks must not share the engine's
@@ -43,7 +42,6 @@ struct ShardedRecommender::FanoutScratch {
     emissions.resize(num_shards);
     partials.resize(num_shards);
     profiles.resize(num_shards);
-    cand_partials.resize(num_shards);
     shard_stops.resize(num_shards);
   }
 };
@@ -106,10 +104,13 @@ ShardedRecommender::ShardedRecommender(
       }
       break;
     case ShardedStrategy::kBestMatch:
-      best_match_.reserve(n);
-      for (uint32_t s = 0; s < n; ++s) {
+      // Shard kernels first; the last instance, over the base library,
+      // ranks the merged partials at the root.
+      best_match_.reserve(n + 1);
+      for (uint32_t s = 0; s <= n; ++s) {
         best_match_.push_back(std::make_unique<core::BestMatchRecommender>(
-            &sharded_->shard_library(s), best_match_options_));
+            s < n ? &sharded_->shard_library(s) : sharded_->base,
+            best_match_options_));
       }
       break;
   }
@@ -242,33 +243,20 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
       break;
     }
     case ShardedStrategy::kBestMatch: {
-      std::function<void(size_t)> phase_a = [&](size_t s) {
-        best_match_[s]->BuildShardProfile(normalized, shard_stop(s),
-                                          *scratch.shard_ws[s],
-                                          scratch.profiles[s]);
+      std::function<void(size_t)> body = [&](size_t s) {
+        best_match_[s]->ScanShard(normalized, shard_stop(s),
+                                  *scratch.shard_ws[s], scratch.profiles[s]);
       };
-      RunPhase(scratch, parallel, phase_a);
-      core::BestMatchMergeState state;
-      core::MergeBestMatchProfiles(
-          std::span<const core::BestMatchShardProfile>(
-              scratch.profiles.data(), n),
-          num_actions, root_ws, state);
-      // Phase B reads root_ws.candidates concurrently — read-only until
-      // the join.
-      std::function<void(size_t)> phase_b = [&](size_t s) {
-        best_match_[s]->ShardCandidatePartials(root_ws.candidates,
-                                               shard_stop(s),
-                                               *scratch.shard_ws[s],
-                                               scratch.cand_partials[s]);
-      };
-      RunPhase(scratch, parallel, phase_b);
+      RunPhase(scratch, parallel, body);
       if (merge_start_ready()) merge_start = std::chrono::steady_clock::now();
-      core::ScoreBestMatchCandidates(
-          *sharded_->base, best_match_options_.representation,
-          best_match_options_.metric, state,
-          std::span<const std::vector<core::BestMatchCandidatePartial>>(
-              scratch.cand_partials.data(), n),
-          k, stop, root_ws, out);
+      out.clear();
+      // A shard stopped mid-scan sent half-summed partials: serve nothing
+      // rather than distances that are not the query's.
+      if (stop != nullptr && stop->StopRequested()) break;
+      core::MergeBestMatchShards(
+          std::span<const core::BestMatchShardProfile>(scratch.profiles.data(),
+                                                       n),
+          *best_match_[n], num_actions, k, root_ws, out);
       break;
     }
   }

@@ -112,7 +112,8 @@ class ShardedRecommender : public core::Recommender {
   core::BestMatchOptions best_match_options_;
   obs::Histogram* merge_latency_us_;
   /// Per-shard kernel instances; only the vector matching strategy_ is
-  /// populated.
+  /// populated. best_match_ holds one more, over the base library, for the
+  /// root's read-off.
   std::vector<std::unique_ptr<core::FocusRecommender>> focus_;
   std::vector<std::unique_ptr<core::BreadthRecommender>> breadth_;
   std::vector<std::unique_ptr<core::BestMatchRecommender>> best_match_;

@@ -60,6 +60,58 @@ std::optional<OracleStrategy> OracleStrategyFromName(std::string_view name) {
   return std::nullopt;
 }
 
+std::vector<core::BestMatchOptions> OracleVariants(OracleStrategy strategy) {
+  if (strategy != OracleStrategy::kBestMatch) return {core::BestMatchOptions{}};
+  std::vector<core::BestMatchOptions> variants;
+  for (core::GoalVectorRepresentation representation :
+       {core::GoalVectorRepresentation::kImplementationCount,
+        core::GoalVectorRepresentation::kBoolean}) {
+    for (util::DistanceMetric metric :
+         {util::DistanceMetric::kEuclidean, util::DistanceMetric::kManhattan,
+          util::DistanceMetric::kCosine}) {
+      core::BestMatchOptions options;
+      options.representation = representation;
+      options.metric = metric;
+      variants.push_back(options);
+    }
+  }
+  return variants;
+}
+
+std::string OracleVariantName(OracleStrategy strategy,
+                              const core::BestMatchOptions& best_match) {
+  std::string name = OracleStrategyName(strategy);
+  const core::BestMatchOptions paper_default;
+  if (strategy != OracleStrategy::kBestMatch ||
+      (best_match.representation == paper_default.representation &&
+       best_match.metric == paper_default.metric)) {
+    return name;
+  }
+  name += best_match.representation == core::GoalVectorRepresentation::kBoolean
+              ? "/boolean"
+              : "/counts";
+  switch (best_match.metric) {
+    case util::DistanceMetric::kEuclidean:
+      return name + "/euclidean";
+    case util::DistanceMetric::kManhattan:
+      return name + "/manhattan";
+    case util::DistanceMetric::kCosine:
+      return name + "/cosine";
+  }
+  return name;
+}
+
+std::optional<OracleVariant> OracleVariantFromName(std::string_view name) {
+  for (OracleStrategy s : AllOracleStrategies()) {
+    for (const core::BestMatchOptions& best_match : OracleVariants(s)) {
+      if (name == OracleVariantName(s, best_match)) {
+        return OracleVariant{s, best_match};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 DiffOutcome CompareLists(const core::RecommendationList& optimized,
                          const ReferenceList& reference,
                          const DiffOptions& options) {
@@ -125,7 +177,8 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
 
 core::RecommendationList RunOptimized(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
-    const model::Activity& activity, size_t k) {
+    const model::Activity& activity, size_t k,
+    const core::BestMatchOptions& best_match) {
   switch (strategy) {
     case OracleStrategy::kFocusCompleteness:
       return core::FocusRecommender(&library, core::FocusVariant::kCompleteness)
@@ -136,15 +189,16 @@ core::RecommendationList RunOptimized(
     case OracleStrategy::kBreadth:
       return core::BreadthRecommender(&library).Recommend(activity, k);
     case OracleStrategy::kBestMatch:
-      return core::BestMatchRecommender(&library).Recommend(activity, k);
+      return core::BestMatchRecommender(&library, best_match)
+          .Recommend(activity, k);
   }
   return {};
 }
 
 core::RecommendationList RunOptimizedPooled(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
-    const model::Activity& activity, size_t k,
-    core::QueryWorkspace& workspace) {
+    const model::Activity& activity, size_t k, core::QueryWorkspace& workspace,
+    const core::BestMatchOptions& best_match) {
   core::RecommendationList out;
   switch (strategy) {
     case OracleStrategy::kFocusCompleteness:
@@ -160,9 +214,8 @@ core::RecommendationList RunOptimizedPooled(
                                                          &workspace, out);
       break;
     case OracleStrategy::kBestMatch:
-      core::BestMatchRecommender(&library).RecommendPooled(activity, k,
-                                                           nullptr, &workspace,
-                                                           out);
+      core::BestMatchRecommender(&library, best_match)
+          .RecommendPooled(activity, k, nullptr, &workspace, out);
       break;
   }
   return out;
@@ -170,7 +223,8 @@ core::RecommendationList RunOptimizedPooled(
 
 ReferenceList RunReference(const model::ImplementationLibrary& library,
                            OracleStrategy strategy,
-                           const model::Activity& activity, size_t k) {
+                           const model::Activity& activity, size_t k,
+                           const core::BestMatchOptions& best_match) {
   switch (strategy) {
     case OracleStrategy::kFocusCompleteness:
       return ReferenceFocus(library, ReferenceFocusVariant::kCompleteness,
@@ -181,7 +235,7 @@ ReferenceList RunReference(const model::ImplementationLibrary& library,
     case OracleStrategy::kBreadth:
       return ReferenceBreadth(library, activity, k);
     case OracleStrategy::kBestMatch:
-      return ReferenceBestMatch(library, activity, k);
+      return ReferenceBestMatch(library, activity, k, best_match);
   }
   return {};
 }
@@ -189,13 +243,14 @@ ReferenceList RunReference(const model::ImplementationLibrary& library,
 DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
                          OracleStrategy strategy,
                          const model::Activity& activity, size_t k,
-                         const DiffOptions& options) {
-  DiffOutcome outcome =
-      CompareLists(RunOptimized(library, strategy, activity, k),
-                   RunReference(library, strategy, activity, k), options);
+                         const DiffOptions& options,
+                         const core::BestMatchOptions& best_match) {
+  DiffOutcome outcome = CompareLists(
+      RunOptimized(library, strategy, activity, k, best_match),
+      RunReference(library, strategy, activity, k, best_match), options);
   if (!outcome.match) {
-    outcome.detail = std::string(OracleStrategyName(strategy)) + ": " +
-                     outcome.detail;
+    outcome.detail =
+        OracleVariantName(strategy, best_match) + ": " + outcome.detail;
   }
   return outcome;
 }

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/best_match.h"
 #include "core/recommender.h"
 #include "model/library.h"
 #include "model/types.h"
@@ -45,6 +46,26 @@ const char* OracleStrategyName(OracleStrategy strategy);
 /// Inverse of OracleStrategyName; nullopt for unknown names.
 std::optional<OracleStrategy> OracleStrategyFromName(std::string_view name);
 
+/// The Best Match variants `strategy` runs under: for kBestMatch all six
+/// unweighted ones, {counts, boolean} × {euclidean, manhattan, cosine},
+/// the paper default (counts, euclidean) first; for the others only the
+/// default, which they ignore.
+std::vector<core::BestMatchOptions> OracleVariants(OracleStrategy strategy);
+
+/// OracleStrategyName, plus "/<representation>/<metric>" for a Best Match
+/// variant other than the paper default ("BestMatch/boolean/cosine").
+std::string OracleVariantName(OracleStrategy strategy,
+                              const core::BestMatchOptions& best_match = {});
+
+/// A strategy with its Best Match variant, as named by OracleVariantName.
+struct OracleVariant {
+  OracleStrategy strategy;
+  core::BestMatchOptions best_match;
+};
+
+/// Inverse of OracleVariantName; nullopt for unknown names.
+std::optional<OracleVariant> OracleVariantFromName(std::string_view name);
+
 struct DiffOptions {
   /// When true, runs of equal scores must match element-for-element; when
   /// false (default) tied actions may appear in any order within their run.
@@ -66,11 +87,13 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
                          const ReferenceList& reference,
                          const DiffOptions& options = {});
 
-/// Runs the optimized src/core/ strategy (paper-default configuration, no
-/// goal weights).
+/// Runs the optimized src/core/ strategy, without goal weights. Best Match
+/// runs as `best_match` says (paper default unless given); the other
+/// strategies ignore it, here and below.
 core::RecommendationList RunOptimized(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
-    const model::Activity& activity, size_t k);
+    const model::Activity& activity, size_t k,
+    const core::BestMatchOptions& best_match = {});
 
 /// Runs the optimized strategy through the pooled-workspace serving path
 /// (RecommendPooled over a caller-owned, reused QueryWorkspace) — the
@@ -78,19 +101,22 @@ core::RecommendationList RunOptimized(
 /// to RunOptimized; tests/oracle/snapshot_test.cc holds it to that.
 core::RecommendationList RunOptimizedPooled(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
-    const model::Activity& activity, size_t k, core::QueryWorkspace& workspace);
+    const model::Activity& activity, size_t k, core::QueryWorkspace& workspace,
+    const core::BestMatchOptions& best_match = {});
 
 /// Runs the naive reference for the same configuration.
 ReferenceList RunReference(const model::ImplementationLibrary& library,
                            OracleStrategy strategy,
-                           const model::Activity& activity, size_t k);
+                           const model::Activity& activity, size_t k,
+                           const core::BestMatchOptions& best_match = {});
 
 /// Optimized-vs-reference on one case; the workhorse of the oracle tests,
 /// the fuzz loop and the shrinker's failure predicate.
 DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
                          OracleStrategy strategy,
                          const model::Activity& activity, size_t k,
-                         const DiffOptions& options = {});
+                         const DiffOptions& options = {},
+                         const core::BestMatchOptions& best_match = {});
 
 }  // namespace goalrec::testing
 

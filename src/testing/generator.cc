@@ -49,8 +49,11 @@ model::ImplementationLibrary GenerateLibrary(const LibraryShape& shape,
   util::ZipfSampler zipf(pool, std::max(0.0, shape.zipf_exponent));
 
   for (model::GoalId g = 0; g < shape.num_goals; ++g) {
-    uint32_t impls = static_cast<uint32_t>(
-        rng.UniformInt(shape.min_impls_per_goal, shape.max_impls_per_goal));
+    uint32_t impls =
+        g < shape.fat_goals
+            ? shape.fat_goal_impls
+            : static_cast<uint32_t>(rng.UniformInt(shape.min_impls_per_goal,
+                                                   shape.max_impls_per_goal));
     for (uint32_t i = 0; i < impls; ++i) {
       double degenerate = rng.UniformDouble();
       uint32_t size;
@@ -230,6 +233,29 @@ std::vector<CaseShape> DefaultCaseShapes() {
   tie_storm.activity.max_size = 6;
   tie_storm.max_k = 30;  // deep lists: ties reach far down the ranking
   shapes.push_back(tie_storm);
+
+  // Fat goals: three goals with 36 implementations each beside eleven small
+  // ones, tiny implementations over a 90-action vocabulary and a short H.
+  // H almost surely reaches a fat goal, whose implementations mostly miss
+  // H, so Best Match's goal-major scan walks many implementations outside
+  // IS(H) and many actions that are no candidate, while a candidate's own
+  // postings spread over goals outside GS(H).
+  CaseShape fat_goal;
+  fat_goal.library.num_goals = 14;
+  fat_goal.library.num_actions = 90;
+  fat_goal.library.min_impls_per_goal = 1;
+  fat_goal.library.max_impls_per_goal = 3;
+  fat_goal.library.fat_goals = 3;
+  fat_goal.library.fat_goal_impls = 36;
+  fat_goal.library.min_actions_per_impl = 1;
+  fat_goal.library.max_actions_per_impl = 4;
+  fat_goal.library.zipf_exponent = 0.6;
+  fat_goal.library.disconnected_action_fraction = 0.05;
+  fat_goal.activity.min_size = 1;
+  fat_goal.activity.max_size = 4;
+  fat_goal.activity.superset_prob = 0.2;
+  fat_goal.max_k = 25;
+  shapes.push_back(fat_goal);
 
   return shapes;
 }

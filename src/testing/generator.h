@@ -41,6 +41,10 @@ struct LibraryShape {
   /// implementations is legal (it simply never appears in any space).
   uint32_t min_impls_per_goal = 1;
   uint32_t max_impls_per_goal = 4;
+  /// The first `fat_goals` goals get exactly `fat_goal_impls`
+  /// implementations each instead of a draw from [min, max].
+  uint32_t fat_goals = 0;
+  uint32_t fat_goal_impls = 0;
   /// Actions per (non-degenerate) implementation, uniform in [min, max];
   /// duplicates drawn for one implementation collapse, so the realised size
   /// may be smaller.
@@ -103,11 +107,13 @@ OracleCase GenerateCase(const CaseShape& shape, uint64_t seed);
 
 /// The shape sweep the oracle tests and the fuzz driver cycle through:
 /// tiny/medium libraries, a degenerate-heavy mix, a hub-dominated popularity
-/// skew, a sparse barely-connected one, and four kernel-adversarial shapes —
+/// skew, a sparse barely-connected one, and five kernel-adversarial shapes —
 /// vocabulary and |H| sizes straddling the 64-bit-word / SIMD-lane
-/// boundaries, an all-actions-popular maximal-connectivity mix, and a
+/// boundaries, an all-actions-popular maximal-connectivity mix, a
 /// singleton-implementation "tie storm" where nearly all scores collide and
-/// only the documented tie order distinguishes outputs.
+/// only the documented tie order distinguishes outputs, and "fat goals":
+/// a few goals with dozens of implementations, most sharing no action with
+/// H, over a vocabulary whose postings lie mostly outside GS(H).
 std::vector<CaseShape> DefaultCaseShapes();
 
 }  // namespace goalrec::testing

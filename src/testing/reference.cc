@@ -220,20 +220,61 @@ ReferenceList ReferenceBreadth(const model::ImplementationLibrary& library,
 }
 
 ReferenceList ReferenceBestMatch(const model::ImplementationLibrary& library,
-                                 const model::Activity& activity, size_t k) {
+                                 const model::Activity& activity, size_t k,
+                                 const core::BestMatchOptions& options) {
   if (k == 0) return {};
   std::vector<model::GoalId> goal_space = ReferenceGoalSpace(library, activity);
   if (goal_space.empty()) return {};
-  std::vector<double> profile = ReferenceProfile(library, activity, goal_space);
+  // Eq. 8 counts, or Eq. 7: 1 wherever the count is non-zero.
+  auto embed = [&](model::ActionId a) {
+    std::vector<double> vec = ReferenceActionGoalVector(library, a, goal_space);
+    if (options.representation == core::GoalVectorRepresentation::kBoolean) {
+      for (double& v : vec) v = v > 0.0 ? 1.0 : 0.0;
+    }
+    return vec;
+  };
+  // Eq. 9 over the chosen embedding.
+  std::vector<double> profile(goal_space.size(), 0.0);
+  for (model::ActionId a : activity) {
+    std::vector<double> vec = embed(a);
+    for (size_t i = 0; i < profile.size(); ++i) profile[i] += vec[i];
+  }
   ReferenceList list;
   for (model::ActionId a : ReferenceCandidates(library, activity)) {
-    std::vector<double> vec = ReferenceActionGoalVector(library, a, goal_space);
-    double sum_of_squares = 0.0;
-    for (size_t i = 0; i < profile.size(); ++i) {
-      double diff = profile[i] - vec[i];
-      sum_of_squares += diff * diff;
+    std::vector<double> vec = embed(a);
+    double distance = 0.0;
+    switch (options.metric) {
+      case util::DistanceMetric::kEuclidean: {
+        double sum_of_squares = 0.0;
+        for (size_t i = 0; i < profile.size(); ++i) {
+          double diff = profile[i] - vec[i];
+          sum_of_squares += diff * diff;
+        }
+        distance = std::sqrt(sum_of_squares);
+        break;
+      }
+      case util::DistanceMetric::kManhattan:
+        for (size_t i = 0; i < profile.size(); ++i) {
+          distance += std::abs(profile[i] - vec[i]);
+        }
+        break;
+      case util::DistanceMetric::kCosine: {
+        // 1 − cos(H⃗, a⃗), with cos = 0 when either vector is zero.
+        double dot = 0.0, profile_sq = 0.0, vec_sq = 0.0;
+        for (size_t i = 0; i < profile.size(); ++i) {
+          dot += profile[i] * vec[i];
+          profile_sq += profile[i] * profile[i];
+          vec_sq += vec[i] * vec[i];
+        }
+        double norm_profile = std::sqrt(profile_sq);
+        double norm_vec = std::sqrt(vec_sq);
+        double cosine = (norm_profile == 0.0 || norm_vec == 0.0)
+                            ? 0.0
+                            : dot / (norm_profile * norm_vec);
+        distance = 1.0 - cosine;
+        break;
+      }
     }
-    double distance = std::sqrt(sum_of_squares);
     // Negated so the shared "higher score wins" ordering applies.
     list.push_back(ReferenceItem{a, -distance});
   }

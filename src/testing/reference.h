@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "core/best_match.h"
 #include "model/library.h"
 #include "model/types.h"
 
@@ -33,9 +34,9 @@
 // single IEEE division (Focus) or a sum of small integers (Breadth, Best
 // Match vector entries), so the reference reproduces the optimized scores
 // bit-for-bit and the differential comparison can demand exact equality.
-// The reference covers the paper-default Best Match configuration
-// (implementation-count vectors, Euclidean distance) — the configuration
-// the differential harness runs the optimized strategy in.
+// The reference covers all six unweighted Best Match variants
+// (representation × metric); it takes core::BestMatchOptions only as the
+// name of the variant, never calling into src/core/.
 
 namespace goalrec::testing {
 
@@ -123,11 +124,14 @@ ReferenceList ReferenceFocus(const model::ImplementationLibrary& library,
 ReferenceList ReferenceBreadth(const model::ImplementationLibrary& library,
                                const model::Activity& activity, size_t k);
 
-/// Algorithms 3–4 (Best Match, paper defaults): candidates ranked by
-/// ascending Euclidean distance between implementation-count goal vectors;
-/// score is the negated distance. Up to `k` items.
+/// Algorithms 3–4 (Best Match): candidates ranked by ascending distance
+/// between the profile and their goal vectors — Eq. 8 implementation
+/// counts or Eq. 7 booleans, Euclidean, Manhattan or cosine distance as
+/// `options` says (paper defaults: counts, Euclidean); score is the negated
+/// distance. `options.goal_weights` must be null. Up to `k` items.
 ReferenceList ReferenceBestMatch(const model::ImplementationLibrary& library,
-                                 const model::Activity& activity, size_t k);
+                                 const model::Activity& activity, size_t k,
+                                 const core::BestMatchOptions& options = {});
 
 }  // namespace goalrec::testing
 

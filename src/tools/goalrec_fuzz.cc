@@ -17,6 +17,7 @@
 //
 //   goalrec_fuzz --replay=fuzz_repro_Breadth_1234.tsv
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -45,7 +46,9 @@ constexpr char kUsage[] =
     "       goalrec_fuzz --replay=REPRO_FILE\n"
     "\n"
     "Differential fuzzing of the optimized strategies against the naive\n"
-    "reference oracle. Strategies: Focus_cmp, Focus_cl, Breadth, BestMatch.\n";
+    "reference oracle. Strategies: Focus_cmp, Focus_cl, Breadth, BestMatch;\n"
+    "BestMatch runs all six variants (counts|boolean x euclidean|manhattan|\n"
+    "cosine).\n";
 
 struct FuzzConfig {
   uint64_t seed = 42;
@@ -64,14 +67,15 @@ struct FuzzConfig {
 // did (spaces, candidate counts, per-span timings) without re-running under
 // a debugger. Returns the written path, or "" on failure.
 std::string DumpReproObservability(const testing::OracleCase& shrunk,
-                                   testing::OracleStrategy strategy,
+                                   const testing::OracleVariant& variant,
                                    const std::string& repro_path) {
+  const testing::OracleStrategy strategy = variant.strategy;
   core::FocusRecommender focus_cmp(&shrunk.library,
                                    core::FocusVariant::kCompleteness);
   core::FocusRecommender focus_cl(&shrunk.library,
                                   core::FocusVariant::kCloseness);
   core::BreadthRecommender breadth(&shrunk.library);
-  core::BestMatchRecommender best_match(&shrunk.library);
+  core::BestMatchRecommender best_match(&shrunk.library, variant.best_match);
   core::Recommender* recommender = nullptr;
   switch (strategy) {
     case testing::OracleStrategy::kFocusCompleteness:
@@ -93,7 +97,8 @@ std::string DumpReproObservability(const testing::OracleCase& shrunk,
   options.metrics = &registry;
   options.trace_sample_rate = 1.0;
   serve::ServingEngine engine(
-      {{testing::OracleStrategyName(strategy), recommender}}, options);
+      {{testing::OracleVariantName(strategy, variant.best_match), recommender}},
+      options);
   util::StatusOr<serve::ServeResult> served =
       engine.Serve(shrunk.activity, shrunk.k);
   std::string out =
@@ -107,6 +112,19 @@ std::string DumpReproObservability(const testing::OracleCase& shrunk,
   return path;
 }
 
+// Every strategy in `strategies`, Best Match under each of its variants.
+std::vector<testing::OracleVariant> AllVariants(
+    const std::vector<testing::OracleStrategy>& strategies) {
+  std::vector<testing::OracleVariant> variants;
+  for (testing::OracleStrategy strategy : strategies) {
+    for (const core::BestMatchOptions& best_match :
+         testing::OracleVariants(strategy)) {
+      variants.push_back(testing::OracleVariant{strategy, best_match});
+    }
+  }
+  return variants;
+}
+
 int Replay(const FuzzConfig& config) {
   util::StatusOr<testing::ReproCase> loaded =
       testing::LoadRepro(config.replay);
@@ -117,29 +135,33 @@ int Replay(const FuzzConfig& config) {
     return 2;
   }
   const testing::ReproCase& repro = *loaded;
-  std::vector<testing::OracleStrategy> strategies;
+  std::vector<testing::OracleVariant> variants;
   if (!repro.strategy.empty()) {
-    auto s = testing::OracleStrategyFromName(repro.strategy);
-    if (!s) {
+    auto v = testing::OracleVariantFromName(repro.strategy);
+    if (!v) {
       GOALREC_LOG(ERROR) << "repro names unknown strategy '" << repro.strategy
                          << "'";
       return 2;
     }
-    strategies.push_back(*s);
+    variants.push_back(*v);
   } else {
-    strategies = testing::AllOracleStrategies();
+    variants = AllVariants(testing::AllOracleStrategies());
   }
   // The header names the diverging strategy up front (DescribeRepro), so a
   // replay log identifies the suspect before any per-strategy output.
   std::printf("replaying %s — %s\n", config.replay.c_str(),
               testing::DescribeRepro(repro).c_str());
   bool mismatch = false;
-  for (testing::OracleStrategy strategy : strategies) {
+  for (const testing::OracleVariant& variant : variants) {
     testing::DiffOutcome outcome = testing::DiffStrategy(
-        repro.oracle_case.library, strategy, repro.oracle_case.activity,
-        repro.oracle_case.k, config.diff);
+        repro.oracle_case.library, variant.strategy,
+        repro.oracle_case.activity, repro.oracle_case.k, config.diff,
+        variant.best_match);
     if (outcome.match) {
-      std::printf("  %s: match\n", testing::OracleStrategyName(strategy));
+      std::printf("  %s: match\n",
+                  testing::OracleVariantName(variant.strategy,
+                                             variant.best_match)
+                      .c_str());
     } else {
       std::printf("  MISMATCH %s\n", outcome.detail.c_str());
       mismatch = true;
@@ -152,6 +174,8 @@ int Replay(const FuzzConfig& config) {
 
 int Fuzz(const FuzzConfig& config) {
   std::vector<testing::CaseShape> shapes = testing::DefaultCaseShapes();
+  const std::vector<testing::OracleVariant> variants =
+      AllVariants(config.strategies);
   util::Rng seed_sequence(config.seed, /*stream=*/21);
   int64_t checks = 0;
   for (int64_t round = 0; round < config.rounds; ++round) {
@@ -159,9 +183,13 @@ int Fuzz(const FuzzConfig& config) {
     const testing::CaseShape& shape =
         shapes[static_cast<size_t>(round) % shapes.size()];
     testing::OracleCase c = testing::GenerateCase(shape, case_seed);
-    for (testing::OracleStrategy strategy : config.strategies) {
+    for (const testing::OracleVariant& variant : variants) {
+      const testing::OracleStrategy strategy = variant.strategy;
+      const core::BestMatchOptions best_match = variant.best_match;
+      const std::string name =
+          testing::OracleVariantName(strategy, best_match);
       testing::DiffOutcome outcome = testing::DiffStrategy(
-          c.library, strategy, c.activity, c.k, config.diff);
+          c.library, strategy, c.activity, c.k, config.diff, best_match);
       ++checks;
       if (outcome.match) continue;
 
@@ -172,16 +200,18 @@ int Fuzz(const FuzzConfig& config) {
       std::printf("shrinking from %u implementations, |H| = %zu ...\n",
                   c.library.num_implementations(), c.activity.size());
       testing::DiffOptions diff = config.diff;
-      auto still_fails = [strategy, diff](const testing::OracleCase& cand) {
+      auto still_fails = [strategy, diff,
+                          best_match](const testing::OracleCase& cand) {
         return !testing::DiffStrategy(cand.library, strategy, cand.activity,
-                                      cand.k, diff)
+                                      cand.k, diff, best_match)
                     .match;
       };
       testing::ShrinkStats stats;
       testing::OracleCase shrunk = testing::ShrinkFailure(c, still_fails,
                                                           &stats);
-      testing::DiffOutcome shrunk_outcome = testing::DiffStrategy(
-          shrunk.library, strategy, shrunk.activity, shrunk.k, config.diff);
+      testing::DiffOutcome shrunk_outcome =
+          testing::DiffStrategy(shrunk.library, strategy, shrunk.activity,
+                                shrunk.k, config.diff, best_match);
       std::printf(
           "shrunk to %u implementations, |H| = %zu "
           "(%zu predicate calls, %zu passes)\n",
@@ -189,16 +219,17 @@ int Fuzz(const FuzzConfig& config) {
           stats.predicate_calls, stats.passes);
       std::printf("minimal divergence: %s\n", shrunk_outcome.detail.c_str());
 
-      std::string path = config.out_dir + "/fuzz_repro_" +
-                         testing::OracleStrategyName(strategy) + "_" +
+      std::string file_name = name;
+      std::replace(file_name.begin(), file_name.end(), '/', '_');
+      std::string path = config.out_dir + "/fuzz_repro_" + file_name + "_" +
                          std::to_string(case_seed) + ".tsv";
-      util::Status written = testing::WriteRepro(
-          shrunk, testing::OracleStrategyName(strategy), case_seed, path);
+      util::Status written =
+          testing::WriteRepro(shrunk, name, case_seed, path);
       if (written.ok()) {
         std::printf("repro written: %s\nreplay with: %s\n", path.c_str(),
                     testing::ReproCommandLine(path).c_str());
         std::string obs_path =
-            DumpReproObservability(shrunk, strategy, path);
+            DumpReproObservability(shrunk, variant, path);
         if (!obs_path.empty()) {
           std::printf("observability snapshot: %s\n", obs_path.c_str());
         }
@@ -216,9 +247,9 @@ int Fuzz(const FuzzConfig& config) {
     }
   }
   std::printf(
-      "OK: %lld rounds x %zu strategies (%lld differential checks), "
+      "OK: %lld rounds x %zu strategy variants (%lld differential checks), "
       "0 mismatches (seed %llu)\n",
-      static_cast<long long>(config.rounds), config.strategies.size(),
+      static_cast<long long>(config.rounds), variants.size(),
       static_cast<long long>(checks),
       static_cast<unsigned long long>(config.seed));
   return 0;

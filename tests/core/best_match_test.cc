@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/query_workspace.h"
 #include "testing/fixtures.h"
+#include "util/deadline.h"
 
 namespace goalrec::core {
 namespace {
@@ -132,6 +134,44 @@ TEST(BestMatchTest, PrefersActionAlignedWithUserEffortDistribution) {
   RecommendationList list = best_match.Recommend(h, 1);
   ASSERT_EQ(list.size(), 1u);
   EXPECT_EQ(list[0].action, *lib.actions().Find("aligned"));
+}
+
+// A stop that fires partway through the goal-major scan: no distance is
+// complete yet, so the query returns nothing rather than distances summed
+// over only some goals, and the workspace it leaves behind still serves
+// the next query exactly.
+TEST(BestMatchTest, StopMidScanReturnsEmptyAndLeavesWorkspaceClean) {
+  model::ImplementationLibrary lib = goalrec::testing::RandomLibrary(
+      /*num_actions=*/40, /*num_goals=*/200, /*num_impls=*/600,
+      /*max_size=*/3, /*seed=*/5);
+  util::Rng rng(11);
+  model::Activity activity = goalrec::testing::RandomActivity(40, 10, rng);
+  // The scan polls once per goal of GS(H); an expired deadline polled with
+  // stride 8 lets goals 0..6 through and stops at goal 7.
+  constexpr uint32_t kStride = 8;
+  ASSERT_GT(lib.GoalSpace(activity).size(), kStride);
+  for (GoalVectorRepresentation representation :
+       {GoalVectorRepresentation::kImplementationCount,
+        GoalVectorRepresentation::kBoolean}) {
+    for (util::DistanceMetric metric :
+         {util::DistanceMetric::kEuclidean, util::DistanceMetric::kManhattan,
+          util::DistanceMetric::kCosine}) {
+      BestMatchRecommender best_match(&lib, {representation, metric});
+      RecommendationList full = best_match.Recommend(activity, 10);
+      ASSERT_FALSE(full.empty());
+
+      QueryWorkspace ws;
+      util::StopToken stop(util::Deadline::AfterMillis(0),
+                           util::CancellationToken(), kStride);
+      RecommendationList out = full;
+      best_match.RecommendPooled(activity, 10, &stop, &ws, out);
+      EXPECT_TRUE(stop.StopRequested());
+      EXPECT_TRUE(out.empty());
+
+      best_match.RecommendPooled(activity, 10, nullptr, &ws, out);
+      EXPECT_EQ(out, full);
+    }
+  }
 }
 
 TEST(BestMatchDeathTest, NullLibraryAborts) {

@@ -7,6 +7,7 @@
 //   goalrec_fuzz --seed=<printed master seed>
 // or regenerate the exact case from the seed in the failure message.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -25,8 +26,9 @@ namespace {
 // >= 240 seeded differential cases per strategy (ISSUE 7 acceptance bar;
 // supersedes the >= 200 bar from ISSUE 2), swept evenly across every
 // generator shape preset — including the kernel-adversarial shapes
-// (word/lane-boundary sizes, all-actions-popular, singleton tie storms).
-constexpr int kCasesPerStrategy = 288;  // 32 per shape × 9 shapes
+// (word/lane-boundary sizes, all-actions-popular, singleton tie storms,
+// fat goals). Best Match runs every case under all six variants.
+constexpr int kCasesPerStrategy = 320;  // 32 per shape × 10 shapes
 constexpr uint64_t kMasterSeed = 20260806;
 
 class OracleDifferentialTest
@@ -40,11 +42,14 @@ TEST_P(OracleDifferentialTest, MatchesReferenceOnSeededGeneratedCases) {
     OracleCase c =
         GenerateCase(shapes[static_cast<size_t>(i) % shapes.size()],
                      case_seed);
-    DiffOutcome outcome = DiffStrategy(c.library, GetParam(), c.activity, c.k);
-    ASSERT_TRUE(outcome.match)
-        << outcome.detail << " (case seed " << case_seed << ", shape "
-        << i % shapes.size() << ", |H| = " << c.activity.size()
-        << ", k = " << c.k << ")";
+    for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
+      DiffOutcome outcome = DiffStrategy(c.library, GetParam(), c.activity,
+                                         c.k, DiffOptions{}, variant);
+      ASSERT_TRUE(outcome.match)
+          << outcome.detail << " (case seed " << case_seed << ", shape "
+          << i % shapes.size() << ", |H| = " << c.activity.size()
+          << ", k = " << c.k << ")";
+    }
   }
 }
 
@@ -63,10 +68,12 @@ TEST_P(OracleDifferentialTest, StrictOrderMatchesOnSeededGeneratedCases) {
     OracleCase c =
         GenerateCase(shapes[static_cast<size_t>(i) % shapes.size()],
                      case_seed);
-    DiffOutcome outcome =
-        DiffStrategy(c.library, GetParam(), c.activity, c.k, strict);
-    ASSERT_TRUE(outcome.match)
-        << outcome.detail << " (case seed " << case_seed << ")";
+    for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
+      DiffOutcome outcome =
+          DiffStrategy(c.library, GetParam(), c.activity, c.k, strict, variant);
+      ASSERT_TRUE(outcome.match)
+          << outcome.detail << " (case seed " << case_seed << ")";
+    }
   }
 }
 
@@ -77,9 +84,13 @@ TEST_P(OracleDifferentialTest, MatchesReferenceOnThePaperExample) {
         model::Activity{A(1), A(2)}, model::Activity{A(1), A(2), A(3)},
         model::Activity{A(6)}, model::Activity{A(1), A(4), A(6)}}) {
     for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
-      DiffOutcome outcome = DiffStrategy(library, GetParam(), h, k);
-      EXPECT_TRUE(outcome.match) << outcome.detail << " |H| = " << h.size()
-                                 << ", k = " << k;
+      for (const core::BestMatchOptions& variant :
+           OracleVariants(GetParam())) {
+        DiffOutcome outcome =
+            DiffStrategy(library, GetParam(), h, k, DiffOptions{}, variant);
+        EXPECT_TRUE(outcome.match) << outcome.detail << " |H| = " << h.size()
+                                   << ", k = " << k;
+      }
     }
   }
 }
@@ -121,6 +132,45 @@ TEST(OracleSpacesTest, NaiveSpacesMatchIndexedSpaces) {
     EXPECT_EQ(ReferenceCandidates(c.library, c.activity),
               c.library.CandidateActions(c.activity));
   }
+}
+
+// The fat_goal shape does what the generator promises: on most cases GS(H)
+// has implementations outside IS(H), and those hold actions that are
+// neither in H nor candidates — the work Best Match's goal-major scan walks
+// past without ranking.
+TEST(OracleShapesTest, FatGoalShapeReachesOutsideTheImplementationSpace) {
+  std::vector<CaseShape> shapes = DefaultCaseShapes();
+  const CaseShape& fat_goal = shapes.back();
+  ASSERT_EQ(fat_goal.library.fat_goals, 3u);
+  util::Rng seeds(kMasterSeed, /*stream=*/6);
+  int outside_impls = 0, non_candidates = 0;
+  constexpr int kCases = 40;
+  for (int i = 0; i < kCases; ++i) {
+    OracleCase c = GenerateCase(fat_goal, seeds.NextUint64());
+    std::vector<model::ImplId> impl_space =
+        ReferenceImplementationSpace(c.library, c.activity);
+    std::vector<model::ActionId> candidates =
+        ReferenceCandidates(c.library, c.activity);
+    bool impl_outside = false, action_outside = false;
+    for (model::GoalId g : ReferenceGoalSpace(c.library, c.activity)) {
+      for (model::ImplId p : c.library.ImplsOfGoal(g)) {
+        if (std::binary_search(impl_space.begin(), impl_space.end(), p)) {
+          continue;
+        }
+        impl_outside = true;
+        for (model::ActionId a : c.library.ActionsOf(p)) {
+          if (!std::binary_search(c.activity.begin(), c.activity.end(), a) &&
+              !std::binary_search(candidates.begin(), candidates.end(), a)) {
+            action_outside = true;
+          }
+        }
+      }
+    }
+    outside_impls += impl_outside;
+    non_candidates += action_outside;
+  }
+  EXPECT_GE(outside_impls, kCases * 3 / 4);
+  EXPECT_GE(non_candidates, kCases / 2);
 }
 
 // Pin the comparison itself: a fabricated divergence must be reported, in

@@ -5,6 +5,7 @@
 #include "serve/engine.h"
 
 #include <chrono>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +61,40 @@ class SlowCooperativeRecommender : public core::Recommender {
   }
 };
 
+// Waits out the engine's deadline without polling the token, then runs the
+// real Best Match kernel. The token consults the clock on every 64th poll
+// and the scan polls once per goal of GS(H), so with more than 64 goals the
+// kernel meets the expired deadline partway through its scan.
+class LateBestMatch : public core::Recommender {
+ public:
+  explicit LateBestMatch(const core::BestMatchRecommender* inner)
+      : inner_(inner) {}
+  std::string name() const override { return "LateBestMatch"; }
+  core::RecommendationList Recommend(const model::Activity& activity,
+                                     size_t k) const override {
+    return inner_->Recommend(activity, k);
+  }
+  void RecommendPooled(util::IdSpan activity, size_t k,
+                       const util::StopToken* stop,
+                       core::QueryWorkspace* workspace,
+                       core::RecommendationList& out) const override {
+    if (stop != nullptr && !stop->deadline().is_infinite()) {
+      while (!stop->deadline().Expired()) {
+        std::this_thread::sleep_for(stop->deadline().Remaining());
+      }
+    }
+    inner_->RecommendPooled(activity, k, stop, workspace, out);
+    kernel_stopped = stop != nullptr && stop->StopRequested();
+    kernel_list = out;
+  }
+
+  mutable bool kernel_stopped = false;
+  mutable core::RecommendationList kernel_list;
+
+ private:
+  const core::BestMatchRecommender* inner_;
+};
+
 core::RecommendationList SomeList() {
   return {{model::ActionId{3}, 2.0}, {model::ActionId{1}, 1.0}};
 }
@@ -80,6 +115,31 @@ TEST(ServingEngineTest, DeadlineOnRungOneServesRungTwoWithDegradationFlag) {
   ASSERT_EQ(result->rungs.size(), 2u);
   EXPECT_EQ(result->rungs[0].outcome, RungOutcome::kDeadlineExceeded);
   EXPECT_EQ(result->rungs[1].outcome, RungOutcome::kServed);
+}
+
+TEST(ServingEngineTest, BestMatchStoppedMidScanIsDiscardedForNextRung) {
+  model::ImplementationLibrary library = goalrec::testing::RandomLibrary(
+      /*num_actions=*/40, /*num_goals=*/200, /*num_impls=*/600,
+      /*max_size=*/3, /*seed=*/5);
+  util::Rng rng(11);
+  model::Activity activity = goalrec::testing::RandomActivity(40, 10, rng);
+  ASSERT_GT(library.GoalSpace(activity).size(), 64u);
+  core::BestMatchRecommender best_match(&library);
+  LateBestMatch late(&best_match);
+  FixedRecommender fallback(SomeList(), "Fallback");
+  EngineOptions options;
+  options.deadline_ms = 100;
+  ServingEngine engine({{"best_match", &late}, {"fallback", &fallback}},
+                       options);
+
+  util::StatusOr<ServeResult> result = engine.Serve(activity, 10);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(late.kernel_stopped);
+  EXPECT_TRUE(late.kernel_list.empty());
+  ASSERT_EQ(result->rungs.size(), 2u);
+  EXPECT_EQ(result->rungs[0].outcome, RungOutcome::kDeadlineExceeded);
+  EXPECT_EQ(result->rung_name, "fallback");
+  EXPECT_EQ(result->list, SomeList());
 }
 
 TEST(ServingEngineTest, AllRungsFailingYieldsCleanStatusNotACrash) {
