@@ -1,8 +1,10 @@
 // Delta-segment benchmark for the incremental data plane (single JSON
-// document on stdout; recorded run in BENCH_delta.json):
+// document on stdout; recorded runs, before and after the deferred fold, in
+// BENCH_delta.json):
 //
 //   1. Mutation throughput, writer only: DeltaLog::Append wall time
-//      (encode + fold + fsync'd atomic publish) over a sustained append
+//      (validate + encode + fsync'd atomic publish; the writer never reads
+//      the merged library, so it never folds) over a sustained append
 //      stream with periodic tombstones, plus Compact() cost at the end of
 //      the stream — the price of folding the chain back into a base.
 //   2. Update size: one appended implementation costs a ~hundred-byte
@@ -148,7 +150,7 @@ int main(int argc, char** argv) {
   Clock::time_point stream_start = Clock::now();
   for (int64_t u = 0; u < updates; ++u) {
     goalrec::model::DeltaOps ops = MakeOps(
-        base, rng, u, writer.library().num_implementations());
+        base, rng, u, writer.stats().view.live_implementations);
     Clock::time_point start = Clock::now();
     if (!writer.Append(ops).ok()) {
       std::fprintf(stderr, "append %lld failed\n",
@@ -235,7 +237,7 @@ int main(int argc, char** argv) {
   for (int64_t u = 0; u < updates; ++u) {
     goalrec::model::DeltaOps ops =
         MakeOps(base, load_rng, u,
-                loaded_writer.library().num_implementations());
+                loaded_writer.stats().view.live_implementations);
     Clock::time_point start = Clock::now();
     if (!loaded_writer.Append(ops).ok()) return 1;
     goalrec::util::StatusOr<uint64_t> polled =

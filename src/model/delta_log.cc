@@ -276,7 +276,7 @@ util::Status DeltaLog::Compact() {
 
   // Re-anchor the chain at the new base. The merged library IS the new base
   // (same bytes just published), so no re-decode is needed.
-  ImplementationLibrary merged = view_->library();
+  ImplementationLibrary merged = std::move(*view_).TakeLibrary();
   view_.emplace(std::move(merged), new_crc);
   quarantined_.clear();
   CatchUpChain();  // cleans any remaining stale files; no chain yet

@@ -1,6 +1,7 @@
 #include "model/library.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/set_ops.h"
@@ -10,8 +11,8 @@ namespace goalrec::model {
 LibraryBuilder LibraryBuilder::FromLibrary(
     const ImplementationLibrary& library) {
   LibraryBuilder builder;
-  builder.actions_ = library.actions_;
-  builder.goals_ = library.goals_;
+  builder.actions_ = library.actions();
+  builder.goals_ = library.goals();
   builder.impls_.reserve(library.num_implementations());
   for (ImplId p = 0; p < library.num_implementations(); ++p) {
     std::span<const ActionId> actions = library.ActionsOf(p);
@@ -51,27 +52,41 @@ ImplId LibraryBuilder::AddImplementationIds(GoalId goal, IdSet actions) {
 }
 
 ImplementationLibrary LibraryBuilder::Build() && {
+  size_t total_postings = 0;
+  for (const Implementation& impl : impls_) total_postings += impl.actions.size();
+  LibraryRowWriter writer(std::move(actions_), std::move(goals_), impls_.size(),
+                          total_postings);
+  for (const Implementation& impl : impls_) {
+    writer.AppendRow(impl.goal, impl.actions);
+  }
+  return std::move(writer).Finish();
+}
+
+LibraryRowWriter::LibraryRowWriter(Vocabulary actions, Vocabulary goals,
+                                   size_t rows, size_t postings)
+    : actions_(std::move(actions)), goals_(std::move(goals)) {
+  // GI-A-idx / GI-G-idx: per-implementation action sets packed into one
+  // contiguous arena.
+  impl_offsets_.reserve(rows + 1);
+  impl_offsets_.push_back(0);
+  impl_actions_.reserve(postings);
+  impl_goals_.reserve(rows);
+}
+
+void LibraryRowWriter::AppendRow(GoalId goal,
+                                 std::span<const ActionId> actions) {
+  impl_actions_.insert(impl_actions_.end(), actions.begin(), actions.end());
+  impl_offsets_.push_back(static_cast<uint32_t>(impl_actions_.size()));
+  impl_goals_.push_back(goal);
+}
+
+ImplementationLibrary LibraryRowWriter::Finish() && {
   ImplementationLibrary lib;
   lib.actions_ = std::move(actions_);
   lib.goals_ = std::move(goals_);
-  const size_t num_impls = impls_.size();
-
-  // GI-A-idx / GI-G-idx: pack the per-implementation action sets into one
-  // contiguous arena.
-  size_t total_postings = 0;
-  for (const Implementation& impl : impls_) total_postings += impl.actions.size();
-  lib.impl_offsets_.resize(num_impls + 1, 0);
-  lib.impl_actions_.reserve(total_postings);
-  lib.impl_goals_.reserve(num_impls);
-  for (size_t p = 0; p < num_impls; ++p) {
-    const Implementation& impl = impls_[p];
-    lib.impl_offsets_[p] = static_cast<uint32_t>(lib.impl_actions_.size());
-    lib.impl_actions_.insert(lib.impl_actions_.end(), impl.actions.begin(),
-                             impl.actions.end());
-    lib.impl_goals_.push_back(impl.goal);
-  }
-  lib.impl_offsets_[num_impls] = static_cast<uint32_t>(lib.impl_actions_.size());
-
+  lib.impl_offsets_ = std::move(impl_offsets_);
+  lib.impl_actions_ = std::move(impl_actions_);
+  lib.impl_goals_ = std::move(impl_goals_);
   lib.BuildDerivedIndexes();
   return lib;
 }

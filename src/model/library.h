@@ -51,6 +51,34 @@ struct ImplementationView {
 
 class ImplementationLibrary;
 
+/// Array-level assembly of an ImplementationLibrary from rows that are
+/// already valid: action spans strictly ascending, every id in range of the
+/// vocabularies handed in. The one row-copy path shared by
+/// LibraryBuilder::Build(), the delta fold (model/merged_view.cc) and the
+/// shard split (model/sharding.cc), so all three produce bit-identical
+/// libraries from the same rows. Rows are not re-checked here; run
+/// ValidateLibrary on anything untrusted.
+class LibraryRowWriter {
+ public:
+  /// `rows` / `postings` pre-size the GI arenas (exact totals avoid any
+  /// regrowth; they are hints, not limits).
+  LibraryRowWriter(Vocabulary actions, Vocabulary goals, size_t rows,
+                   size_t postings);
+
+  /// Appends implementation (goal, actions) with the next id.
+  void AppendRow(GoalId goal, std::span<const ActionId> actions);
+
+  /// Builds the derived indexes and returns the library.
+  ImplementationLibrary Finish() &&;
+
+ private:
+  Vocabulary actions_;
+  Vocabulary goals_;
+  std::vector<uint32_t> impl_offsets_;
+  std::vector<ActionId> impl_actions_;
+  std::vector<GoalId> impl_goals_;
+};
+
 /// Accumulates implementations and interns names, then produces an immutable
 /// ImplementationLibrary. The builder is single-use: Build() consumes it.
 class LibraryBuilder {
@@ -206,11 +234,10 @@ class ImplementationLibrary {
   double AvgImplementationLength() const;
 
  private:
-  friend class LibraryBuilder;
-  // The delta fold (model/merged_view.cc) fills the CSR arenas directly —
-  // copying base rows and renumbering survivors without re-interning names —
-  // and must stay bit-identical to LibraryBuilder::Build().
-  friend class MergedLibraryView;
+  friend class LibraryRowWriter;
+  // Test-only access for corrupting a built library's indexes
+  // (tests/model/validate_test.cc).
+  friend class LibraryTestPeer;
 
   Vocabulary actions_;
   Vocabulary goals_;
@@ -237,8 +264,7 @@ class ImplementationLibrary {
 
   /// Builds the A-GI/G-GI inverted indexes and the kernel precomputation
   /// from the already-filled GI arenas (impl_offsets_/impl_actions_/
-  /// impl_goals_) and vocabularies. Shared by LibraryBuilder::Build() and
-  /// the delta fold so both produce bit-identical libraries.
+  /// impl_goals_) and vocabularies. Called once, by LibraryRowWriter.
   void BuildDerivedIndexes();
 };
 

@@ -14,7 +14,6 @@ namespace goalrec::model {
 MergedLibraryView::MergedLibraryView(ImplementationLibrary base,
                                      uint32_t base_crc32c)
     : base_(std::move(base)),
-      merged_(base_),
       base_crc32c_(base_crc32c),
       goals_vocab_(base_.goals()) {
   const uint32_t n = base_.num_implementations();
@@ -114,17 +113,28 @@ util::Status MergedLibraryView::ApplySegment(const DeltaSegment& segment,
   stats_.tombstoned_implementations = dead;
   stats_.live_implementations = static_cast<uint32_t>(alive_.size() - dead);
 
-  Fold();
+  fold_pending_ = true;
   return util::Status::Ok();
 }
 
-void MergedLibraryView::Fold() {
-  const auto fold_start = std::chrono::steady_clock::now();
+const ImplementationLibrary& MergedLibraryView::library() const {
+  if (fold_pending_) Fold();
+  return segments_applied_ == 0 ? base_ : merged_;
+}
 
-  ImplementationLibrary lib;
+ImplementationLibrary MergedLibraryView::TakeLibrary() && {
+  if (fold_pending_) Fold();
+  return segments_applied_ == 0 ? std::move(base_) : std::move(merged_);
+}
+
+void MergedLibraryView::Fold() const {
+  const auto fold_start = std::chrono::steady_clock::now();
+  // The previous fold is stale; free it before building the next.
+  merged_ = ImplementationLibrary();
+
   // Base vocabularies are copied, never re-interned: ids 0..N-1 preserved.
-  lib.actions_ = base_.actions_;
-  lib.goals_ = base_.goals_;
+  Vocabulary actions = base_.actions();
+  Vocabulary goals = base_.goals();
 
   // Intern every appended record's names in record order — dead records
   // included, because the logical id space (and so any segment already
@@ -142,9 +152,9 @@ void MergedLibraryView::Fold() {
     AppendedIds ids;
     ids.actions.reserve(rec.actions.size());
     for (const std::string& a : rec.actions) {
-      ids.actions.push_back(lib.actions_.Intern(a));
+      ids.actions.push_back(actions.Intern(a));
     }
-    ids.goal = lib.goals_.Intern(rec.goal);
+    ids.goal = goals.Intern(rec.goal);
     util::Normalize(ids.actions);
     appended_ids.push_back(std::move(ids));
   }
@@ -163,32 +173,22 @@ void MergedLibraryView::Fold() {
                           : appended_ids[p - base_count].actions.size();
   }
 
-  lib.impl_offsets_.resize(num_impls + 1, 0);
-  lib.impl_actions_.reserve(total_postings);
-  lib.impl_goals_.reserve(num_impls);
-  size_t next = 0;
+  LibraryRowWriter writer(std::move(actions), std::move(goals), num_impls,
+                          total_postings);
   for (size_t p = 0; p < logical; ++p) {
     if (!alive_[p]) continue;
-    lib.impl_offsets_[next] = static_cast<uint32_t>(lib.impl_actions_.size());
     if (p < base_count) {
-      auto span = base_.ActionsOf(static_cast<ImplId>(p));
-      lib.impl_actions_.insert(lib.impl_actions_.end(), span.begin(),
-                               span.end());
-      lib.impl_goals_.push_back(base_.GoalOf(static_cast<ImplId>(p)));
+      const ImplId id = static_cast<ImplId>(p);
+      writer.AppendRow(base_.GoalOf(id), base_.ActionsOf(id));
     } else {
       const AppendedIds& ids = appended_ids[p - base_count];
-      lib.impl_actions_.insert(lib.impl_actions_.end(), ids.actions.begin(),
-                               ids.actions.end());
-      lib.impl_goals_.push_back(ids.goal);
+      writer.AppendRow(ids.goal, ids.actions);
     }
-    ++next;
   }
-  lib.impl_offsets_[num_impls] =
-      static_cast<uint32_t>(lib.impl_actions_.size());
+  merged_ = std::move(writer).Finish();
+  fold_pending_ = false;
 
-  lib.BuildDerivedIndexes();
-  merged_ = std::move(lib);
-
+  ++stats_.folds;
   stats_.last_fold_micros =
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - fold_start)

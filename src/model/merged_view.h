@@ -19,10 +19,13 @@
 //
 // The merged library. Queries cannot run over the logical space directly:
 // the scoring kernels (core/) read the library's flat CSR arenas, and
-// ValidateLibrary insists every index row is live. So after each applied
-// segment the view FOLDS: survivors are renumbered densely in logical-id
-// order and the CSR indexes rebuilt array-level — base rows copied without
-// re-interning a single name, appended names interned in record order. The
+// ValidateLibrary insists every index row is live. So when the merged
+// library is read after one or more applied segments, the view FOLDS:
+// survivors are renumbered densely in logical-id order and the CSR indexes
+// rebuilt array-level — base rows copied without re-interning a single
+// name, appended names interned in record order. Folding on read means a
+// writer that never reads library() never folds (only Compact does), and a
+// reader that catches up several segments in one poll folds once. The
 // result is bit-identical to rebuilding from scratch with LibraryBuilder
 // (intern the base vocabularies in id order, intern every appended record's
 // names in order, add the surviving implementations in logical order) —
@@ -39,7 +42,10 @@
 // ApplySegment is transactional: chain position and semantics are fully
 // validated before the first mutation, so a rejected segment leaves the
 // view untouched — the "keep serving the last good view" invariant the
-// serving layer builds on.
+// serving layer builds on. Chain position, liveness and the goal vocabulary
+// update eagerly; only the CSR rebuild waits for the read.
+//
+// Not thread-safe, including library(): a read may run the pending fold.
 
 namespace goalrec::model {
 
@@ -68,15 +74,21 @@ class MergedLibraryView {
   util::Status ValidateSegment(const DeltaSegment& segment,
                                const std::string& name) const;
 
-  /// Validates, applies and refolds. `segment_crc32c` is the CRC32C of the
-  /// segment's encoded bytes (the linkage the NEXT segment must carry as
-  /// prev_crc32c). On error the view is untouched.
+  /// Validates and applies; the fold waits for the next library() call.
+  /// `segment_crc32c` is the CRC32C of the segment's encoded bytes (the
+  /// linkage the NEXT segment must carry as prev_crc32c). On error the view
+  /// is untouched.
   util::Status ApplySegment(const DeltaSegment& segment,
                             uint32_t segment_crc32c, const std::string& name);
 
   /// The merged library: base plus applied segments, tombstones masked,
-  /// survivors densely renumbered. Valid until the next ApplySegment.
-  const ImplementationLibrary& library() const { return merged_; }
+  /// survivors densely renumbered. Folds first when segments were applied
+  /// since the last fold. Valid until the next ApplySegment.
+  const ImplementationLibrary& library() const;
+
+  /// Moves the merged library out, folding first when a fold is pending.
+  /// The view is left unusable; Compact re-anchors a new view on the result.
+  ImplementationLibrary TakeLibrary() &&;
 
   /// The base library the chain is anchored at.
   const ImplementationLibrary& base() const { return base_; }
@@ -90,16 +102,22 @@ class MergedLibraryView {
     /// Cumulative goal tombstone operations applied.
     uint64_t tombstoned_goals = 0;
     uint32_t live_implementations = 0;
-    /// Wall time of the most recent fold.
+    /// Folds performed so far (one per library() read that found segments
+    /// applied since the previous fold).
+    uint64_t folds = 0;
+    /// Wall time of the last fold performed (0 before the first).
     int64_t last_fold_micros = 0;
   };
   const Stats& stats() const { return stats_; }
 
  private:
-  void Fold();
+  void Fold() const;
 
   ImplementationLibrary base_;
-  ImplementationLibrary merged_;
+  // The last fold. Before the first segment the merged library IS base_, so
+  // library() returns base_ and no copy is held.
+  mutable ImplementationLibrary merged_;
+  mutable bool fold_pending_ = false;
   uint32_t base_crc32c_ = 0;
   uint32_t prev_segment_crc32c_ = 0;
   uint64_t segments_applied_ = 0;
@@ -115,7 +133,8 @@ class MergedLibraryView {
   /// preserved, appended goals interned in record order) so tombstones and
   /// validation resolve names without waiting for the fold.
   Vocabulary goals_vocab_;
-  Stats stats_;
+  // Mutable for the fold counters library() updates.
+  mutable Stats stats_;
 };
 
 }  // namespace goalrec::model

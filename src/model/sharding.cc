@@ -1,6 +1,8 @@
 #include "model/sharding.h"
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -56,24 +58,6 @@ std::shared_ptr<const ShardedSnapshot> BuildShardedSnapshot(
     }
   }
 
-  // Every shard re-interns the FULL base vocabularies in base id order, so
-  // action/goal ids are base ids on every shard — queries fan out and merge
-  // without any id translation, and a shard can embed candidates it has
-  // never seen in its own implementations (Best Match phase B).
-  std::vector<LibraryBuilder> builders(num_shards);
-  for (LibraryBuilder& b : builders) {
-    b.ReserveActions(base.num_actions());
-    b.ReserveGoals(num_goals);
-    for (ActionId a = 0; a < base.num_actions(); ++a) {
-      ActionId id = b.InternAction(base.actions().Name(a));
-      GOALREC_CHECK(id == a);
-    }
-    for (GoalId g = 0; g < num_goals; ++g) {
-      GoalId id = b.InternGoal(base.goals().Name(g));
-      GOALREC_CHECK(id == g);
-    }
-  }
-
   // Walk implementations in ascending logical id order so shard-local ids
   // are assigned monotonically in logical order — the invariant that makes
   // (score desc, local asc) equal (score desc, logical asc) per shard.
@@ -81,20 +65,31 @@ std::shared_ptr<const ShardedSnapshot> BuildShardedSnapshot(
   out->impl_shard.resize(num_impls);
   out->impl_local.resize(num_impls);
   out->local_to_logical.resize(num_shards);
+  std::vector<size_t> shard_postings(num_shards, 0);
   for (ImplId p = 0; p < num_impls; ++p) {
-    const GoalId g = base.GoalOf(p);
-    const uint32_t shard = out->goal_shard[g];
-    ImplId local = builders[shard].AddImplementationIds(g, base.ActionsOf(p));
+    const uint32_t shard = out->goal_shard[base.GoalOf(p)];
     out->impl_shard[p] = shard;
-    out->impl_local[p] = local;
-    GOALREC_CHECK(local == out->local_to_logical[shard].size());
+    out->impl_local[p] =
+        static_cast<uint32_t>(out->local_to_logical[shard].size());
     out->local_to_logical[shard].push_back(p);
+    shard_postings[shard] += base.ImplActionCount(p);
   }
 
+  // Every shard copies the FULL base vocabularies, so action/goal ids are
+  // base ids on every shard — queries fan out and merge without any id
+  // translation, and a shard can embed candidates it has never seen in its
+  // own implementations (Best Match phase B). Rows copy straight out of the
+  // base arenas.
   out->shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    out->shards.push_back(MakeSnapshot(std::move(builders[s]).Build(),
-                                       "shard:" + std::to_string(s)));
+    const std::vector<uint32_t>& logical = out->local_to_logical[s];
+    LibraryRowWriter writer(base.actions(), base.goals(), logical.size(),
+                            shard_postings[s]);
+    for (ImplId p : logical) {
+      writer.AppendRow(base.GoalOf(p), base.ActionsOf(p));
+    }
+    out->shards.push_back(
+        MakeSnapshot(std::move(writer).Finish(), "shard:" + std::to_string(s)));
   }
   return out;
 }

@@ -29,8 +29,8 @@
 //   * an action's global posting count is the sum of its per-shard posting
 //     counts (each implementation lives on exactly one shard).
 //
-// Id spaces. Every shard re-interns the base library's full action and goal
-// vocabularies in base id order, so action/goal ids are IDENTICAL across
+// Id spaces. Every shard carries a copy of the base library's full action
+// and goal vocabularies, so action/goal ids are IDENTICAL across
 // the base and all shards — queries and merged results never translate
 // them. Implementation ids are shard-local; the snapshot carries the stable
 // logical→(shard, local) map and its per-shard inverse. Local ids are
@@ -66,9 +66,11 @@ struct ShardingOptions {
 };
 
 /// One library, partitioned by goal into `num_shards` immutable per-shard
-/// libraries. Shard libraries share the base vocabularies (re-interned in
-/// base id order), so action and goal ids are base ids everywhere; only
-/// implementation ids are shard-local. Immutable after construction.
+/// libraries. Shard libraries carry copies of the base vocabularies, so
+/// action and goal ids are base ids everywhere; only implementation ids are
+/// shard-local. Each shard is bit-identical to a LibraryBuilder that interns
+/// the base names in id order and adds the shard's rows in logical order.
+/// Immutable after construction.
 struct ShardedSnapshot {
   /// The unpartitioned library this snapshot was built from. Not owned:
   /// the caller (ServingSnapshot, a test fixture) must keep it alive for

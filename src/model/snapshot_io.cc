@@ -1,14 +1,15 @@
 #include "model/snapshot_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -286,6 +287,21 @@ util::Status WriteAll(int fd, std::string_view bytes,
   return util::Status::Ok();
 }
 
+/// Owns a file descriptor and closes it on scope exit.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
 }  // namespace
 
 util::Status SaveSnapshot(const ImplementationLibrary& library,
@@ -325,20 +341,40 @@ util::Status AtomicWriteFile(std::string_view bytes, const std::string& path) {
 
 util::StatusOr<std::string> ReadFileToString(const std::string& path,
                                              uint64_t max_bytes) {
-  std::error_code ec;
-  uintmax_t size = std::filesystem::file_size(path, ec);
-  if (!ec && size > max_bytes) {
+  ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) return util::IoError("cannot open " + path);
+  struct stat st {};
+  const uint64_t size_hint =
+      ::fstat(fd.get(), &st) == 0 && S_ISREG(st.st_mode)
+          ? static_cast<uint64_t>(st.st_size)
+          : 0;
+  if (size_hint > max_bytes) {
     return util::ResourceExhaustedError(
-        path + ": file is " + std::to_string(size) +
+        path + ": file is " + std::to_string(size_hint) +
         " bytes, over the load cap of " + std::to_string(max_bytes));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::IoError("cannot open " + path);
-  std::string bytes;
-  if (!ec) bytes.reserve(static_cast<size_t>(size));
-  bytes.assign(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-  if (in.bad()) return util::IoError("read failed: " + path);
+  // One byte past the size hint, so a file that did not grow reads to EOF
+  // without regrowing the buffer. The cap is enforced on the bytes actually
+  // read too: a file may grow after fstat, and pipes report no size.
+  std::string bytes(static_cast<size_t>(size_hint) + 1, '\0');
+  size_t len = 0;
+  for (;;) {
+    if (len == bytes.size()) bytes.resize(len + kReadFileChunkBytes);
+    const size_t want = std::min(kReadFileChunkBytes, bytes.size() - len);
+    const ssize_t n = ::read(fd.get(), bytes.data() + len, want);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return util::IoError("read failed: " + path);
+    }
+    if (n == 0) break;
+    len += static_cast<size_t>(n);
+    if (len > max_bytes) {
+      return util::ResourceExhaustedError(
+          path + ": file is over the load cap of " +
+          std::to_string(max_bytes) + " bytes");
+    }
+  }
+  bytes.resize(len);
   return bytes;
 }
 

@@ -1,6 +1,8 @@
 #ifndef GOALREC_MODEL_SNAPSHOT_IO_H_
 #define GOALREC_MODEL_SNAPSHOT_IO_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "model/library.h"
@@ -75,8 +77,13 @@ util::StatusOr<ImplementationLibrary> LoadSnapshotFile(
 /// SaveSnapshot and the delta-segment writer (model/delta.h).
 util::Status AtomicWriteFile(std::string_view bytes, const std::string& path);
 
-/// Reads the whole file into a string, rejecting files over `max_bytes`
-/// before the proportional allocation. kIoError for filesystem trouble.
+/// Largest single read() ReadFileToString issues.
+inline constexpr size_t kReadFileChunkBytes = size_t{1} << 20;
+
+/// Reads the whole file into a string with bulk read() calls, rejecting
+/// files over `max_bytes` (kResourceExhausted) before the proportional
+/// allocation, and again if more bytes arrive than the cap allows.
+/// kIoError for filesystem trouble.
 util::StatusOr<std::string> ReadFileToString(const std::string& path,
                                              uint64_t max_bytes);
 

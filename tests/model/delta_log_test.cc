@@ -280,5 +280,122 @@ TEST_F(DeltaLogTest, OpenFailsWithoutABase) {
   EXPECT_FALSE(DeltaLog::Open(dir_).ok());
 }
 
+// --- Deferred fold: the merged library is built when read, not per append.
+
+// The fold contract as a LibraryBuilder replay (the randomized proof is
+// tests/oracle/delta_oracle_test.cc): base names in id order, every
+// appended record's names in record order (dead records included), then the
+// surviving rows in logical order.
+ImplementationLibrary Replay(const ImplementationLibrary& base,
+                             const std::vector<DeltaOps>& tape) {
+  LibraryBuilder builder;
+  for (ActionId a = 0; a < base.num_actions(); ++a) {
+    builder.InternAction(base.actions().Name(a));
+  }
+  for (GoalId g = 0; g < base.num_goals(); ++g) {
+    builder.InternGoal(base.goals().Name(g));
+  }
+  std::vector<DeltaImplementation> rows;
+  std::vector<bool> alive;
+  for (ImplId p = 0; p < base.num_implementations(); ++p) {
+    DeltaImplementation row{base.goals().Name(base.GoalOf(p)), {}};
+    for (ActionId a : base.ActionsOf(p)) {
+      row.actions.push_back(base.actions().Name(a));
+    }
+    rows.push_back(std::move(row));
+    alive.push_back(true);
+  }
+  for (const DeltaOps& ops : tape) {
+    for (const DeltaImplementation& impl : ops.appended) {
+      for (const std::string& a : impl.actions) builder.InternAction(a);
+      builder.InternGoal(impl.goal);
+      rows.push_back(impl);
+      alive.push_back(true);
+    }
+    for (const std::string& goal : ops.tombstoned_goals) {
+      for (size_t p = 0; p < rows.size(); ++p) {
+        if (rows[p].goal == goal) alive[p] = false;
+      }
+    }
+    for (uint32_t id : ops.tombstoned_impls) alive[id] = false;
+  }
+  for (size_t p = 0; p < rows.size(); ++p) {
+    if (alive[p]) builder.AddImplementation(rows[p].goal, rows[p].actions);
+  }
+  return std::move(builder).Build();
+}
+
+// k segments of appends (new goals and a base goal), implementation
+// tombstones, and goal tombstones of base goals and of appended ones.
+std::vector<DeltaOps> FoldTape(int k) {
+  std::vector<DeltaOps> tape;
+  for (int i = 0; i < k; ++i) {
+    DeltaOps ops;
+    const std::string n = std::to_string(i);
+    ops.appended.push_back(
+        DeltaImplementation{"delta goal " + n, {"a1", "da" + n, "db" + n}});
+    ops.appended.push_back(DeltaImplementation{"g2", {"a3", "da" + n}});
+    ops.tombstoned_impls.push_back(static_cast<uint32_t>(i));
+    if (i % 3 == 1) {
+      ops.tombstoned_goals.push_back("g" + std::to_string(i % 5 + 1));
+    }
+    if (i % 3 == 2) {
+      ops.tombstoned_goals.push_back("delta goal " + std::to_string(i - 1));
+    }
+    tape.push_back(std::move(ops));
+  }
+  return tape;
+}
+
+TEST_F(DeltaLogTest, WriterFoldsOnlyWhenCompactReadsTheLibrary) {
+  for (int k : {1, 3, 8}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const std::string dir = dir_ + "/k" + std::to_string(k);
+    util::StatusOr<DeltaLog> created =
+        DeltaLog::Create(dir, testing::PaperLibrary());
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    DeltaLog writer = std::move(created).value();
+    const std::vector<DeltaOps> tape = FoldTape(k);
+    for (const DeltaOps& ops : tape) {
+      util::Status appended = writer.Append(ops);
+      ASSERT_TRUE(appended.ok()) << appended.ToString();
+    }
+    EXPECT_EQ(writer.stats().view.segments_applied, static_cast<uint64_t>(k));
+    EXPECT_EQ(writer.stats().view.folds, 0u);
+    ASSERT_TRUE(writer.Compact().ok());
+    EXPECT_EQ(ReadFile(writer.base_path()),
+              EncodeSnapshot(Replay(testing::PaperLibrary(), tape)));
+  }
+}
+
+TEST_F(DeltaLogTest, ReaderCatchingUpSeveralSegmentsFoldsOnce) {
+  for (int k : {1, 3, 8}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const std::string dir = dir_ + "/k" + std::to_string(k);
+    util::StatusOr<DeltaLog> created =
+        DeltaLog::Create(dir, testing::PaperLibrary());
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    DeltaLog writer = std::move(created).value();
+    DeltaLogOptions reader_options;
+    reader_options.remove_stale_segments = false;
+    util::StatusOr<DeltaLog> opened = DeltaLog::Open(dir, reader_options);
+    ASSERT_TRUE(opened.ok());
+    DeltaLog reader = std::move(opened).value();
+
+    const std::vector<DeltaOps> tape = FoldTape(k);
+    for (const DeltaOps& ops : tape) ASSERT_TRUE(writer.Append(ops).ok());
+    util::StatusOr<DeltaLog::PollResult> poll = reader.Poll();
+    ASSERT_TRUE(poll.ok()) << poll.status().ToString();
+    EXPECT_EQ(poll->segments_applied, static_cast<uint64_t>(k));
+    EXPECT_EQ(reader.stats().view.folds, 0u);
+
+    const std::string want =
+        EncodeSnapshot(Replay(testing::PaperLibrary(), tape));
+    EXPECT_EQ(EncodeSnapshot(reader.library()), want);
+    EXPECT_EQ(EncodeSnapshot(reader.library()), want);
+    EXPECT_EQ(reader.stats().view.folds, 1u);
+  }
+}
+
 }  // namespace
 }  // namespace goalrec::model

@@ -178,7 +178,30 @@ TEST(MergedViewTest, StatsTrackLiveAndFoldTimes) {
   EXPECT_EQ(stats.appended_implementations, 1u);
   EXPECT_EQ(stats.tombstoned_implementations, 1u);
   EXPECT_EQ(stats.live_implementations, base.num_implementations());
+  // The fold waits for the read: none has been performed yet.
+  EXPECT_EQ(stats.folds, 0u);
+  EXPECT_EQ(stats.last_fold_micros, 0);
+
+  EXPECT_EQ(view.library().num_implementations(), base.num_implementations());
+  EXPECT_EQ(stats.folds, 1u);
   EXPECT_GE(stats.last_fold_micros, 0);
+
+  // Two more segments, one read: one more fold.
+  Apply(view, ops);
+  Apply(view, ops);
+  EXPECT_EQ(stats.folds, 1u);
+  EXPECT_EQ(view.library().num_implementations(),
+            base.num_implementations() + 2);
+  EXPECT_EQ(view.library().num_implementations(),
+            base.num_implementations() + 2);
+  EXPECT_EQ(stats.folds, 2u);
+}
+
+TEST(MergedViewTest, LibraryBeforeAnySegmentIsTheBase) {
+  ImplementationLibrary base = testing::PaperLibrary();
+  MergedLibraryView view = ViewOver(base);
+  EXPECT_EQ(&view.library(), &view.base());
+  EXPECT_EQ(view.stats().folds, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // and posting-count conservation.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "model/library.h"
 #include "model/sharding.h"
 #include "model/snapshot.h"
+#include "model/snapshot_io.h"
 #include "testing/generator.h"
 #include "util/random.h"
 
@@ -121,6 +123,85 @@ TEST(ShardingTest, InvariantsHoldOnGeneratedLibraries) {
       modulo.policy = PartitionPolicy::kModuloGoal;
       CheckPartitionInvariants(
           library, *BuildShardedSnapshot(library, num_shards, modulo));
+    }
+  }
+}
+
+// The split as a LibraryBuilder replay: each shard interns the base names in
+// id order and adds its goals' rows in ascending logical order.
+struct ReplayedSplit {
+  std::vector<std::string> shard_bytes;
+  std::vector<uint32_t> impl_shard;
+  std::vector<uint32_t> impl_local;
+  std::vector<std::vector<uint32_t>> local_to_logical;
+};
+
+ReplayedSplit ReplaySplit(const ImplementationLibrary& base,
+                          const std::vector<uint32_t>& goal_shard,
+                          uint32_t num_shards) {
+  std::vector<LibraryBuilder> builders(num_shards);
+  for (LibraryBuilder& b : builders) {
+    for (ActionId a = 0; a < base.num_actions(); ++a) {
+      b.InternAction(base.actions().Name(a));
+    }
+    for (GoalId g = 0; g < base.num_goals(); ++g) {
+      b.InternGoal(base.goals().Name(g));
+    }
+  }
+  ReplayedSplit out;
+  out.local_to_logical.resize(num_shards);
+  for (ImplId p = 0; p < base.num_implementations(); ++p) {
+    const uint32_t shard = goal_shard[base.GoalOf(p)];
+    std::vector<std::string> actions;
+    for (ActionId a : base.ActionsOf(p)) {
+      actions.push_back(base.actions().Name(a));
+    }
+    const ImplId local = builders[shard].AddImplementation(
+        base.goals().Name(base.GoalOf(p)), actions);
+    out.impl_shard.push_back(shard);
+    out.impl_local.push_back(local);
+    out.local_to_logical[shard].push_back(p);
+  }
+  for (LibraryBuilder& b : builders) {
+    out.shard_bytes.push_back(EncodeSnapshot(std::move(b).Build()));
+  }
+  return out;
+}
+
+TEST(ShardingTest, ShardsAreBitIdenticalToABuilderReplay) {
+  std::vector<testing::CaseShape> shapes = testing::DefaultCaseShapes();
+  util::Rng seeds(20261017, /*stream=*/43);
+  ShardingOptions hash;
+  ShardingOptions modulo;
+  modulo.policy = PartitionPolicy::kModuloGoal;
+  ShardingOptions custom;
+  // Clusters low goal ids on the last shard and stripes the rest.
+  custom.custom = [](GoalId g, const ImplementationLibrary&,
+                     uint32_t num_shards) -> uint32_t {
+    return g < 3 ? num_shards - 1 : (g / 2) % num_shards;
+  };
+  for (int i = 0; i < 12; ++i) {
+    testing::OracleCase c = testing::GenerateCase(
+        shapes[static_cast<size_t>(i) % shapes.size()], seeds.NextUint64());
+    const ImplementationLibrary& library = c.library;
+    for (uint32_t num_shards : {1u, 2u, 3u, 7u, 16u}) {
+      for (const ShardingOptions* options : {&hash, &modulo, &custom}) {
+        auto sharded = BuildShardedSnapshot(library, num_shards, *options);
+        ReplayedSplit replay =
+            ReplaySplit(library, sharded->goal_shard, num_shards);
+        SCOPED_TRACE("case " + std::to_string(i) + ", " +
+                     std::to_string(num_shards) + " shards, " +
+                     sharded->policy_name);
+        ASSERT_EQ(sharded->num_shards, num_shards);
+        for (uint32_t s = 0; s < num_shards; ++s) {
+          EXPECT_EQ(EncodeSnapshot(sharded->shard_library(s)),
+                    replay.shard_bytes[s])
+              << "shard " << s;
+        }
+        EXPECT_EQ(sharded->impl_shard, replay.impl_shard);
+        EXPECT_EQ(sharded->impl_local, replay.impl_local);
+        EXPECT_EQ(sharded->local_to_logical, replay.local_to_logical);
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include "model/snapshot_io.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -201,6 +203,71 @@ TEST(SnapshotIoTest, LoadSnapshotFileRejectsMissingAndTornFiles) {
   util::StatusOr<ImplementationLibrary> loaded = LoadSnapshotFile(path);
   EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
+}
+
+// --- ReadFileToString: bulk reads, the size cap, and its statuses. ---
+
+std::string TempPath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("goalrec_readfile_" + std::to_string(::getpid()) + "_" + name))
+      .string();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ReadFileToStringTest, FileLargerThanOneChunkReadsExactly) {
+  const std::string path = TempPath("large");
+  std::string bytes(2 * kReadFileChunkBytes + 4097, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131 + i / 977) & 0xff);
+  }
+  WriteBytes(path, bytes);
+  util::StatusOr<std::string> read = ReadFileToString(path, bytes.size());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), bytes);
+  std::remove(path.c_str());
+}
+
+TEST(ReadFileToStringTest, EmptyFileReadsEmpty) {
+  const std::string path = TempPath("empty");
+  WriteBytes(path, "");
+  util::StatusOr<std::string> read = ReadFileToString(path, 0);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read.value().empty());
+  std::remove(path.c_str());
+}
+
+TEST(ReadFileToStringTest, FileOverTheCapIsResourceExhausted) {
+  const std::string path = TempPath("over_cap");
+  WriteBytes(path, std::string(1000, 'x'));
+  util::StatusOr<std::string> read = ReadFileToString(path, 999);
+  EXPECT_EQ(read.status().code(), util::StatusCode::kResourceExhausted)
+      << read.status().ToString();
+  EXPECT_TRUE(ReadFileToString(path, 1000).ok());
+  std::remove(path.c_str());
+}
+
+TEST(ReadFileToStringTest, CapAppliesToBytesReadFromAPipe) {
+  // A FIFO reports no size, so only the bytes actually read can trip the
+  // cap.
+  const std::string path = TempPath("fifo");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] { WriteBytes(path, std::string(3000, 'p')); });
+  util::StatusOr<std::string> read = ReadFileToString(path, 2999);
+  writer.join();
+  EXPECT_EQ(read.status().code(), util::StatusCode::kResourceExhausted)
+      << read.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(ReadFileToStringTest, MissingFileIsIoError) {
+  util::StatusOr<std::string> read =
+      ReadFileToString(TempPath("missing"), 1 << 20);
+  EXPECT_EQ(read.status().code(), util::StatusCode::kIoError)
+      << read.status().ToString();
 }
 
 }  // namespace
