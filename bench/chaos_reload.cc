@@ -109,12 +109,6 @@ goalrec::model::Activity MakeActivity(uint32_t num_actions, uint64_t seed) {
   return activity;
 }
 
-int64_t IntFlag(const goalrec::util::FlagParser& flags,
-                const std::string& name, int64_t fallback) {
-  goalrec::util::StatusOr<int64_t> value = flags.GetInt(name, fallback);
-  return value.ok() ? *value : fallback;
-}
-
 std::string ReadFileOrEmpty(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return {};
@@ -151,13 +145,12 @@ std::string SegmentName(uint32_t base_crc, uint64_t seq) {
 ///      writer rewrites the segment cleanly the reader converges to it.
 ///   3. Recovery p99 stays under --recovery_budget_ms (exit non-zero).
 int RunDeltaMode(const goalrec::util::FlagParser& flags) {
-  goalrec::util::StatusOr<bool> smoke_flag = flags.GetBool("smoke", false);
-  const bool smoke = smoke_flag.ok() && *smoke_flag;
-  const uint64_t seed = static_cast<uint64_t>(IntFlag(flags, "seed", 43));
-  const int64_t epochs = IntFlag(flags, "epochs", smoke ? 60 : 400);
-  const int threads = static_cast<int>(IntFlag(flags, "threads", 4));
+  const bool smoke = flags.Get<bool>("smoke", false);
+  const uint64_t seed = static_cast<uint64_t>(flags.Get<int64_t>("seed", 43));
+  const int64_t epochs = flags.Get<int64_t>("epochs", smoke ? 60 : 400);
+  const int threads = flags.Get<int>("threads", 4);
   const double budget_ms =
-      static_cast<double>(IntFlag(flags, "recovery_budget_ms", 250));
+      static_cast<double>(flags.Get<int64_t>("recovery_budget_ms", 250));
 
   goalrec::eval::ScalingWorkload workload;
   workload.num_implementations = smoke ? 2000 : 10000;
@@ -459,11 +452,10 @@ int main(int argc, char** argv) {
   if (flags.GetString("mode", "snapshot") == "delta") {
     return RunDeltaMode(flags);
   }
-  goalrec::util::StatusOr<bool> smoke_flag = flags.GetBool("smoke", false);
-  const bool smoke = smoke_flag.ok() && *smoke_flag;
-  const uint64_t seed = static_cast<uint64_t>(IntFlag(flags, "seed", 41));
-  const int64_t epochs = IntFlag(flags, "epochs", smoke ? 60 : 400);
-  const int threads = static_cast<int>(IntFlag(flags, "threads", 4));
+  const bool smoke = flags.Get<bool>("smoke", false);
+  const uint64_t seed = static_cast<uint64_t>(flags.Get<int64_t>("seed", 41));
+  const int64_t epochs = flags.Get<int64_t>("epochs", smoke ? 60 : 400);
+  const int threads = flags.Get<int>("threads", 4);
 
   // Small library: the interesting work is reload churn, not query cost.
   goalrec::eval::ScalingWorkload workload;

@@ -65,12 +65,6 @@ double MsSince(Clock::time_point start) {
   return static_cast<double>((Clock::now() - start).count()) / 1e6;
 }
 
-int64_t IntFlag(const goalrec::util::FlagParser& flags,
-                const std::string& name, int64_t fallback) {
-  goalrec::util::StatusOr<int64_t> value = flags.GetInt(name, fallback);
-  return value.ok() ? *value : fallback;
-}
-
 goalrec::model::DeltaOps MakeOps(const goalrec::model::ImplementationLibrary&
                                      base,
                                  goalrec::util::Rng& rng, int64_t update,
@@ -110,11 +104,10 @@ goalrec::model::Activity MakeActivity(uint32_t num_actions, uint64_t seed) {
 
 int main(int argc, char** argv) {
   goalrec::util::FlagParser flags(argc, argv);
-  goalrec::util::StatusOr<bool> smoke_flag = flags.GetBool("smoke", false);
-  const bool smoke = smoke_flag.ok() && *smoke_flag;
-  const uint64_t seed = static_cast<uint64_t>(IntFlag(flags, "seed", 47));
-  const int64_t updates = IntFlag(flags, "updates", smoke ? 100 : 1000);
-  const int threads = static_cast<int>(IntFlag(flags, "threads", 4));
+  const bool smoke = flags.Get<bool>("smoke", false);
+  const uint64_t seed = static_cast<uint64_t>(flags.Get<int64_t>("seed", 47));
+  const int64_t updates = flags.Get<int64_t>("updates", smoke ? 100 : 1000);
+  const int threads = flags.Get<int>("threads", 4);
   const int64_t compact_every = 50;
 
   goalrec::eval::ScalingWorkload workload;

@@ -377,12 +377,6 @@ void PrintPoint(const LoadPoint& p, bool last) {
       static_cast<long long>(p.breaker_opens), last ? "" : ",");
 }
 
-int64_t IntFlag(const goalrec::util::FlagParser& flags,
-                const std::string& name, int64_t fallback) {
-  goalrec::util::StatusOr<int64_t> value = flags.GetInt(name, fallback);
-  return value.ok() ? *value : fallback;
-}
-
 std::vector<uint32_t> ParseShards(const std::string& csv,
                                   std::vector<uint32_t> fallback) {
   if (csv.empty()) return fallback;
@@ -402,20 +396,19 @@ std::vector<uint32_t> ParseShards(const std::string& csv,
 
 int main(int argc, char** argv) {
   goalrec::util::FlagParser flags(argc, argv);
-  goalrec::util::StatusOr<bool> smoke_flag = flags.GetBool("smoke", false);
-  const bool smoke = smoke_flag.ok() && *smoke_flag;
-  const int64_t duration_ms = IntFlag(flags, "duration_ms", smoke ? 250 : 4000);
+  const bool smoke = flags.Get<bool>("smoke", false);
+  const int64_t duration_ms =
+      flags.Get<int64_t>("duration_ms", smoke ? 250 : 4000);
   // 0 = auto: 12x the 1-shard solo latency (40 ms floor, 1 s cap), fixed
   // after the first capacity probe so every shard count runs under the same
   // deadline.
-  int64_t deadline_ms = IntFlag(flags, "deadline_ms", 0);
+  int64_t deadline_ms = flags.Get<int64_t>("deadline_ms", 0);
   // Enough client workers that arrivals reach the server even when it is
   // behind: an open-loop generator starved of senders degenerates into a
   // closed loop (excess load queues client-side and the admission
   // controller never sees it). Sheds are near-instant, so workers churn.
-  const int workers =
-      static_cast<int>(IntFlag(flags, "workers", smoke ? 16 : 32));
-  const uint64_t seed = static_cast<uint64_t>(IntFlag(flags, "seed", 17));
+  const int workers = flags.Get<int>("workers", smoke ? 16 : 32);
+  const uint64_t seed = static_cast<uint64_t>(flags.Get<int64_t>("seed", 17));
   std::vector<uint32_t> shard_sweep = ParseShards(
       flags.GetString("shards"),
       smoke ? std::vector<uint32_t>{1, 2} : std::vector<uint32_t>{1, 2, 4, 8});

@@ -90,12 +90,6 @@ goalrec::model::Activity MakeActivity(uint32_t num_actions, uint64_t seed) {
   return activity;
 }
 
-int64_t IntFlag(const goalrec::util::FlagParser& flags,
-                const std::string& name, int64_t fallback) {
-  goalrec::util::StatusOr<int64_t> value = flags.GetInt(name, fallback);
-  return value.ok() ? *value : fallback;
-}
-
 /// One timed sweep over the activity stream; returns seconds and leaves the
 /// steady-state allocation delta in *allocs.
 double TimedSweep(const goalrec::core::Recommender& recommender,
@@ -123,21 +117,17 @@ double Median(std::vector<double> values) {
 
 int main(int argc, char** argv) {
   goalrec::util::FlagParser flags(argc, argv);
-  goalrec::util::StatusOr<bool> smoke_flag = flags.GetBool("smoke", false);
-  const bool smoke = smoke_flag.ok() && *smoke_flag;
-  const uint64_t seed = static_cast<uint64_t>(IntFlag(flags, "seed", 31));
-  const size_t queries =
-      static_cast<size_t>(IntFlag(flags, "queries", smoke ? 64 : 256));
-  const int repeats =
-      static_cast<int>(IntFlag(flags, "repeats", smoke ? 2 : 6));
-  const int passes = static_cast<int>(IntFlag(flags, "passes", 5));
+  const bool smoke = flags.Get<bool>("smoke", false);
+  const uint64_t seed = static_cast<uint64_t>(flags.Get<int64_t>("seed", 31));
+  const size_t queries = flags.Get<size_t>("queries", smoke ? 64 : 256);
+  const int repeats = flags.Get<int>("repeats", smoke ? 2 : 6);
+  const int passes = flags.Get<int>("passes", 5);
   // Instrumented builds (TSan in particular) tax the recorder's atomic ring
   // writes far more than the arithmetic-heavy scoring loop they ride on, so
   // the relative overhead no longer reflects production cost; check.sh
   // widens the gate for those trees. The 3% default is the production gate.
-  goalrec::util::StatusOr<double> limit_flag =
-      flags.GetDouble("overhead_limit_pct", 3.0);
-  const double overhead_limit_pct = limit_flag.ok() ? *limit_flag : 3.0;
+  const double overhead_limit_pct =
+      flags.Get<double>("overhead_limit_pct", 3.0);
   const size_t k = 10;
 
   goalrec::eval::ScalingWorkload workload;

@@ -220,21 +220,13 @@ void SingleRungLadder(const goalrec::model::ImplementationLibrary& library,
   out.owned.push_back(std::move(best));
 }
 
-int64_t IntFlag(const goalrec::util::FlagParser& flags,
-                const std::string& name, int64_t fallback) {
-  goalrec::util::StatusOr<int64_t> value = flags.GetInt(name, fallback);
-  return value.ok() ? *value : fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   goalrec::util::FlagParser flags(argc, argv);
-  goalrec::util::StatusOr<bool> smoke_flag = flags.GetBool("smoke", false);
-  const bool smoke = smoke_flag.ok() && *smoke_flag;
-  const uint64_t seed = static_cast<uint64_t>(IntFlag(flags, "seed", 29));
-  const size_t queries =
-      static_cast<size_t>(IntFlag(flags, "queries", smoke ? 200 : 2000));
+  const bool smoke = flags.Get<bool>("smoke", false);
+  const uint64_t seed = static_cast<uint64_t>(flags.Get<int64_t>("seed", 29));
+  const size_t queries = flags.Get<size_t>("queries", smoke ? 200 : 2000);
   const size_t k = 10;
 
   goalrec::eval::ScalingWorkload workload;

@@ -146,6 +146,10 @@ run_delta_smoke() {
       --recovery_budget_ms="$budget_ms" >/dev/null
 }
 
+# Every repository path the Markdown docs name must exist.
+echo "=== documentation references ==="
+scripts/check_refs.sh
+
 CTEST_ARGS=()
 PLAIN=0
 for arg in "$@"; do

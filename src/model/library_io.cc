@@ -49,7 +49,6 @@ auto InstrumentedLoad(const char* format, const std::string& path, Fn fn)
 }
 
 constexpr char kTextHeader[] = "# goalrec-library v1";
-constexpr uint32_t kBinaryMagic = 0x47524C31;  // "GRL1"
 
 /// Offending tokens are echoed into diagnostics; clip so a pathological
 /// multi-megabyte "line" cannot explode a log message.
@@ -78,18 +77,9 @@ std::optional<uint64_t> FileSizeBytes(const std::string& path) {
   return static_cast<uint64_t>(size);
 }
 
-void WriteU32(std::ofstream& out, uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadU32(std::ifstream& in, uint32_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
-
-void WriteString(std::ofstream& out, const std::string& s) {
-  WriteU32(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
+/// The one format decision: ".snap" is a snapshot, anything else is text.
+bool IsSnapshotPath(const std::string& path) {
+  return path.ends_with(".snap");
 }
 
 }  // namespace
@@ -313,229 +303,30 @@ util::StatusOr<ImplementationLibrary> LoadLibraryText(const std::string& path,
       "text", path, [&] { return LoadLibraryTextImpl(path, options, report); });
 }
 
-util::Status SaveLibraryBinary(const ImplementationLibrary& library,
-                               const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return util::IoError("cannot open " + path + " for writing");
-  WriteU32(out, kBinaryMagic);
-  WriteU32(out, library.num_actions());
-  for (uint32_t a = 0; a < library.num_actions(); ++a) {
-    WriteString(out, library.actions().Name(a));
-  }
-  WriteU32(out, library.num_goals());
-  for (uint32_t g = 0; g < library.num_goals(); ++g) {
-    WriteString(out, library.goals().Name(g));
-  }
-  WriteU32(out, library.num_implementations());
-  for (ImplId p = 0; p < library.num_implementations(); ++p) {
-    ImplementationView impl = library.implementation(p);
-    WriteU32(out, impl.goal);
-    WriteU32(out, static_cast<uint32_t>(impl.actions.size()));
-    for (ActionId a : impl.actions) WriteU32(out, a);
-  }
-  if (!out) return util::IoError("write failed: " + path);
-  return util::Status::Ok();
-}
-
-namespace {
-
-util::StatusOr<ImplementationLibrary> LoadLibraryBinaryImpl(
+util::StatusOr<ImplementationLibrary> LoadLibraryFile(
     const std::string& path, const LoadOptions& options, LoadReport* report) {
-  LoadReport scratch;
-  LoadReport& rep = report != nullptr ? *report : scratch;
-  rep = LoadReport{};
-  const LoadLimits& limits = options.limits;
-
-  // The declared-count checks below bound every allocation against the real
-  // file size: a record costs at least 4 bytes on disk, so a count that
-  // implies more bytes than the file holds is a lie, rejected before the
-  // proportional reserve.
-  std::optional<uint64_t> file_size = FileSizeBytes(path);
-  if (file_size.has_value() && *file_size > limits.max_file_bytes) {
-    return util::ResourceExhaustedError(
-        path + ": file is " + std::to_string(*file_size) +
-        " bytes, over the load cap of " +
-        std::to_string(limits.max_file_bytes));
+  if (!IsSnapshotPath(path)) return LoadLibraryText(path, options, report);
+  if (report != nullptr) *report = LoadReport{};
+  util::StatusOr<ImplementationLibrary> library = InstrumentedLoad(
+      "snapshot", path, [&] { return LoadSnapshotFile(path, options); });
+  if (report != nullptr && library.ok()) {
+    report->records_total = report->records_loaded =
+        library->num_implementations();
   }
-  const uint64_t plausible_records =
-      file_size.has_value() ? *file_size / 4 : UINT64_MAX;
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::IoError("cannot open " + path);
-  auto offset = [&in]() -> std::string {
-    return std::to_string(static_cast<long long>(in.tellg()));
-  };
-  // Length-prefixed string whose length is validated against the name cap
-  // (so a hostile prefix cannot make resize() allocate gigabytes).
-  auto read_name = [&](std::string* s, const char* what) -> util::Status {
-    uint32_t len = 0;
-    if (!ReadU32(in, &len)) {
-      return util::InvalidArgumentError(path + ": truncated " +
-                                        std::string(what) + " at offset " +
-                                        offset());
-    }
-    if (len > limits.max_name_bytes) {
-      return util::ResourceExhaustedError(
-          path + ": " + std::string(what) + " declares " +
-          std::to_string(len) + " bytes at offset " + offset() +
-          ", over the cap of " + std::to_string(limits.max_name_bytes));
-    }
-    s->resize(len);
-    in.read(s->data(), len);
-    if (!in) {
-      return util::InvalidArgumentError(path + ": truncated " +
-                                        std::string(what) + " at offset " +
-                                        offset());
-    }
-    return util::Status::Ok();
-  };
-
-  uint32_t magic = 0;
-  if (!ReadU32(in, &magic) || magic != kBinaryMagic) {
-    return util::InvalidArgumentError(path + ": bad magic");
-  }
-  LibraryBuilder builder;
-  uint32_t num_actions = 0;
-  if (!ReadU32(in, &num_actions)) {
-    return util::InvalidArgumentError(path + ": truncated action count");
-  }
-  if (num_actions > limits.max_actions || num_actions > plausible_records) {
-    return util::ResourceExhaustedError(
-        path + ": declared action count " + std::to_string(num_actions) +
-        " exceeds the load cap or the file size");
-  }
-  builder.ReserveActions(num_actions);
-  for (uint32_t i = 0; i < num_actions; ++i) {
-    std::string name;
-    if (util::Status status = read_name(&name, "action name"); !status.ok()) {
-      return status;
-    }
-    // Ids are positional in this format: interning must assign exactly id i.
-    // A duplicate name collapses the mapping, and every later id in the file
-    // would point one slot off — reject rather than mis-wire silently.
-    if (builder.InternAction(name) != i) {
-      return util::InvalidArgumentError(
-          path + ": duplicate action name '" + ClipToken(name) +
-          "' in vocabulary at offset " + offset());
-    }
-  }
-  uint32_t num_goals = 0;
-  if (!ReadU32(in, &num_goals)) {
-    return util::InvalidArgumentError(path + ": truncated goal count");
-  }
-  if (num_goals > limits.max_goals || num_goals > plausible_records) {
-    return util::ResourceExhaustedError(
-        path + ": declared goal count " + std::to_string(num_goals) +
-        " exceeds the load cap or the file size");
-  }
-  builder.ReserveGoals(num_goals);
-  for (uint32_t i = 0; i < num_goals; ++i) {
-    std::string name;
-    if (util::Status status = read_name(&name, "goal name"); !status.ok()) {
-      return status;
-    }
-    if (builder.InternGoal(name) != i) {
-      return util::InvalidArgumentError(
-          path + ": duplicate goal name '" + ClipToken(name) +
-          "' in vocabulary at offset " + offset());
-    }
-  }
-  uint32_t num_impls = 0;
-  if (!ReadU32(in, &num_impls)) {
-    return util::InvalidArgumentError(path + ": truncated impl count");
-  }
-  if (num_impls > limits.max_implementations ||
-      num_impls > plausible_records) {
-    return util::ResourceExhaustedError(
-        path + ": declared implementation count " + std::to_string(num_impls) +
-        " exceeds the load cap or the file size");
-  }
-  rep.records_total = num_impls;
-  for (uint32_t i = 0; i < num_impls; ++i) {
-    uint32_t goal = 0, len = 0;
-    if (!ReadU32(in, &goal) || !ReadU32(in, &len)) {
-      return util::InvalidArgumentError(
-          path + ": truncated implementation " + std::to_string(i) + "/" +
-          std::to_string(num_impls) + " at offset " + offset());
-    }
-    if (goal >= num_goals) {
-      return util::InvalidArgumentError(
-          path + ": implementation " + std::to_string(i) + " has goal id " +
-          std::to_string(goal) + " out of range [0, " +
-          std::to_string(num_goals) + ")");
-    }
-    if (len > limits.max_actions_per_impl || len > plausible_records) {
-      return util::ResourceExhaustedError(
-          path + ": implementation " + std::to_string(i) + " declares " +
-          std::to_string(len) + " actions, over the cap of " +
-          std::to_string(limits.max_actions_per_impl));
-    }
-    IdSet actions(len);
-    for (uint32_t j = 0; j < len; ++j) {
-      if (!ReadU32(in, &actions[j])) {
-        return util::InvalidArgumentError(
-            path + ": truncated action list of implementation " +
-            std::to_string(i) + " at offset " + offset());
-      }
-      if (actions[j] >= num_actions) {
-        return util::InvalidArgumentError(
-            path + ": implementation " + std::to_string(i) +
-            " references action id " + std::to_string(actions[j]) +
-            " out of range [0, " + std::to_string(num_actions) + ")");
-      }
-    }
-    builder.AddImplementationIds(goal, std::move(actions));
-  }
-  rep.records_loaded = builder.num_implementations();
-  return std::move(builder).Build();
+  return library;
 }
 
-}  // namespace
-
-util::StatusOr<ImplementationLibrary> LoadLibraryBinary(
-    const std::string& path) {
-  return LoadLibraryBinary(path, LoadOptions{}, nullptr);
-}
-
-util::StatusOr<ImplementationLibrary> LoadLibraryBinary(
-    const std::string& path, const LoadOptions& options, LoadReport* report) {
-  return InstrumentedLoad("binary", path, [&] {
-    return LoadLibraryBinaryImpl(path, options, report);
-  });
-}
-
-util::StatusOr<ImplementationLibrary> LoadLibraryText(
-    const std::string& path, const util::RetryOptions& retry) {
-  return util::RetryCall(retry, [&] { return LoadLibraryText(path); });
-}
-
-util::StatusOr<ImplementationLibrary> LoadLibraryBinary(
-    const std::string& path, const util::RetryOptions& retry) {
-  return util::RetryCall(retry, [&] { return LoadLibraryBinary(path); });
+util::Status SaveLibraryFile(const ImplementationLibrary& library,
+                             const std::string& path) {
+  return IsSnapshotPath(path) ? SaveSnapshot(library, path)
+                              : SaveLibraryText(library, path);
 }
 
 util::StatusOr<std::shared_ptr<const LibrarySnapshot>> LoadLibrarySnapshot(
     const std::string& path, const util::RetryOptions& retry,
-    const LoadOptions& options) {
-  auto has_suffix = [&path](std::string_view suffix) {
-    return path.size() >= suffix.size() &&
-           path.compare(path.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-  };
-  auto loaded = [&]() -> util::StatusOr<ImplementationLibrary> {
-    if (has_suffix(".snap")) {
-      return util::RetryCall(retry, [&] {
-        return InstrumentedLoad(
-            "snapshot", path, [&] { return LoadSnapshotFile(path, options); });
-      });
-    }
-    if (has_suffix(".bin")) {
-      return util::RetryCall(
-          retry, [&] { return LoadLibraryBinary(path, options); });
-    }
-    return util::RetryCall(retry,
-                           [&] { return LoadLibraryText(path, options); });
-  }();
+    const LoadOptions& options, LoadReport* report) {
+  util::StatusOr<ImplementationLibrary> loaded = util::RetryCall(
+      retry, [&] { return LoadLibraryFile(path, options, report); });
   if (!loaded.ok()) return loaded.status();
   return MakeSnapshot(std::move(loaded).value(), path);
 }

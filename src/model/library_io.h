@@ -12,23 +12,22 @@
 #include "util/retry.h"
 #include "util/status.h"
 
-// Serialisation of implementation libraries.
+// Serialisation of implementation libraries. Two on-disk formats:
 //
-// Text format (one implementation per line, tab-separated):
-//   # goalrec-library v1            <- required header
-//   <goal name>\t<action>\t<action>...
-// Lines starting with '#' after the header are comments.
+//   * Text (one implementation per line, tab-separated):
+//       # goalrec-library v1            <- required header
+//       <goal name>\t<action>\t<action>...
+//     Lines starting with '#' after the header are comments. Ids are
+//     assigned in file order, so a save/load round-trip preserves names and
+//     structure but not numeric ids; actions/goals interned but never
+//     referenced by an implementation are not written (they are
+//     unreachable by every query anyway).
+//   * The checksummed, crash-safe snapshot format ("*.snap",
+//     model/snapshot_io.h), which keeps the full vocabularies and the exact
+//     ids. Serving reload paths persist this one.
 //
-// Binary format: compact length-prefixed encoding for large synthetic
-// libraries (the Figure 7 scaling sweep reaches millions of implementations).
-//
-// Caveats of the text format: ids are assigned in file order, so a
-// save/load round-trip preserves names and structure but not numeric ids;
-// and actions/goals interned but never referenced by an implementation are
-// not written (they are unreachable by every query anyway). The binary
-// format preserves both the full vocabularies and the exact ids. The
-// checksummed snapshot format (model/snapshot_io.h) is the crash-safe
-// variant serving reload paths should persist.
+// LoadLibraryFile / SaveLibraryFile are the one place that picks a format
+// from a path: ".snap" is a snapshot, anything else is text.
 //
 // Validation. Library files are untrusted input — they arrive from text
 // miners, generators, other processes mid-write. Every loader validates
@@ -116,39 +115,27 @@ util::StatusOr<ImplementationLibrary> LoadLibraryText(const std::string& path,
                                                       const LoadOptions& options,
                                                       LoadReport* report = nullptr);
 
-/// Writes `library` in the binary format. Overwrites `path`.
-util::Status SaveLibraryBinary(const ImplementationLibrary& library,
-                               const std::string& path);
-
-/// Reads a binary-format library. The binary format is structural (ids, not
-/// names), so validation is always strict; LoadOptions caps still bound every
-/// allocation against the declared counts and the real file size.
-util::StatusOr<ImplementationLibrary> LoadLibraryBinary(
-    const std::string& path);
-
-util::StatusOr<ImplementationLibrary> LoadLibraryBinary(
-    const std::string& path, const LoadOptions& options,
+/// Loads `path` in the format its name selects: the snapshot format for
+/// ".snap", text otherwise. Either way the load is validated under
+/// `options` and counted in goalrec_library_load_total{format=...}. When
+/// `report` is non-null it receives the load's outcome; a snapshot is
+/// all-or-nothing, so its report never lists quarantined records.
+util::StatusOr<ImplementationLibrary> LoadLibraryFile(
+    const std::string& path, const LoadOptions& options = {},
     LoadReport* report = nullptr);
 
-// Retry-aware variants: transient failures (kIoError/kUnavailable — NFS
-// hiccups, files mid-rotation) are retried with jittered backoff per
-// `retry`; structural errors (bad magic, malformed lines) are returned
-// immediately. Serving paths that load libraries at startup or on reload
-// should prefer these.
+/// Writes `library` to `path` in the format its name selects: an atomic
+/// SaveSnapshot for ".snap", SaveLibraryText otherwise.
+util::Status SaveLibraryFile(const ImplementationLibrary& library,
+                             const std::string& path);
 
-util::StatusOr<ImplementationLibrary> LoadLibraryText(
-    const std::string& path, const util::RetryOptions& retry);
-
-util::StatusOr<ImplementationLibrary> LoadLibraryBinary(
-    const std::string& path, const util::RetryOptions& retry);
-
-/// Loads `path` (CRC-framed snapshot if it ends in ".snap", binary if it
-/// ends in ".bin", text otherwise) and wraps the result in a versioned
-/// LibrarySnapshot whose source is `path`. This is the entry point serving
-/// reload paths use (serve/snapshot_manager.h).
+/// LoadLibraryFile with `retry` (transient kIoError/kUnavailable failures
+/// are retried with jittered backoff; structural errors return at once),
+/// wrapped in a versioned LibrarySnapshot whose source is `path`. This is
+/// the entry point serving reload paths use (serve/snapshot_manager.h).
 util::StatusOr<std::shared_ptr<const LibrarySnapshot>> LoadLibrarySnapshot(
     const std::string& path, const util::RetryOptions& retry = {},
-    const LoadOptions& options = {});
+    const LoadOptions& options = {}, LoadReport* report = nullptr);
 
 }  // namespace goalrec::model
 

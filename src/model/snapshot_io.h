@@ -12,10 +12,9 @@
 // Crash-consistent snapshot persistence for implementation libraries.
 //
 // This is the format serving reload paths persist and poll ("*.snap").
-// Unlike the text and binary formats (model/library_io.h), it is designed
-// for the failure modes of a file being replaced under a live reader:
-// truncated writes, torn renames, bit rot. Layout (all integers
-// little-endian):
+// Unlike the text format (model/library_io.h), it is designed for the
+// failure modes of a file being replaced under a live reader: truncated
+// writes, torn renames, bit rot. Layout (all integers little-endian):
 //
 //   header   "GRSNAP1\n"  u32 format_version  u32 flags
 //   frames   repeated { u32 tag  u64 payload_len  payload

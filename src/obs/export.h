@@ -12,8 +12,8 @@
 //   headers, one `name{labels} value` line per instrument, histograms as
 //   cumulative `_bucket{le=...}` series plus `_sum`/`_count`.
 //
-//   JSON (ExportJson) — one self-contained document for log pipelines and
-//   the bench harness (BENCH_serve.json embeds these snapshots).
+//   JSON (ExportJson) — one self-contained document for log pipelines
+//   (the CLI's --metrics_format=json).
 //
 // Traces export as JSON (span tree with offsets/durations in ns) or as an
 // indented human-readable tree (FormatTrace) for CLI output. All output is

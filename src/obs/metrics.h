@@ -27,8 +27,7 @@
 //
 // Building with -DGOALREC_OBS_NOOP compiles every increment/observe out
 // (registration and scraping still work, all values read zero); the
-// micro_serve overhead comparison in docs/observability.md uses it as the
-// baseline.
+// overhead comparison in docs/observability.md uses it as the baseline.
 
 namespace goalrec::obs {
 

@@ -16,9 +16,9 @@
 // loaders, and the benchmarks consult at their failure points. Because every
 // decision flows from one seeded util::Rng, a fixed seed replays the exact
 // same fault schedule, so tests can assert that the degradation ladder and
-// the retry loops actually engaged (and bench/micro_serve can report a
-// reproducible fallback rate). Production code paths simply pass no
-// injector; the hooks cost one null check.
+// the retry loops actually engaged (and benches such as
+// bench/micro_recorder can force reproducible slow queries). Production
+// code paths simply pass no injector; the hooks cost one null check.
 
 namespace goalrec::serve {
 

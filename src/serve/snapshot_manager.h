@@ -126,8 +126,8 @@ class SnapshotManager {
   /// never blocked.
   util::Status Reload(std::shared_ptr<const model::LibrarySnapshot> snapshot);
 
-  /// Loads `path` (snapshot for ".snap", binary for ".bin", text otherwise)
-  /// with `retry` and `load_options`, then publishes it through the guard.
+  /// Loads `path` through model::LoadLibrarySnapshot (".snap" or text) with
+  /// `retry` and `load_options`, then publishes it through the guard.
   /// On any failure the current snapshot keeps serving. Returns the new
   /// library version on success.
   util::StatusOr<uint64_t> ReloadFromFile(

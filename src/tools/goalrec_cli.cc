@@ -50,7 +50,7 @@
 //       Print the activity's implementation/goal/action spaces (Eq. 1–2).
 //
 //   goalrec convert <in> <out>
-//       Convert between the text (.txt) and binary (.bin) library formats,
+//       Convert between the text and snapshot (.snap) library formats,
 //       inferred from the file extensions.
 //
 //   goalrec generate <foodmart|43things> --out=<prefix> [--scale=small|full]
@@ -88,11 +88,12 @@
 //       --statusz_out the same page is rewritten to a file every
 //       --statusz_every_ms while the REPL runs ("-" writes once at exit).
 //
-// Library files ending in .bin are read/written in the binary format and
-// files ending in .snap in the crash-consistent CRC-framed snapshot format
-// (docs/data_plane.md); anything else uses the text format. All loading
-// commands accept --load_mode=strict|quarantine: quarantine drops malformed
-// records (reported with file:line provenance) instead of failing the load.
+// Library files ending in .snap are read/written in the crash-consistent
+// CRC-framed snapshot format (docs/data_plane.md); anything else uses the
+// text format. All loading commands accept --load_mode=strict|quarantine:
+// quarantine drops malformed records (reported with file:line provenance)
+// instead of failing the load. A flag whose value does not parse (say
+// --k=abc) exits 2 with a message naming it.
 
 #include <algorithm>
 #include <atomic>
@@ -124,7 +125,6 @@
 #include "model/delta_log.h"
 #include "model/export_dot.h"
 #include "model/library_io.h"
-#include "model/snapshot_io.h"
 #include "obs/dumper.h"
 #include "obs/exemplar.h"
 #include "obs/export.h"
@@ -158,27 +158,13 @@ constexpr char kUsage[] =
     "run with a subcommand and --help for details; see the header of\n"
     "src/tools/goalrec_cli.cc for the full synopsis\n";
 
-bool HasSuffix(const std::string& path, std::string_view suffix) {
-  return path.size() >= suffix.size() &&
-         path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool IsBinaryPath(const std::string& path) { return HasSuffix(path, ".bin"); }
-bool IsSnapshotPath(const std::string& path) {
-  return HasSuffix(path, ".snap");
-}
-
 // The --retry_* flags, defaulting to a single attempt (no retry).
 goalrec::util::RetryOptions RetryFromFlags(const FlagParser& flags) {
   goalrec::util::RetryOptions retry;
-  retry.max_attempts = static_cast<int>(
-      flags.GetInt("retry_attempts", 1).ok()
-          ? *flags.GetInt("retry_attempts", 1) : 1);
-  retry.initial_backoff_ms =
-      flags.GetInt("retry_backoff_ms", 10).ok()
-          ? *flags.GetInt("retry_backoff_ms", 10) : 10;
-  retry.jitter_seed = static_cast<uint64_t>(
-      flags.GetInt("retry_seed", 1).ok() ? *flags.GetInt("retry_seed", 1) : 1);
+  retry.max_attempts = flags.Get<int>("retry_attempts", 1);
+  retry.initial_backoff_ms = flags.Get<int64_t>("retry_backoff_ms", 10);
+  retry.jitter_seed =
+      static_cast<uint64_t>(flags.Get<int64_t>("retry_seed", 1));
   return retry;
 }
 
@@ -215,29 +201,12 @@ StatusOr<ImplementationLibrary> LoadLibrary(const FlagParser& flags,
   StatusOr<goalrec::model::LoadOptions> options = LoadOptionsFromFlags(flags);
   if (!options.ok()) return options.status();
   goalrec::model::LoadReport report;
-  StatusOr<ImplementationLibrary> library = goalrec::util::RetryCall(
-      retry, [&]() -> StatusOr<ImplementationLibrary> {
-        if (IsSnapshotPath(path)) {
-          return goalrec::model::LoadSnapshotFile(path, *options);
-        }
-        if (IsBinaryPath(path)) {
-          return goalrec::model::LoadLibraryBinary(path, *options, &report);
-        }
-        return goalrec::model::LoadLibraryText(path, *options, &report);
+  StatusOr<ImplementationLibrary> library =
+      goalrec::util::RetryCall(retry, [&] {
+        return goalrec::model::LoadLibraryFile(path, *options, &report);
       });
   PrintLoadReport(report);
   return library;
-}
-
-Status SaveLibrary(const ImplementationLibrary& library,
-                   const std::string& path) {
-  if (IsSnapshotPath(path)) {
-    return goalrec::model::SaveSnapshot(library, path);
-  }
-  if (IsBinaryPath(path)) {
-    return goalrec::model::SaveLibraryBinary(library, path);
-  }
-  return goalrec::model::SaveLibraryText(library, path);
 }
 
 // Resolves a comma-separated action-name list against the library.
@@ -345,18 +314,12 @@ int CmdRecommend(const FlagParser& flags) {
                                             activity.status().ToString());
     return 1;
   }
-  StatusOr<int64_t> k = flags.GetInt("k", 10);
-  if (!k.ok() || *k <= 0) {
+  const int64_t k = flags.Get<int64_t>("k", 10);
+  if (k <= 0) {
     GOALREC_LOG(ERROR) << "--k must be a positive integer";
     return 2;
   }
-  StatusOr<bool> explain = flags.GetBool("explain", false);
-  if (!explain.ok()) {
-    GOALREC_LOG(ERROR) << "bad --explain"
-                       << goalrec::util::Kv("status",
-                                            explain.status().ToString());
-    return 2;
-  }
+  const bool explain = flags.Get<bool>("explain", false);
 
   std::string metric_name = flags.GetString("metric", "euclidean");
   goalrec::core::BestMatchOptions best_match_options;
@@ -423,42 +386,33 @@ int CmdRecommend(const FlagParser& flags) {
       return 2;
     }
     goalrec::serve::EngineOptions engine_options;
-    StatusOr<int64_t> deadline_ms = flags.GetInt("deadline_ms", 0);
-    if (!deadline_ms.ok() || *deadline_ms < 0) {
+    engine_options.deadline_ms = flags.Get<int64_t>("deadline_ms", 0);
+    if (engine_options.deadline_ms < 0) {
       GOALREC_LOG(ERROR) << "--deadline_ms must be a non-negative integer";
       return 2;
     }
-    engine_options.deadline_ms = *deadline_ms;
     // --trace_out alone means "trace this query": the common one-shot
     // debugging call should not need two flags.
-    StatusOr<double> sample_rate = flags.GetDouble(
+    engine_options.trace_sample_rate = flags.Get<double>(
         "trace_sample_rate", flags.Has("trace_out") ? 1.0 : 0.0);
-    if (!sample_rate.ok() || *sample_rate < 0.0 || *sample_rate > 1.0) {
+    if (engine_options.trace_sample_rate < 0.0 ||
+        engine_options.trace_sample_rate > 1.0) {
       GOALREC_LOG(ERROR) << "--trace_sample_rate must be in [0, 1]";
       return 2;
     }
-    engine_options.trace_sample_rate = *sample_rate;
     goalrec::serve::FaultInjectionOptions fault_options;
     std::optional<goalrec::serve::FaultInjector> faults;
     if (flags.Has("fault_seed")) {
-      fault_options.seed = static_cast<uint64_t>(
-          flags.GetInt("fault_seed", 1).ok() ? *flags.GetInt("fault_seed", 1)
-                                             : 1);
-      fault_options.error_rate =
-          flags.GetDouble("fault_error_rate", 0.0).ok()
-              ? *flags.GetDouble("fault_error_rate", 0.0) : 0.0;
+      fault_options.seed =
+          static_cast<uint64_t>(flags.Get<int64_t>("fault_seed", 1));
+      fault_options.error_rate = flags.Get<double>("fault_error_rate", 0.0);
       fault_options.latency_rate =
-          flags.GetDouble("fault_latency_rate", 0.0).ok()
-              ? *flags.GetDouble("fault_latency_rate", 0.0) : 0.0;
-      fault_options.latency_ms =
-          flags.GetInt("fault_latency_ms", 0).ok()
-              ? *flags.GetInt("fault_latency_ms", 0) : 0;
+          flags.Get<double>("fault_latency_rate", 0.0);
+      fault_options.latency_ms = flags.Get<int64_t>("fault_latency_ms", 0);
       fault_options.latency_burst_ms =
-          flags.GetInt("fault_latency_burst_ms", 0).ok()
-              ? *flags.GetInt("fault_latency_burst_ms", 0) : 0;
-      fault_options.latency_burst_count = static_cast<int>(
-          flags.GetInt("fault_latency_burst_count", 0).ok()
-              ? *flags.GetInt("fault_latency_burst_count", 0) : 0);
+          flags.Get<int64_t>("fault_latency_burst_ms", 0);
+      fault_options.latency_burst_count =
+          flags.Get<int>("fault_latency_burst_count", 0);
       faults.emplace(fault_options);
       engine_options.faults = &*faults;
     }
@@ -466,31 +420,21 @@ int CmdRecommend(const FlagParser& flags) {
     std::optional<goalrec::serve::AdmissionController> admission;
     if (use_admission) {
       goalrec::serve::AdmissionOptions admission_options;
-      admission_options.initial_limit = static_cast<int>(
-          flags.GetInt("admission_limit", 8).ok()
-              ? *flags.GetInt("admission_limit", 8) : 8);
-      StatusOr<bool> adaptive = flags.GetBool("admission_adaptive", true);
-      admission_options.adaptive = adaptive.ok() ? *adaptive : true;
+      admission_options.initial_limit = flags.Get<int>("admission_limit", 8);
+      admission_options.adaptive = flags.Get<bool>("admission_adaptive", true);
       admission_options.max_queue_interactive = static_cast<size_t>(
-          flags.GetInt("admission_queue", 64).ok()
-              ? *flags.GetInt("admission_queue", 64) : 64);
+          flags.Get<int64_t>("admission_queue", 64));
       admission_options.max_queue_batch = static_cast<size_t>(
-          flags.GetInt("admission_batch_queue", 16).ok()
-              ? *flags.GetInt("admission_batch_queue", 16) : 16);
+          flags.Get<int64_t>("admission_batch_queue", 16));
       admission.emplace(admission_options);
       engine_options.admission = &*admission;
     }
     if (use_breakers) {
       goalrec::serve::CircuitBreakerOptions breaker_options;
-      breaker_options.failure_threshold = static_cast<int>(
-          flags.GetInt("breaker_failures", 5).ok()
-              ? *flags.GetInt("breaker_failures", 5) : 5);
+      breaker_options.failure_threshold = flags.Get<int>("breaker_failures", 5);
       breaker_options.open_cooldown = std::chrono::milliseconds(
-          flags.GetInt("breaker_cooldown_ms", 1000).ok()
-              ? *flags.GetInt("breaker_cooldown_ms", 1000) : 1000);
-      breaker_options.half_open_probes = static_cast<int>(
-          flags.GetInt("breaker_probes", 3).ok()
-              ? *flags.GetInt("breaker_probes", 3) : 3);
+          flags.Get<int64_t>("breaker_cooldown_ms", 1000));
+      breaker_options.half_open_probes = flags.Get<int>("breaker_probes", 3);
       engine_options.breaker = breaker_options;
     }
     std::string priority_name = flags.GetString("priority", "interactive");
@@ -504,7 +448,7 @@ int CmdRecommend(const FlagParser& flags) {
     }
     goalrec::serve::ServingEngine engine(std::move(rungs), engine_options);
     goalrec::util::StatusOr<goalrec::serve::ServeResult> served =
-        engine.Serve(*activity, static_cast<size_t>(*k),
+        engine.Serve(*activity, static_cast<size_t>(k),
                      goalrec::util::CancellationToken(), priority);
     if (!served.ok()) {
       GOALREC_LOG(ERROR) << "serve failed"
@@ -520,7 +464,7 @@ int CmdRecommend(const FlagParser& flags) {
     }
     list = std::move(served->list);
   } else {
-    list = recommender->Recommend(*activity, static_cast<size_t>(*k));
+    list = recommender->Recommend(*activity, static_cast<size_t>(k));
   }
   if (list.empty()) {
     std::printf("no recommendations (activity matches no implementation)\n");
@@ -530,7 +474,7 @@ int CmdRecommend(const FlagParser& flags) {
     std::printf("%2zu. %s (score %.4f)\n", i + 1,
                 library->actions().Name(list[i].action).c_str(),
                 list[i].score);
-    if (*explain) {
+    if (explain) {
       goalrec::core::Explanation explanation =
           goalrec::core::ExplainAction(*library, *activity, list[i].action);
       std::printf("%s",
@@ -553,7 +497,8 @@ int CmdConvert(const FlagParser& flags) {
                                             library.status().ToString());
     return 1;
   }
-  Status saved = SaveLibrary(*library, flags.positional()[2]);
+  Status saved =
+      goalrec::model::SaveLibraryFile(*library, flags.positional()[2]);
   if (!saved.ok()) {
     GOALREC_LOG(ERROR) << "library save failed"
                        << goalrec::util::Kv("status", saved.ToString());
@@ -573,26 +518,20 @@ int CmdGenerate(const FlagParser& flags) {
   }
   const std::string& kind = flags.positional()[1];
   std::string scale = flags.GetString("scale", "small");
-  StatusOr<int64_t> seed_flag = flags.GetInt("seed", -1);
-  if (!seed_flag.ok()) {
-    GOALREC_LOG(ERROR) << "bad --seed"
-                       << goalrec::util::Kv("status",
-                                            seed_flag.status().ToString());
-    return 2;
-  }
+  const int64_t seed = flags.Get<int64_t>("seed", -1);
 
   goalrec::data::Dataset dataset;
   if (kind == "foodmart") {
     goalrec::data::FoodmartOptions options =
         scale == "full" ? goalrec::data::FoodmartOptions{}
                         : goalrec::data::SmallFoodmartOptions();
-    if (*seed_flag >= 0) options.seed = static_cast<uint64_t>(*seed_flag);
+    if (seed >= 0) options.seed = static_cast<uint64_t>(seed);
     dataset = goalrec::data::GenerateFoodmart(options);
   } else if (kind == "43things") {
     goalrec::data::FortyThreeOptions options =
         scale == "full" ? goalrec::data::FortyThreeOptions{}
                         : goalrec::data::SmallFortyThreeOptions();
-    if (*seed_flag >= 0) options.seed = static_cast<uint64_t>(*seed_flag);
+    if (seed >= 0) options.seed = static_cast<uint64_t>(seed);
     dataset = goalrec::data::GenerateFortyThree(options);
   } else {
     GOALREC_LOG(ERROR) << "unknown dataset '" << kind << "'";
@@ -641,15 +580,8 @@ int CmdExtract(const FlagParser& flags) {
                                             corpus.status().ToString());
     return 1;
   }
-  StatusOr<bool> stem = flags.GetBool("stem", false);
-  if (!stem.ok()) {
-    GOALREC_LOG(ERROR) << "bad --stem"
-                       << goalrec::util::Kv("status",
-                                            stem.status().ToString());
-    return 2;
-  }
   goalrec::textmine::ExtractorOptions options;
-  options.stem_words = *stem;
+  options.stem_words = flags.Get<bool>("stem", false);
   goalrec::textmine::AliasMap aliases;
   if (flags.Has("aliases")) {
     StatusOr<goalrec::textmine::AliasMap> loaded =
@@ -665,7 +597,8 @@ int CmdExtract(const FlagParser& flags) {
   }
   ImplementationLibrary library =
       goalrec::textmine::BuildLibraryFromDocuments(*corpus, options);
-  Status saved = SaveLibrary(library, flags.positional()[2]);
+  Status saved =
+      goalrec::model::SaveLibraryFile(library, flags.positional()[2]);
   if (!saved.ok()) {
     GOALREC_LOG(ERROR) << "library save failed"
                        << goalrec::util::Kv("status", saved.ToString());
@@ -699,13 +632,13 @@ int CmdRelated(const FlagParser& flags) {
                        << "'";
     return 1;
   }
-  StatusOr<int64_t> k = flags.GetInt("k", 10);
-  if (!k.ok() || *k <= 0) {
+  const int64_t k = flags.Get<int64_t>("k", 10);
+  if (k <= 0) {
     GOALREC_LOG(ERROR) << "--k must be a positive integer";
     return 2;
   }
   std::vector<goalrec::model::CoAction> related = goalrec::model::TopCoActions(
-      *library, *action, static_cast<size_t>(*k));
+      *library, *action, static_cast<size_t>(k));
   if (related.empty()) {
     std::printf("'%s' co-occurs with nothing\n",
                 flags.GetString("action").c_str());
@@ -962,12 +895,12 @@ int CmdServe(const FlagParser& flags) {
   // --shards=N (N >= 1) serves the strategy rung through the sharded
   // fan-out/merge path (docs/serving.md, "Sharded serving"); 0 (default)
   // keeps the single-scan ladder.
-  StatusOr<int64_t> shards_flag = flags.GetInt("shards", 0);
-  if (!shards_flag.ok() || *shards_flag < 0) {
+  const int64_t shards_flag = flags.Get<int64_t>("shards", 0);
+  if (shards_flag < 0) {
     GOALREC_LOG(ERROR) << "--shards must be a non-negative integer";
     return 2;
   }
-  const uint32_t num_shards = static_cast<uint32_t>(*shards_flag);
+  const uint32_t num_shards = static_cast<uint32_t>(shards_flag);
   std::string partition_name = flags.GetString("partition", "hash");
   goalrec::model::ShardingOptions sharding_options;
   if (partition_name == "modulo") {
@@ -1007,8 +940,10 @@ int CmdServe(const FlagParser& flags) {
     initial =
         goalrec::model::MakeSnapshot(delta_log->library(), library_path);
   } else {
+    goalrec::model::LoadReport report;
     initial = goalrec::model::LoadLibrarySnapshot(
-        library_path, RetryFromFlags(flags), *load_options);
+        library_path, RetryFromFlags(flags), *load_options, &report);
+    PrintLoadReport(report);
   }
   if (!initial.ok()) {
     GOALREC_LOG(ERROR) << "library load failed"
@@ -1023,8 +958,8 @@ int CmdServe(const FlagParser& flags) {
   // legitimately drift between library generations), but zero passing means
   // the candidate answers nothing a known-good library answered, and the
   // reload is rejected (docs/data_plane.md, "Reload rollback").
-  StatusOr<int64_t> canary_count = flags.GetInt("canary_probes", 3);
-  if (!canary_count.ok() || *canary_count < 0) {
+  const int64_t canary_count = flags.Get<int64_t>("canary_probes", 3);
+  if (canary_count < 0) {
     GOALREC_LOG(ERROR) << "--canary_probes must be a non-negative integer";
     return 2;
   }
@@ -1032,7 +967,7 @@ int CmdServe(const FlagParser& flags) {
   {
     const goalrec::model::ImplementationLibrary& lib =
         initial.value()->library;
-    const uint32_t want = static_cast<uint32_t>(*canary_count);
+    const uint32_t want = static_cast<uint32_t>(canary_count);
     const uint32_t step =
         want > 0 ? std::max(1u, lib.num_implementations() / want) : 1;
     for (uint32_t p = 0;
@@ -1083,22 +1018,20 @@ int CmdServe(const FlagParser& flags) {
         nullptr, [&manager] { return manager.Acquire()->sharded; });
   }
   goalrec::serve::EngineOptions engine_options;
-  StatusOr<int64_t> deadline_ms = flags.GetInt("deadline_ms", 0);
-  if (!deadline_ms.ok() || *deadline_ms < 0) {
+  engine_options.deadline_ms = flags.Get<int64_t>("deadline_ms", 0);
+  if (engine_options.deadline_ms < 0) {
     GOALREC_LOG(ERROR) << "--deadline_ms must be a non-negative integer";
     return 2;
   }
-  engine_options.deadline_ms = *deadline_ms;
   // The observability plane: SLO accounting against the deadline, and a
   // tail exemplar reservoir feeding the statusz page and the histogram
   // exemplars (docs/observability.md).
-  StatusOr<double> slo_objective = flags.GetDouble("slo_objective", 0.999);
-  if (!slo_objective.ok() || *slo_objective <= 0.0 || *slo_objective >= 1.0) {
+  goalrec::obs::SloOptions slo_options;
+  slo_options.objective = flags.Get<double>("slo_objective", 0.999);
+  if (slo_options.objective <= 0.0 || slo_options.objective >= 1.0) {
     GOALREC_LOG(ERROR) << "--slo_objective must be in (0, 1)";
     return 2;
   }
-  goalrec::obs::SloOptions slo_options;
-  slo_options.objective = *slo_objective;
   goalrec::obs::SloTracker slo(slo_options);
   goalrec::obs::ExemplarReservoir exemplars;
   engine_options.slo = &slo;
@@ -1123,15 +1056,15 @@ int CmdServe(const FlagParser& flags) {
   // --statusz_out: the statusz page as a periodically rewritten file, the
   // same dumper lifecycle --metrics_out uses, with the page as producer.
   std::string statusz_out = flags.GetString("statusz_out");
-  StatusOr<int64_t> statusz_every = flags.GetInt("statusz_every_ms", 1000);
-  if (!statusz_every.ok() || *statusz_every < 0) {
+  const int64_t statusz_every = flags.Get<int64_t>("statusz_every_ms", 1000);
+  if (statusz_every < 0) {
     GOALREC_LOG(ERROR) << "--statusz_every_ms must be a non-negative integer";
     return 2;
   }
   std::optional<goalrec::obs::PeriodicDumper> statusz_dumper;
-  if (!statusz_out.empty() && statusz_out != "-" && *statusz_every > 0) {
+  if (!statusz_out.empty() && statusz_out != "-" && statusz_every > 0) {
     goalrec::obs::DumperOptions statusz_dump_options;
-    statusz_dump_options.interval = std::chrono::milliseconds(*statusz_every);
+    statusz_dump_options.interval = std::chrono::milliseconds(statusz_every);
     statusz_dump_options.producer = [statusz_sources] {
       return goalrec::serve::RenderStatusz(statusz_sources);
     };
@@ -1141,19 +1074,19 @@ int CmdServe(const FlagParser& flags) {
   // --watch_library: poll the library file's mtime and hot-reload on change.
   // The failed-reload path is safe by construction — the manager keeps the
   // current snapshot serving — so a half-written file only logs a warning.
-  StatusOr<bool> watch = flags.GetBool("watch_library", false);
-  StatusOr<int64_t> watch_ms = flags.GetInt("watch_interval_ms", 500);
-  if (!watch.ok() || !watch_ms.ok() || *watch_ms <= 0) {
+  const bool watch = flags.Get<bool>("watch_library", false);
+  const int64_t watch_ms = flags.Get<int64_t>("watch_interval_ms", 500);
+  if (watch_ms <= 0) {
     GOALREC_LOG(ERROR) << "--watch_interval_ms must be a positive integer";
     return 2;
   }
   std::atomic<bool> stop_watch{false};
   std::thread watcher;
-  if (*watch && delta_mode) {
+  if (watch && delta_mode) {
     // Delta watcher: poll the directory for published segments or a
     // re-anchored base. A quarantined (torn/corrupt) publish keeps the last
     // good prefix serving; polling backs off while the directory stays bad.
-    auto interval = std::chrono::milliseconds(*watch_ms);
+    auto interval = std::chrono::milliseconds(watch_ms);
     watcher = std::thread([&manager, &stop_watch, &delta_log, &delta_mu,
                            interval] {
       const int64_t backoff_cap_ms = interval.count() * 60;
@@ -1188,8 +1121,8 @@ int CmdServe(const FlagParser& flags) {
         }
       }
     });
-  } else if (*watch) {
-    auto interval = std::chrono::milliseconds(*watch_ms);
+  } else if (watch) {
+    auto interval = std::chrono::milliseconds(watch_ms);
     const goalrec::model::LoadOptions watch_load = *load_options;
     watcher = std::thread([&manager, &stop_watch, library_path, interval,
                            watch_load] {
@@ -1270,7 +1203,7 @@ int CmdServe(const FlagParser& flags) {
               strategy_name.c_str(),
               static_cast<unsigned long long>(manager.current_version()),
               manager.Acquire()->library->library.num_implementations(),
-              *watch ? ", watching for changes" : "");
+              watch ? ", watching for changes" : "");
   std::string line;
   while (std::printf("> "), std::fflush(stdout),
          std::getline(std::cin, line)) {
@@ -1334,7 +1267,8 @@ int CmdServe(const FlagParser& flags) {
         std::string_view rest = goalrec::util::Trim(trimmed.substr(7));
         if (!rest.empty()) path = std::string(rest);
       }
-      StatusOr<uint64_t> version = manager.ReloadFromFile(path);
+      StatusOr<uint64_t> version =
+          manager.ReloadFromFile(path, RetryFromFlags(flags), *load_options);
       if (!version.ok()) {
         std::printf("reload failed (%s); still serving v%llu\n",
                     version.status().ToString().c_str(),
@@ -1476,11 +1410,10 @@ int CmdEvaluate(const FlagParser& flags) {
                                             activities.status().ToString());
     return 1;
   }
-  StatusOr<int64_t> k = flags.GetInt("k", 10);
-  StatusOr<double> visible = flags.GetDouble("visible", 0.3);
-  StatusOr<int64_t> seed = flags.GetInt("seed", 17);
-  if (!k.ok() || *k <= 0 || !visible.ok() || *visible <= 0.0 ||
-      *visible > 1.0 || !seed.ok()) {
+  const int64_t k = flags.Get<int64_t>("k", 10);
+  const double visible = flags.Get<double>("visible", 0.3);
+  const int64_t seed = flags.Get<int64_t>("seed", 17);
+  if (k <= 0 || visible <= 0.0 || visible > 1.0) {
     GOALREC_LOG(ERROR) << "invalid --k/--visible/--seed";
     return 2;
   }
@@ -1495,21 +1428,21 @@ int CmdEvaluate(const FlagParser& flags) {
             static_cast<uint32_t>(dataset.users.size())});
   }
   std::vector<goalrec::data::EvalUser> users = goalrec::data::SplitDataset(
-      dataset, *visible, static_cast<uint64_t>(*seed));
+      dataset, visible, static_cast<uint64_t>(seed));
   std::vector<goalrec::model::Activity> inputs;
   inputs.reserve(users.size());
   for (const goalrec::data::EvalUser& user : users) {
     inputs.push_back(user.visible);
   }
   std::printf("evaluating %zu users, k=%lld, visible fraction %.2f\n\n",
-              users.size(), static_cast<long long>(*k), *visible);
+              users.size(), static_cast<long long>(k), visible);
 
   goalrec::eval::Suite suite(&dataset, inputs, goalrec::eval::SuiteOptions{});
   std::vector<goalrec::eval::MethodResult> results =
-      suite.RunAll(inputs, static_cast<size_t>(*k));
+      suite.RunAll(inputs, static_cast<size_t>(k));
 
   std::printf("--- top-%lld list overlap ---\n%s\n",
-              static_cast<long long>(*k),
+              static_cast<long long>(k),
               goalrec::eval::RenderOverlap(
                   goalrec::eval::ComputeOverlap(results))
                   .c_str());
@@ -1576,12 +1509,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   goalrec::util::SetMinLogLevel(level);
-  StatusOr<int64_t> vlog = flags.GetInt("vlog", 0);
-  if (!vlog.ok() || *vlog < 0) {
+  const int vlog = flags.Get<int>("vlog", 0);
+  if (vlog < 0) {
     std::fprintf(stderr, "--vlog must be a non-negative integer\n");
     return 2;
   }
-  goalrec::util::SetVerbosity(static_cast<int>(*vlog));
+  goalrec::util::SetVerbosity(vlog);
 
   std::string metrics_out = flags.GetString("metrics_out");
   std::string metrics_format = flags.GetString("metrics_format", "prometheus");
@@ -1589,8 +1522,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--metrics_format must be prometheus|json\n");
     return 2;
   }
-  StatusOr<int64_t> every_ms = flags.GetInt("metrics_every_ms", 0);
-  if (!every_ms.ok() || *every_ms < 0) {
+  const int64_t every_ms = flags.Get<int64_t>("metrics_every_ms", 0);
+  if (every_ms < 0) {
     std::fprintf(stderr, "--metrics_every_ms must be a non-negative integer\n");
     return 2;
   }
@@ -1603,8 +1536,8 @@ int main(int argc, char** argv) {
   // A periodic dumper only makes sense against a real file; with plain
   // --metrics_out the snapshot is written once, after the command finishes.
   std::optional<goalrec::obs::PeriodicDumper> dumper;
-  if (!metrics_out.empty() && *every_ms > 0 && metrics_out != "-") {
-    dumper_options.interval = std::chrono::milliseconds(*every_ms);
+  if (!metrics_out.empty() && every_ms > 0 && metrics_out != "-") {
+    dumper_options.interval = std::chrono::milliseconds(every_ms);
     dumper.emplace(&registry, metrics_out, dumper_options);
   }
 

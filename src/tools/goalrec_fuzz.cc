@@ -271,19 +271,10 @@ int Main(int argc, char** argv) {
   }
 
   FuzzConfig config;
-  util::StatusOr<int64_t> seed = flags.GetInt("seed", 42);
-  util::StatusOr<int64_t> rounds = flags.GetInt("rounds", 100);
-  util::StatusOr<bool> strict = flags.GetBool("strict_order", false);
-  util::StatusOr<bool> quiet = flags.GetBool("quiet", false);
-  if (!seed.ok() || !rounds.ok() || !strict.ok() || !quiet.ok()) {
-    GOALREC_LOG(ERROR) << "bad flag value";
-    std::fprintf(stderr, "%s", kUsage);
-    return 2;
-  }
-  config.seed = static_cast<uint64_t>(*seed);
-  config.rounds = *rounds;
-  config.diff.strict_order = *strict;
-  config.quiet = *quiet;
+  config.seed = static_cast<uint64_t>(flags.Get<int64_t>("seed", 42));
+  config.rounds = flags.Get<int64_t>("rounds", 100);
+  config.diff.strict_order = flags.Get<bool>("strict_order", false);
+  config.quiet = flags.Get<bool>("quiet", false);
   config.out_dir = flags.GetString("out", ".");
   config.replay = flags.GetString("replay", "");
 

@@ -1,13 +1,16 @@
 #include "util/flags.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "util/string_utils.h"
 
 namespace goalrec::util {
 
 FlagParser::FlagParser(int argc, const char* const* argv) {
+  if (argc > 0) program_ = std::filesystem::path(argv[0]).filename().string();
   bool flags_ended = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -39,43 +42,46 @@ std::string FlagParser::GetString(const std::string& name,
   return it == flags_.end() ? default_value : it->second;
 }
 
-StatusOr<int64_t> FlagParser::GetInt(const std::string& name,
-                                     int64_t default_value) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return default_value;
+bool FlagParser::ParseBool(const std::string& name,
+                           const std::string& text) const {
+  if (text.empty() || text == "true" || text == "1") return true;
+  if (text == "false" || text == "0") return false;
+  Fail(name, "a boolean", text);
+}
+
+int64_t FlagParser::ParseInt(const std::string& name, const std::string& text,
+                             int64_t min, int64_t max) const {
   errno = 0;
   char* end = nullptr;
-  int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-    return InvalidArgumentError("--" + name + " expects an integer, got '" +
-                                it->second + "'");
+  int64_t value = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || end == text.c_str() || *end != '\0') {
+    Fail(name, "an integer", text);
+  }
+  if (value < min || value > max) {
+    Fail(name,
+         "an integer in [" + std::to_string(min) + ", " +
+             std::to_string(max) + "]",
+         text);
   }
   return value;
 }
 
-StatusOr<double> FlagParser::GetDouble(const std::string& name,
-                                       double default_value) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return default_value;
+double FlagParser::ParseDouble(const std::string& name,
+                               const std::string& text) const {
   errno = 0;
   char* end = nullptr;
-  double value = std::strtod(it->second.c_str(), &end);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') {
-    return InvalidArgumentError("--" + name + " expects a number, got '" +
-                                it->second + "'");
+  double value = std::strtod(text.c_str(), &end);
+  if (errno != 0 || end == text.c_str() || *end != '\0') {
+    Fail(name, "a number", text);
   }
   return value;
 }
 
-StatusOr<bool> FlagParser::GetBool(const std::string& name,
-                                   bool default_value) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return default_value;
-  const std::string& value = it->second;
-  if (value.empty() || value == "true" || value == "1") return true;
-  if (value == "false" || value == "0") return false;
-  return InvalidArgumentError("--" + name + " expects a boolean, got '" +
-                              value + "'");
+void FlagParser::Fail(const std::string& name, const std::string& expected,
+                      const std::string& text) const {
+  std::fprintf(stderr, "%s: --%s expects %s, got '%s'\n", program_.c_str(),
+               name.c_str(), expected.c_str(), text.c_str());
+  std::exit(2);
 }
 
 std::vector<std::string> FlagParser::UnknownFlags(

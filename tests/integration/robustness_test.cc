@@ -57,25 +57,6 @@ TEST(RobustnessTest, CsvParserNeverCrashesOnRandomBytes) {
   }
 }
 
-TEST(RobustnessTest, BinaryLoaderNeverCrashesOnRandomBytes) {
-  util::Rng rng(405);
-  std::string path = TempPath("goalrec_fuzz.bin");
-  for (int trial = 0; trial < 200; ++trial) {
-    {
-      std::ofstream out(path, std::ios::binary);
-      std::string bytes = RandomBytes(rng, rng.UniformUint32(256));
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    util::StatusOr<model::ImplementationLibrary> loaded =
-        model::LoadLibraryBinary(path);
-    if (loaded.ok()) {
-      // Random bytes that happen to parse must still be structurally valid.
-      EXPECT_TRUE(model::ValidateLibrary(*loaded).ok());
-    }
-  }
-  std::remove(path.c_str());
-}
-
 TEST(RobustnessTest, TextLoaderNeverCrashesOnRandomPrintableLines) {
   util::Rng rng(406);
   std::string path = TempPath("goalrec_fuzz.txt");
@@ -103,29 +84,6 @@ TEST(RobustnessTest, TextLoaderNeverCrashesOnRandomPrintableLines) {
   std::remove(path.c_str());
 }
 
-TEST(RobustnessTest, TruncatedBinariesAlwaysRejected) {
-  std::string full_path = TempPath("goalrec_trunc_full.bin");
-  std::string cut_path = TempPath("goalrec_trunc_cut.bin");
-  model::ImplementationLibrary lib =
-      goalrec::testing::RandomLibrary(20, 8, 60, 4, 11);
-  ASSERT_TRUE(model::SaveLibraryBinary(lib, full_path).ok());
-  std::ifstream in(full_path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  // Every strict prefix must be rejected (step through a sample of cuts).
-  for (size_t cut = 1; cut + 1 < contents.size(); cut += 13) {
-    {
-      std::ofstream out(cut_path, std::ios::binary);
-      out.write(contents.data(), static_cast<std::streamsize>(cut));
-    }
-    util::StatusOr<model::ImplementationLibrary> loaded =
-        model::LoadLibraryBinary(cut_path);
-    EXPECT_FALSE(loaded.ok()) << "prefix of " << cut << " bytes parsed";
-  }
-  std::remove(full_path.c_str());
-  std::remove(cut_path.c_str());
-}
-
 TEST(RobustnessTest, RetryMasksTransientlyMissingLibraryFile) {
   std::string path = TempPath("goalrec_retry_lib.txt");
   std::remove(path.c_str());
@@ -143,12 +101,13 @@ TEST(RobustnessTest, RetryMasksTransientlyMissingLibraryFile) {
       ASSERT_TRUE(model::SaveLibraryText(lib, path).ok());
     }
   };
-  util::StatusOr<model::ImplementationLibrary> loaded =
-      model::LoadLibraryText(path, retry);
+  util::StatusOr<std::shared_ptr<const model::LibrarySnapshot>> loaded =
+      model::LoadLibrarySnapshot(path, retry);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(sleeps, 1);
-  EXPECT_EQ(loaded->num_actions(), lib.num_actions());
-  EXPECT_EQ(loaded->num_implementations(), lib.num_implementations());
+  EXPECT_EQ((*loaded)->library.num_actions(), lib.num_actions());
+  EXPECT_EQ((*loaded)->library.num_implementations(),
+            lib.num_implementations());
   std::remove(path.c_str());
 }
 

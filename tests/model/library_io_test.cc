@@ -9,6 +9,7 @@
 
 #include <span>
 
+#include "obs/metrics.h"
 #include "testing/fixtures.h"
 
 namespace goalrec::model {
@@ -54,24 +55,29 @@ TEST(LibraryIoTest, TextRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(LibraryIoTest, BinaryRoundTrip) {
-  std::string path = TempPath("goalrec_lib.bin");
-  ImplementationLibrary original = PaperLibrary();
-  ASSERT_TRUE(SaveLibraryBinary(original, path).ok());
-  util::StatusOr<ImplementationLibrary> loaded = LoadLibraryBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectLibrariesEqual(original, *loaded);
-  std::remove(path.c_str());
+std::string FirstBytes(const std::string& path, size_t n) {
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes(n, '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(n));
+  bytes.resize(static_cast<size_t>(in.gcount()));
+  return bytes;
 }
 
-TEST(LibraryIoTest, BinaryRoundTripRandomLibrary) {
-  std::string path = TempPath("goalrec_lib_rand.bin");
+// The file name picks the format: ".snap" keeps vocabularies and ids
+// exactly, any other name is text.
+TEST(LibraryIoTest, SnapshotFileRoundTrip) {
+  std::string snap = TempPath("goalrec_lib.snap");
+  std::string text = TempPath("goalrec_lib_dispatch.txt");
   ImplementationLibrary original = RandomLibrary(40, 15, 200, 6, 77);
-  ASSERT_TRUE(SaveLibraryBinary(original, path).ok());
-  util::StatusOr<ImplementationLibrary> loaded = LoadLibraryBinary(path);
-  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(SaveLibraryFile(original, snap).ok());
+  ASSERT_TRUE(SaveLibraryFile(original, text).ok());
+  EXPECT_EQ(FirstBytes(snap, 8), "GRSNAP1\n");
+  EXPECT_EQ(FirstBytes(text, 20), "# goalrec-library v1");
+  util::StatusOr<ImplementationLibrary> loaded = LoadLibraryFile(snap);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectLibrariesEqual(original, *loaded);
-  std::remove(path.c_str());
+  std::remove(snap.c_str());
+  std::remove(text.c_str());
 }
 
 TEST(LibraryIoTest, TextRoundTripPreservesStructureOnRandomLibraries) {
@@ -157,38 +163,74 @@ TEST(LibraryIoTest, TextLoadRejectsImplementationWithoutActions) {
   std::remove(path.c_str());
 }
 
-TEST(LibraryIoTest, BinaryLoadRejectsBadMagic) {
-  std::string path = TempPath("goalrec_lib_badmagic.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a library";
+// Files in the retired length-prefixed binary format ("GRL1" magic, then
+// u32 counts) are rejected with a Status under every name.
+TEST(LibraryIoTest, LegacyBinaryFileIsRejected) {
+  std::string legacy;
+  for (uint32_t word : {0x47524C31u, 1u, 1u}) {
+    for (int i = 0; i < 4; ++i) {
+      legacy.push_back(static_cast<char>(word >> (8 * i)));
+    }
   }
-  util::StatusOr<ImplementationLibrary> loaded = LoadLibraryBinary(path);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
-}
-
-TEST(LibraryIoTest, BinaryLoadRejectsTruncation) {
-  std::string good = TempPath("goalrec_lib_full.bin");
-  std::string bad = TempPath("goalrec_lib_trunc.bin");
-  ASSERT_TRUE(SaveLibraryBinary(PaperLibrary(), good).ok());
-  {
-    std::ifstream in(good, std::ios::binary);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    std::ofstream out(bad, std::ios::binary);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size() / 2));
+  legacy += 'a';
+  for (const char* name :
+       {"goalrec_lib_legacy.bin", "goalrec_lib_legacy.snap"}) {
+    std::string path = TempPath(name);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << legacy;
+    }
+    util::StatusOr<ImplementationLibrary> loaded = LoadLibraryFile(path);
+    EXPECT_FALSE(loaded.ok()) << name;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+    std::remove(path.c_str());
   }
-  util::StatusOr<ImplementationLibrary> loaded = LoadLibraryBinary(bad);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(good.c_str());
-  std::remove(bad.c_str());
 }
 
 TEST(LibraryIoTest, LoadMissingFileFails) {
   EXPECT_FALSE(LoadLibraryText("/nonexistent/lib.txt").ok());
-  EXPECT_FALSE(LoadLibraryBinary("/nonexistent/lib.bin").ok());
+  EXPECT_FALSE(LoadLibraryFile("/nonexistent/lib.snap").ok());
+}
+
+// `goalrec serve` and reload paths load through LoadLibrarySnapshot: it must
+// hand back what quarantine dropped, and a ".snap" load must show up in
+// goalrec_library_load_total like a text load does.
+TEST(LibraryIoTest, LoadLibrarySnapshotReportsQuarantineAndCountsSnapshots) {
+  std::string text = TempPath("goalrec_lib_serve_quarantine.txt");
+  {
+    std::ofstream out(text, std::ios::trunc);
+    out << "# goalrec-library v1\ng1\ta1\ta2\nlonely_goal\ng2\ta3\n";
+  }
+  LoadOptions quarantine;
+  quarantine.mode = ValidationMode::kQuarantine;
+  LoadReport report;
+  util::StatusOr<std::shared_ptr<const LibrarySnapshot>> served =
+      LoadLibrarySnapshot(text, {}, quarantine, &report);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ((*served)->library.num_implementations(), 2u);
+  EXPECT_EQ(report.records_quarantined, 1u);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].line, 3u);
+
+  std::string snap = TempPath("goalrec_lib_serve_count.snap");
+  ASSERT_TRUE(SaveLibraryFile((*served)->library, snap).ok());
+  obs::Counter* snapshot_ok =
+      obs::MetricRegistry::Default().GetCounter(
+          "goalrec_library_load_total",
+          {{"format", "snapshot"}, {"result", "ok"}});
+  const int64_t before = snapshot_ok->Value();
+  LoadReport snap_report;
+  util::StatusOr<std::shared_ptr<const LibrarySnapshot>> reloaded =
+      LoadLibrarySnapshot(snap, {}, {}, &snap_report);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(snap_report.records_loaded, 2u);
+  EXPECT_EQ(snap_report.issues_total, 0u);
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(snapshot_ok->Value(), before + 1);
+  }
+  std::remove(text.c_str());
+  std::remove(snap.c_str());
 }
 
 // ---- Validated loading: strict vs quarantine, provenance, caps. ----
@@ -334,21 +376,6 @@ TEST(LibraryIoValidationTest, OversizedActionSetQuarantined) {
 
   options.mode = ValidationMode::kStrict;
   EXPECT_FALSE(LoadLibraryText(path, options).ok());
-  std::remove(path.c_str());
-}
-
-TEST(LibraryIoValidationTest, BinaryGiantDeclaredCountRejectedCheaply) {
-  // magic + u32 count claiming 4 billion actions, then nothing. The loader
-  // must bound the reserve by what the file could actually hold.
-  std::string path = TempPath("goalrec_lib_giant.bin");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    const uint32_t magic = 0x47524C31, count = 0xFFFFFFFFu;
-    out.write(reinterpret_cast<const char*>(&magic), 4);
-    out.write(reinterpret_cast<const char*>(&count), 4);
-  }
-  util::StatusOr<ImplementationLibrary> loaded = LoadLibraryBinary(path);
-  EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
 }
 

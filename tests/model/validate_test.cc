@@ -108,10 +108,10 @@ TEST(ValidateTest, TextMinedLibraryIsValid) {
 
 TEST(ValidateTest, RoundTrippedLibrariesAreValid) {
   std::string path =
-      (std::filesystem::temp_directory_path() / "goalrec_validate.bin")
+      (std::filesystem::temp_directory_path() / "goalrec_validate.snap")
           .string();
-  ASSERT_TRUE(SaveLibraryBinary(PaperLibrary(), path).ok());
-  util::StatusOr<ImplementationLibrary> loaded = LoadLibraryBinary(path);
+  ASSERT_TRUE(SaveLibraryFile(PaperLibrary(), path).ok());
+  util::StatusOr<ImplementationLibrary> loaded = LoadLibraryFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(ValidateLibrary(*loaded).ok());
   std::remove(path.c_str());

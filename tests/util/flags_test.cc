@@ -30,35 +30,74 @@ TEST(FlagParserTest, BareFlagIsEmptyString) {
 }
 
 TEST(FlagParserTest, GetInt) {
-  FlagParser parser = Parse({"--k=42", "--bad=xyz"});
-  StatusOr<int64_t> k = parser.GetInt("k", 0);
-  ASSERT_TRUE(k.ok());
-  EXPECT_EQ(*k, 42);
-  EXPECT_EQ(*parser.GetInt("missing", 7), 7);
-  EXPECT_FALSE(parser.GetInt("bad", 0).ok());
+  FlagParser parser = Parse({"--k=42"});
+  EXPECT_EQ(parser.Get<int64_t>("k", 0), 42);
+  EXPECT_EQ(parser.Get<int>("k", 0), 42);
 }
 
 TEST(FlagParserTest, GetIntNegative) {
   FlagParser parser = Parse({"--delta=-3"});
-  EXPECT_EQ(*parser.GetInt("delta", 0), -3);
+  EXPECT_EQ(parser.Get<int64_t>("delta", 0), -3);
 }
 
 TEST(FlagParserTest, GetDouble) {
-  FlagParser parser = Parse({"--alpha=0.25", "--bad=x"});
-  EXPECT_DOUBLE_EQ(*parser.GetDouble("alpha", 0.0), 0.25);
-  EXPECT_DOUBLE_EQ(*parser.GetDouble("missing", 1.5), 1.5);
-  EXPECT_FALSE(parser.GetDouble("bad", 0.0).ok());
+  FlagParser parser = Parse({"--alpha=0.25"});
+  EXPECT_DOUBLE_EQ(parser.Get<double>("alpha", 0.0), 0.25);
 }
 
 TEST(FlagParserTest, GetBool) {
-  FlagParser parser =
-      Parse({"--on", "--yes=true", "--no=false", "--one=1", "--bad=maybe"});
-  EXPECT_TRUE(*parser.GetBool("on", false));
-  EXPECT_TRUE(*parser.GetBool("yes", false));
-  EXPECT_FALSE(*parser.GetBool("no", true));
-  EXPECT_TRUE(*parser.GetBool("one", false));
-  EXPECT_TRUE(*parser.GetBool("missing", true));
-  EXPECT_FALSE(parser.GetBool("bad", false).ok());
+  FlagParser parser = Parse({"--on", "--yes=true", "--no=false", "--one=1"});
+  EXPECT_TRUE(parser.Get<bool>("on", false));
+  EXPECT_TRUE(parser.Get<bool>("yes", false));
+  EXPECT_FALSE(parser.Get<bool>("no", true));
+  EXPECT_TRUE(parser.Get<bool>("one", false));
+}
+
+TEST(FlagParserTest, AbsentFlagsReturnTheirDefaults) {
+  FlagParser parser = Parse({"--other=1"});
+  EXPECT_EQ(parser.Get<int64_t>("missing", 7), 7);
+  EXPECT_EQ(parser.Get<int>("missing", -2), -2);
+  EXPECT_DOUBLE_EQ(parser.Get<double>("missing", 1.5), 1.5);
+  EXPECT_TRUE(parser.Get<bool>("missing", true));
+  EXPECT_FALSE(parser.Get<bool>("missing", false));
+}
+
+// A present but malformed value must stop the tool with status 2 and a
+// message naming the flag, never fall back to the default.
+TEST(FlagParserDeathTest, MalformedIntExitsNamingTheFlag) {
+  FlagParser parser = Parse({"--admission_limit=abc", "--k=12x", "--e="});
+  EXPECT_EXIT(parser.Get<int64_t>("admission_limit", 8),
+              ::testing::ExitedWithCode(2),
+              "tool: --admission_limit expects an integer, got 'abc'");
+  EXPECT_EXIT(parser.Get<int>("k", 10), ::testing::ExitedWithCode(2),
+              "--k expects an integer, got '12x'");
+  EXPECT_EXIT(parser.Get<int64_t>("e", 1), ::testing::ExitedWithCode(2),
+              "--e expects an integer");
+}
+
+TEST(FlagParserDeathTest, IntOutsideTheTypeRangeExits) {
+  FlagParser parser = Parse({"--n=-1", "--big=4294967296"});
+  EXPECT_EXIT(parser.Get<uint32_t>("n", 0), ::testing::ExitedWithCode(2),
+              "--n expects an integer in \\[0, 4294967295\\], got '-1'");
+  EXPECT_EXIT(parser.Get<int>("big", 0), ::testing::ExitedWithCode(2),
+              "--big expects an integer in");
+  EXPECT_EQ(parser.Get<int64_t>("big", 0), 4294967296);
+}
+
+TEST(FlagParserDeathTest, MalformedDoubleExitsNamingTheFlag) {
+  FlagParser parser = Parse({"--rate=x", "--ratio=0.5.5"});
+  EXPECT_EXIT(parser.Get<double>("rate", 0.0), ::testing::ExitedWithCode(2),
+              "--rate expects a number, got 'x'");
+  EXPECT_EXIT(parser.Get<double>("ratio", 0.0), ::testing::ExitedWithCode(2),
+              "--ratio expects a number, got '0.5.5'");
+}
+
+TEST(FlagParserDeathTest, MalformedBoolExitsNamingTheFlag) {
+  FlagParser parser = Parse({"--smoke=maybe", "--quiet=yes"});
+  EXPECT_EXIT(parser.Get<bool>("smoke", false), ::testing::ExitedWithCode(2),
+              "--smoke expects a boolean, got 'maybe'");
+  EXPECT_EXIT(parser.Get<bool>("quiet", true), ::testing::ExitedWithCode(2),
+              "--quiet expects a boolean, got 'yes'");
 }
 
 TEST(FlagParserTest, DoubleDashEndsFlagParsing) {
@@ -77,7 +116,7 @@ TEST(FlagParserTest, UnknownFlags) {
 
 TEST(FlagParserTest, LastValueWinsOnRepeat) {
   FlagParser parser = Parse({"--k=1", "--k=2"});
-  EXPECT_EQ(*parser.GetInt("k", 0), 2);
+  EXPECT_EQ(parser.Get<int64_t>("k", 0), 2);
 }
 
 TEST(FlagParserTest, ValueMayContainEquals) {
