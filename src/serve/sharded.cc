@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <optional>
 #include <utility>
 
 #include "core/shard_merge.h"
@@ -66,6 +67,30 @@ class ShardedRecommender::ScratchLease {
   std::unique_ptr<FanoutScratch> scratch_;
 };
 
+namespace {
+
+/// The unsharded kernel serving `strategy` over `library`.
+std::unique_ptr<const core::Recommender> MakeKernel(
+    const model::ImplementationLibrary& library, ShardedStrategy strategy,
+    const core::BestMatchOptions& best_match_options) {
+  switch (strategy) {
+    case ShardedStrategy::kFocusCompleteness:
+      return std::make_unique<core::FocusRecommender>(
+          &library, core::FocusVariant::kCompleteness);
+    case ShardedStrategy::kFocusCloseness:
+      return std::make_unique<core::FocusRecommender>(
+          &library, core::FocusVariant::kCloseness);
+    case ShardedStrategy::kBreadth:
+      return std::make_unique<core::BreadthRecommender>(&library);
+    case ShardedStrategy::kBestMatch:
+      break;
+  }
+  return std::make_unique<core::BestMatchRecommender>(&library,
+                                                      best_match_options);
+}
+
+}  // namespace
+
 ShardedRecommender::ShardedRecommender(
     std::shared_ptr<const model::ShardedSnapshot> sharded,
     ShardedStrategy strategy, util::ThreadPool* pool,
@@ -73,63 +98,30 @@ ShardedRecommender::ShardedRecommender(
     : sharded_(std::move(sharded)),
       strategy_(strategy),
       pool_(pool),
-      best_match_options_(best_match_options),
       merge_latency_us_(merge_latency_us) {
   GOALREC_CHECK(sharded_ != nullptr);
   GOALREC_CHECK(sharded_->base != nullptr);
   // The bit-identical merge rests on exact-integer partials; goal weights
   // scale by arbitrary doubles and are rejected at construction, not per
   // query.
-  GOALREC_CHECK(best_match_options_.goal_weights == nullptr);
+  GOALREC_CHECK(best_match_options.goal_weights == nullptr);
   const uint32_t n = sharded_->num_shards;
-  switch (strategy_) {
-    case ShardedStrategy::kFocusCompleteness:
-    case ShardedStrategy::kFocusCloseness: {
-      core::FocusVariant variant =
-          strategy_ == ShardedStrategy::kFocusCompleteness
-              ? core::FocusVariant::kCompleteness
-              : core::FocusVariant::kCloseness;
-      focus_.reserve(n);
-      for (uint32_t s = 0; s < n; ++s) {
-        focus_.push_back(std::make_unique<core::FocusRecommender>(
-            &sharded_->shard_library(s), variant));
-      }
-      break;
-    }
-    case ShardedStrategy::kBreadth:
-      breadth_.reserve(n);
-      for (uint32_t s = 0; s < n; ++s) {
-        breadth_.push_back(std::make_unique<core::BreadthRecommender>(
-            &sharded_->shard_library(s)));
-      }
-      break;
-    case ShardedStrategy::kBestMatch:
-      // Shard kernels first; the last instance, over the base library,
-      // ranks the merged partials at the root.
-      best_match_.reserve(n + 1);
-      for (uint32_t s = 0; s <= n; ++s) {
-        best_match_.push_back(std::make_unique<core::BestMatchRecommender>(
-            s < n ? &sharded_->shard_library(s) : sharded_->base,
-            best_match_options_));
-      }
-      break;
+  kernels_.reserve(n + 1);
+  for (uint32_t s = 0; s < n; ++s) {
+    kernels_.push_back(
+        MakeKernel(sharded_->shard_library(s), strategy_, best_match_options));
+  }
+  // Best Match ranks the merged partials at the root over the base library.
+  if (strategy_ == ShardedStrategy::kBestMatch) {
+    kernels_.push_back(
+        MakeKernel(*sharded_->base, strategy_, best_match_options));
   }
 }
 
 ShardedRecommender::~ShardedRecommender() = default;
 
 std::string ShardedRecommender::name() const {
-  switch (strategy_) {
-    case ShardedStrategy::kFocusCompleteness:
-      return "Focus_cmp";
-    case ShardedStrategy::kFocusCloseness:
-      return "Focus_cl";
-    case ShardedStrategy::kBreadth:
-      return "Breadth";
-    case ShardedStrategy::kBestMatch:
-      return "BestMatch";
-  }
-  return "?";
+  return kernels_.front()->name();
 }
 
 ShardedRecommender::ScratchLease ShardedRecommender::Acquire() const {
@@ -146,10 +138,9 @@ ShardedRecommender::ScratchLease ShardedRecommender::Acquire() const {
 }
 
 void ShardedRecommender::RunPhase(
-    FanoutScratch& scratch, bool parallel,
-    const std::function<void(size_t)>& body) const {
+    FanoutScratch& scratch, const std::function<void(size_t)>& body) const {
   const size_t n = sharded_->num_shards;
-  if (!parallel || pool_ == nullptr || n <= 1) {
+  if (pool_ == nullptr || n <= 1) {
     for (size_t s = 0; s < n; ++s) body(s);
     return;
   }
@@ -188,7 +179,7 @@ void ShardedRecommender::RunPhase(
 void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
                                       const util::StopToken* stop,
                                       core::QueryWorkspace& root_ws,
-                                      FanoutScratch& scratch, bool parallel,
+                                      FanoutScratch& scratch,
                                       core::RecommendationList& out) const {
   const uint32_t n = sharded_->num_shards;
   const uint32_t num_actions = sharded_->base->num_actions();
@@ -215,12 +206,11 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
     case ShardedStrategy::kFocusCompleteness:
     case ShardedStrategy::kFocusCloseness: {
       std::function<void(size_t)> body = [&](size_t s) {
-        focus_[s]->EmitShardForMerge(normalized, k,
-                                     sharded_->local_to_logical[s],
-                                     shard_stop(s), *scratch.shard_ws[s],
-                                     scratch.emissions[s]);
+        kernel<core::FocusRecommender>(s).EmitShardForMerge(
+            normalized, k, sharded_->local_to_logical[s], shard_stop(s),
+            *scratch.shard_ws[s], scratch.emissions[s]);
       };
-      RunPhase(scratch, parallel, body);
+      RunPhase(scratch, body);
       if (merge_start_ready()) merge_start = std::chrono::steady_clock::now();
       core::MergeFocusEmissions(
           std::span<const std::vector<core::ShardEmission>>(
@@ -230,11 +220,11 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
     }
     case ShardedStrategy::kBreadth: {
       std::function<void(size_t)> body = [&](size_t s) {
-        breadth_[s]->AccumulateShard(normalized, shard_stop(s),
-                                     *scratch.shard_ws[s],
-                                     scratch.partials[s]);
+        kernel<core::BreadthRecommender>(s).AccumulateShard(
+            normalized, shard_stop(s), *scratch.shard_ws[s],
+            scratch.partials[s]);
       };
-      RunPhase(scratch, parallel, body);
+      RunPhase(scratch, body);
       if (merge_start_ready()) merge_start = std::chrono::steady_clock::now();
       core::MergeBreadthPartials(
           std::span<const std::vector<core::ShardActionScore>>(
@@ -244,10 +234,11 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
     }
     case ShardedStrategy::kBestMatch: {
       std::function<void(size_t)> body = [&](size_t s) {
-        best_match_[s]->ScanShard(normalized, shard_stop(s),
-                                  *scratch.shard_ws[s], scratch.profiles[s]);
+        kernel<core::BestMatchRecommender>(s).ScanShard(
+            normalized, shard_stop(s), *scratch.shard_ws[s],
+            scratch.profiles[s]);
       };
-      RunPhase(scratch, parallel, body);
+      RunPhase(scratch, body);
       if (merge_start_ready()) merge_start = std::chrono::steady_clock::now();
       out.clear();
       // A shard stopped mid-scan sent half-summed partials: serve nothing
@@ -256,7 +247,8 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
       core::MergeBestMatchShards(
           std::span<const core::BestMatchShardProfile>(scratch.profiles.data(),
                                                        n),
-          *best_match_[n], num_actions, k, root_ws, out);
+          kernel<core::BestMatchRecommender>(n), num_actions, k, root_ws,
+          out);
       break;
     }
   }
@@ -286,16 +278,8 @@ core::RecommendationList ShardedRecommender::Recommend(
 core::RecommendationList ShardedRecommender::RecommendCancellable(
     const model::Activity& activity, size_t k,
     const util::StopToken* stop) const {
-  // Allocating path: everything fresh, shards served sequentially on the
-  // calling thread. The differential wall holds this path and the pooled
-  // one to the same bits.
-  core::QueryWorkspace root_ws;
-  FanoutScratch scratch(sharded_->num_shards);
-  root_ws.activity.assign(activity.begin(), activity.end());
-  util::Normalize(root_ws.activity);
   core::RecommendationList out;
-  ServeSharded(root_ws.activity, k, stop, root_ws, scratch,
-               /*parallel=*/false, out);
+  RecommendPooled(activity, k, stop, nullptr, out);
   return out;
 }
 
@@ -303,40 +287,40 @@ void ShardedRecommender::RecommendPooled(util::IdSpan activity, size_t k,
                                          const util::StopToken* stop,
                                          core::QueryWorkspace* workspace,
                                          core::RecommendationList& out) const {
-  if (workspace == nullptr) {
-    out = RecommendCancellable(
-        model::Activity(activity.begin(), activity.end()), k, stop);
-    return;
-  }
-  core::QueryWorkspace& root_ws = *workspace;
+  std::optional<core::QueryWorkspace> fresh;
+  core::QueryWorkspace& root_ws =
+      workspace != nullptr ? *workspace : fresh.emplace();
   root_ws.activity.assign(activity.begin(), activity.end());
   util::Normalize(root_ws.activity);
   ScratchLease lease = Acquire();
-  ServeSharded(root_ws.activity, k, stop, root_ws, *lease, /*parallel=*/true,
-               out);
+  ServeSharded(root_ws.activity, k, stop, root_ws, *lease, out);
 }
 
 LadderFactory MakeShardedLadderFactory(ShardedLadderOptions options) {
   if (options.num_shards == 0) options.num_shards = 1;
-  obs::MetricRegistry& registry = options.metrics != nullptr
-                                      ? *options.metrics
-                                      : obs::MetricRegistry::Default();
-  obs::Histogram* merge_latency = registry.GetHistogram(
-      "goalrec_shard_merge_latency_us", obs::DefaultLatencyBucketsUs(), {},
-      "Root-side shard merge latency per query (us)");
+  obs::Histogram* merge_latency = nullptr;
+  if (options.num_shards > 1) {
+    obs::MetricRegistry& registry = options.metrics != nullptr
+                                        ? *options.metrics
+                                        : obs::MetricRegistry::Default();
+    merge_latency = registry.GetHistogram(
+        "goalrec_shard_merge_latency_us", obs::DefaultLatencyBucketsUs(), {},
+        "Root-side shard merge latency per query (us)");
+  }
   return [options, merge_latency](const model::ImplementationLibrary& library,
                                   ServingSnapshot& out) {
-    uint64_t version = out.library != nullptr ? out.library->version : 0;
-    // Re-partitioning on every (re)load and publishing the shard set on the
-    // ServingSnapshot makes the swap atomic across ALL shards: a query
-    // holds either the old complete shard set or the new one, never a mix.
-    auto sharded = model::BuildShardedSnapshot(library, options.num_shards,
-                                               options.sharding, version);
-    out.sharded = sharded;
+    if (options.num_shards > 1) {
+      uint64_t version = out.library != nullptr ? out.library->version : 0;
+      out.sharded = model::BuildShardedSnapshot(library, options.num_shards,
+                                                options.sharding, version);
+    }
     for (const auto& [name, strategy] : options.rungs) {
-      auto rung = std::make_unique<ShardedRecommender>(
-          sharded, strategy, options.pool, core::BestMatchOptions{},
-          merge_latency);
+      std::unique_ptr<const core::Recommender> rung =
+          out.sharded != nullptr
+              ? std::make_unique<ShardedRecommender>(
+                    out.sharded, strategy, options.pool,
+                    core::BestMatchOptions{}, merge_latency)
+              : MakeKernel(library, strategy, core::BestMatchOptions{});
       out.rungs.push_back(ServingEngine::Rung{name, rung.get()});
       out.owned.push_back(std::move(rung));
     }

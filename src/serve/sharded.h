@@ -36,6 +36,12 @@
 // joins its shard tasks before returning — partial shard buffers are
 // discarded with the rung attempt, never merged into a served answer).
 //
+// MakeShardedLadderFactory is the one serving ladder factory. Its default
+// of one shard builds no ShardedRecommender at all: the rungs are the plain
+// kernels. On a 4-core host the fan-out cut the latency of a lone query but
+// lost closed-loop throughput at every library size measured, 100k to 2M
+// implementations (BENCH_overload.json).
+//
 // See docs/serving.md ("Sharded serving") for the full design.
 
 namespace goalrec::serve {
@@ -74,15 +80,15 @@ class ShardedRecommender : public core::Recommender {
   core::RecommendationList Recommend(const model::Activity& activity,
                                      size_t k) const override;
 
-  /// Allocating path: fresh shard workspaces per call, sequential fan-out.
+  /// RecommendPooled with a fresh root workspace.
   core::RecommendationList RecommendCancellable(
       const model::Activity& activity, size_t k,
       const util::StopToken* stop) const override;
 
-  /// Serving path: `workspace` is the ROOT workspace (merge buffers, final
-  /// top-k, summed kernel stats); per-shard workspaces come from this
-  /// recommender's warm scratch pool, so the steady-state fan-out performs
-  /// no allocations. Null `workspace` falls back to RecommendCancellable.
+  /// The one execution path: `workspace` is the ROOT workspace (merge
+  /// buffers, final top-k, summed kernel stats; a fresh one when null);
+  /// per-shard workspaces come from this recommender's warm scratch pool,
+  /// so the steady-state fan-out performs no allocations.
   void RecommendPooled(util::IdSpan activity, size_t k,
                        const util::StopToken* stop,
                        core::QueryWorkspace* workspace,
@@ -99,24 +105,25 @@ class ShardedRecommender : public core::Recommender {
   /// Runs body(0..num_shards-1): shards 1.. as pool tasks, shard 0 inline on
   /// the calling thread, then joins. Join is unconditional (RAII) — a body
   /// that throws or stops early never leaves a task referencing dead scratch.
-  void RunPhase(FanoutScratch& scratch, bool parallel,
+  void RunPhase(FanoutScratch& scratch,
                 const std::function<void(size_t)>& body) const;
   void ServeSharded(util::IdSpan normalized, size_t k,
                     const util::StopToken* stop, core::QueryWorkspace& root_ws,
-                    FanoutScratch& scratch, bool parallel,
+                    FanoutScratch& scratch,
                     core::RecommendationList& out) const;
+  /// Shard `s`'s kernel as the strategy's concrete type.
+  template <typename Kernel>
+  const Kernel& kernel(size_t s) const {
+    return static_cast<const Kernel&>(*kernels_[s]);
+  }
 
   std::shared_ptr<const model::ShardedSnapshot> sharded_;
   ShardedStrategy strategy_;
   util::ThreadPool* pool_;
-  core::BestMatchOptions best_match_options_;
   obs::Histogram* merge_latency_us_;
-  /// Per-shard kernel instances; only the vector matching strategy_ is
-  /// populated. best_match_ holds one more, over the base library, for the
-  /// root's read-off.
-  std::vector<std::unique_ptr<core::FocusRecommender>> focus_;
-  std::vector<std::unique_ptr<core::BreadthRecommender>> breadth_;
-  std::vector<std::unique_ptr<core::BestMatchRecommender>> best_match_;
+  /// One strategy kernel per shard library. Best Match holds one more, over
+  /// the base library, for the root's read-off.
+  std::vector<std::unique_ptr<const core::Recommender>> kernels_;
 
   /// Warm fan-out scratch pool (per-shard workspaces + partial buffers),
   /// grown on demand by concurrent queries, never shrunk.
@@ -124,29 +131,35 @@ class ShardedRecommender : public core::Recommender {
   mutable std::vector<std::unique_ptr<FanoutScratch>> scratch_free_;
 };
 
-/// Options for the sharded serving ladder.
+/// Options for the serving ladder.
 struct ShardedLadderOptions {
-  uint32_t num_shards = 2;
+  /// 1 (the default) serves the plain strategy kernels over the library;
+  /// more partitions it and fans every query out.
+  uint32_t num_shards = 1;
   model::ShardingOptions sharding;
   /// Shard fan-out pool; null serves each shard sequentially on the query
-  /// thread.
+  /// thread. Unused at one shard.
   util::ThreadPool* pool = nullptr;
-  /// Registry for goalrec_shard_merge_latency_us; default registry if null.
+  /// Registry for goalrec_shard_merge_latency_us (registered only when
+  /// num_shards > 1); default registry if null.
   obs::MetricRegistry* metrics = nullptr;
-  /// Sharded strategy rungs, best first, as (rung name, strategy). The
-  /// unsharded popularity floor is always appended underneath.
+  /// Strategy rungs, best first, as (rung name, strategy). The unsharded
+  /// popularity floor is always appended underneath.
   std::vector<std::pair<std::string, ShardedStrategy>> rungs = {
       {"best_match", ShardedStrategy::kBestMatch},
       {"breadth", ShardedStrategy::kBreadth}};
 };
 
-/// LadderFactory for SnapshotManager producing the standard serving ladder
-/// — best_match → breadth → popularity — with the two strategy rungs served
-/// sharded. Every (re)load re-partitions the new library and stores the
-/// ShardedSnapshot on the ServingSnapshot, so a snapshot swap replaces ALL
-/// shards atomically: queries hold either the old complete shard set or the
-/// new one, never a mix. The popularity floor stays unsharded (it is a
-/// precomputed list; fan-out would add cost, not shed it).
+/// The serving LadderFactory for SnapshotManager: the standard ladder —
+/// best_match → breadth → popularity by default. At one shard the strategy
+/// rungs are the core kernels over the served library: no partition, no
+/// ShardedSnapshot (ServingSnapshot::sharded stays null), no fan-out. At
+/// more, every (re)load re-partitions the new library, the strategy rungs
+/// are ShardedRecommenders, and the ShardedSnapshot rides on the
+/// ServingSnapshot, so a snapshot swap replaces ALL shards atomically:
+/// queries hold either the old complete shard set or the new one, never a
+/// mix. The popularity floor is never sharded (it is a precomputed list;
+/// fan-out would add cost, not shed it).
 LadderFactory MakeShardedLadderFactory(ShardedLadderOptions options = {});
 
 /// Exports per-shard gauges through the registry scrape-hook path:

@@ -237,8 +237,8 @@ util::Status SnapshotManager::Reload(
 
 util::StatusOr<uint64_t> SnapshotManager::ReloadFromFile(
     const std::string& path, const util::RetryOptions& retry,
-    const model::LoadOptions& load_options) {
-  auto loaded = model::LoadLibrarySnapshot(path, retry, load_options);
+    const model::LoadOptions& load_options, model::LoadReport* report) {
+  auto loaded = model::LoadLibrarySnapshot(path, retry, load_options, report);
   if (!loaded.ok()) {
     return CountFailure(failure_load_, loaded.status());
   }

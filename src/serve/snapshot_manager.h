@@ -129,10 +129,12 @@ class SnapshotManager {
   /// Loads `path` through model::LoadLibrarySnapshot (".snap" or text) with
   /// `retry` and `load_options`, then publishes it through the guard.
   /// On any failure the current snapshot keeps serving. Returns the new
-  /// library version on success.
+  /// library version on success. `report`, when given, receives what a
+  /// quarantine-mode load dropped, with per-record provenance.
   util::StatusOr<uint64_t> ReloadFromFile(
       const std::string& path, const util::RetryOptions& retry = {},
-      const model::LoadOptions& load_options = {});
+      const model::LoadOptions& load_options = {},
+      model::LoadReport* report = nullptr);
 
   /// Reader side of a delta directory (docs/data_plane.md, "Delta segments
   /// & compaction"): polls `log` and, when the poll surfaced changes (new

@@ -73,13 +73,14 @@
 //       without mutating the directory.
 //
 //   goalrec serve <library|delta-dir> [--strategy=breadth] [--deadline_ms=N]
-//                 [--watch_library] [--watch_interval_ms=500]
+//                 [--shards=1] [--watch_library] [--watch_interval_ms=500]
 //                 [--slo_objective=0.999] [--statusz_out=<path|->]
 //                 [--statusz_every_ms=1000]
 //       Interactive serving REPL over a hot-reloadable library snapshot
 //       (docs/serving.md, "Library hot reload"). Queries run through the
 //       resilient engine's <strategy> → popularity ladder against the
-//       current snapshot; `reload [path]` swaps the library atomically
+//       current snapshot, fanned out over --shards partitions when it is
+//       above 1; `reload [path]` swaps the library atomically
 //       without dropping the session's activity, and --watch_library polls
 //       the file's mtime and reloads automatically when it changes. The
 //       `statusz` command prints the live introspection page — snapshot
@@ -100,6 +101,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -838,32 +840,45 @@ int CmdDelta(const FlagParser& flags) {
   return 2;
 }
 
-// Builds the serve ladder for one library snapshot: the chosen strategy on
-// top, the structural popularity floor underneath. Invoked by the
-// SnapshotManager on every (re)load, so the recommenders are always indexed
-// against the library they co-own.
-goalrec::serve::LadderFactory MakeServeLadder(const std::string& strategy) {
-  return [strategy](const goalrec::model::ImplementationLibrary& library,
-                    goalrec::serve::ServingSnapshot& out) {
-    std::unique_ptr<const goalrec::core::Recommender> primary;
-    if (strategy == "focus_cmp") {
-      primary = std::make_unique<goalrec::core::FocusRecommender>(
-          &library, goalrec::core::FocusVariant::kCompleteness);
-    } else if (strategy == "focus_cl") {
-      primary = std::make_unique<goalrec::core::FocusRecommender>(
-          &library, goalrec::core::FocusVariant::kCloseness);
-    } else if (strategy == "best_match") {
-      primary = std::make_unique<goalrec::core::BestMatchRecommender>(&library);
+// The --watch_library loop: every `interval`, `poll` reloads if its source
+// changed (or, while `failing`, retries regardless) and returns the served
+// version. While polls fail they back off with decorrelated jitter (capped
+// at 60x the interval) instead of hammering the reload path, and state
+// changes are logged once per transition: one WARN when reloads start
+// failing, one INFO when they recover. A failed reload is safe by
+// construction, since the manager keeps the current snapshot serving.
+void WatchLibrary(const std::atomic<bool>& stop,
+                  std::chrono::milliseconds interval, const char* what,
+                  const goalrec::serve::SnapshotManager& manager,
+                  const std::function<StatusOr<uint64_t>(bool failing)>& poll) {
+  const int64_t backoff_cap_ms = interval.count() * 60;
+  goalrec::util::BackoffPolicy backoff(interval.count(), backoff_cap_ms,
+                                       /*seed=*/1);
+  bool failing = false;
+  std::chrono::milliseconds sleep_for = interval;
+  while (!stop.load(std::memory_order_relaxed)) {
+    std::this_thread::sleep_for(sleep_for);
+    StatusOr<uint64_t> version = poll(failing);
+    if (version.ok()) {
+      if (failing) {
+        GOALREC_LOG(INFO) << what << " recovered"
+                          << goalrec::util::Kv("version", *version);
+      }
+      failing = false;
+      backoff = goalrec::util::BackoffPolicy(interval.count(), backoff_cap_ms,
+                                             /*seed=*/1);
+      sleep_for = interval;
     } else {
-      primary = std::make_unique<goalrec::core::BreadthRecommender>(&library);
+      if (!failing) {
+        GOALREC_LOG(WARN) << what << " reload failing; still serving v"
+                          << manager.current_version()
+                          << goalrec::util::Kv("status",
+                                               version.status().ToString());
+      }
+      failing = true;
+      sleep_for = backoff.Next();
     }
-    out.rungs.push_back({strategy, primary.get()});
-    out.owned.push_back(std::move(primary));
-    auto floor =
-        std::make_unique<goalrec::serve::LibraryPopularityRecommender>(&library);
-    out.rungs.push_back({"popularity", floor.get()});
-    out.owned.push_back(std::move(floor));
-  };
+  }
 }
 
 int CmdServe(const FlagParser& flags) {
@@ -892,12 +907,11 @@ int CmdServe(const FlagParser& flags) {
     GOALREC_LOG(ERROR) << "unknown --strategy '" << strategy_name << "'";
     return 2;
   }
-  // --shards=N (N >= 1) serves the strategy rung through the sharded
-  // fan-out/merge path (docs/serving.md, "Sharded serving"); 0 (default)
-  // keeps the single-scan ladder.
-  const int64_t shards_flag = flags.Get<int64_t>("shards", 0);
-  if (shards_flag < 0) {
-    GOALREC_LOG(ERROR) << "--shards must be a non-negative integer";
+  // --shards=1 (default) serves the plain kernels; N > 1 partitions the
+  // library and fans every query out (docs/serving.md, "Sharded serving").
+  const int64_t shards_flag = flags.Get<int64_t>("shards", 1);
+  if (shards_flag < 1) {
+    GOALREC_LOG(ERROR) << "--shards must be a positive integer";
     return 2;
   }
   const uint32_t num_shards = static_cast<uint32_t>(shards_flag);
@@ -989,34 +1003,27 @@ int CmdServe(const FlagParser& flags) {
   // The fan-out pool must outlive the manager: rung recommenders inside the
   // serving snapshots hold the pool pointer until the last snapshot drops.
   std::optional<goalrec::util::ThreadPool> fanout_pool;
-  goalrec::serve::LadderFactory ladder_factory;
-  if (num_shards > 0) {
-    if (num_shards > 1) fanout_pool.emplace(num_shards - 1);
-    goalrec::serve::ShardedLadderOptions ladder_options;
-    ladder_options.num_shards = num_shards;
-    ladder_options.sharding = sharding_options;
-    ladder_options.pool = fanout_pool ? &*fanout_pool : nullptr;
-    goalrec::serve::ShardedStrategy sharded_strategy =
-        strategy_name == "focus_cmp"
-            ? goalrec::serve::ShardedStrategy::kFocusCompleteness
-        : strategy_name == "focus_cl"
-            ? goalrec::serve::ShardedStrategy::kFocusCloseness
-        : strategy_name == "best_match"
-            ? goalrec::serve::ShardedStrategy::kBestMatch
-            : goalrec::serve::ShardedStrategy::kBreadth;
-    ladder_options.rungs = {{strategy_name, sharded_strategy}};
-    ladder_factory = goalrec::serve::MakeShardedLadderFactory(ladder_options);
-  } else {
-    ladder_factory = MakeServeLadder(strategy_name);
-  }
-  goalrec::serve::SnapshotManager manager(std::move(initial).value(),
-                                          std::move(ladder_factory), guard);
-  // Per-shard gauges (goalrec_shard_*) through the scrape-hook path.
-  std::optional<goalrec::serve::ShardStatsExporter> shard_exporter;
-  if (num_shards > 0) {
-    shard_exporter.emplace(
-        nullptr, [&manager] { return manager.Acquire()->sharded; });
-  }
+  if (num_shards > 1) fanout_pool.emplace(num_shards - 1);
+  goalrec::serve::ShardedLadderOptions ladder_options;
+  ladder_options.num_shards = num_shards;
+  ladder_options.sharding = sharding_options;
+  ladder_options.pool = fanout_pool ? &*fanout_pool : nullptr;
+  ladder_options.rungs = {
+      {strategy_name,
+       strategy_name == "focus_cmp"
+           ? goalrec::serve::ShardedStrategy::kFocusCompleteness
+       : strategy_name == "focus_cl"
+           ? goalrec::serve::ShardedStrategy::kFocusCloseness
+       : strategy_name == "best_match"
+           ? goalrec::serve::ShardedStrategy::kBestMatch
+           : goalrec::serve::ShardedStrategy::kBreadth}};
+  goalrec::serve::SnapshotManager manager(
+      std::move(initial).value(),
+      goalrec::serve::MakeShardedLadderFactory(ladder_options), guard);
+  // Per-shard gauges (goalrec_shard_*) through the scrape-hook path; an
+  // unsharded snapshot leaves them unset.
+  goalrec::serve::ShardStatsExporter shard_exporter(
+      nullptr, [&manager] { return manager.Acquire()->sharded; });
   goalrec::serve::EngineOptions engine_options;
   engine_options.deadline_ms = flags.Get<int64_t>("deadline_ms", 0);
   if (engine_options.deadline_ms < 0) {
@@ -1071,9 +1078,24 @@ int CmdServe(const FlagParser& flags) {
     statusz_dumper.emplace(nullptr, statusz_out, statusz_dump_options);
   }
 
-  // --watch_library: poll the library file's mtime and hot-reload on change.
-  // The failed-reload path is safe by construction — the manager keeps the
-  // current snapshot serving — so a half-written file only logs a warning.
+  // Re-reads the served source: polls a delta directory, or reloads a
+  // library file under the startup --load_mode and prints what it dropped.
+  auto poll_delta = [&manager, &delta_log, &delta_mu] {
+    std::lock_guard<std::mutex> lock(delta_mu);
+    return manager.ReloadFromDeltaLog(*delta_log);
+  };
+  auto reload_file = [&manager, &load_options](
+                         const std::string& path,
+                         const goalrec::util::RetryOptions& retry) {
+    goalrec::model::LoadReport report;
+    StatusOr<uint64_t> version =
+        manager.ReloadFromFile(path, retry, *load_options, &report);
+    PrintLoadReport(report);
+    return version;
+  };
+
+  // --watch_library: poll the delta directory for published segments or a
+  // re-anchored base, or the library file's mtime, and hot-reload on change.
   const bool watch = flags.Get<bool>("watch_library", false);
   const int64_t watch_ms = flags.Get<int64_t>("watch_interval_ms", 500);
   if (watch_ms <= 0) {
@@ -1082,99 +1104,38 @@ int CmdServe(const FlagParser& flags) {
   }
   std::atomic<bool> stop_watch{false};
   std::thread watcher;
-  if (watch && delta_mode) {
-    // Delta watcher: poll the directory for published segments or a
-    // re-anchored base. A quarantined (torn/corrupt) publish keeps the last
-    // good prefix serving; polling backs off while the directory stays bad.
-    auto interval = std::chrono::milliseconds(watch_ms);
-    watcher = std::thread([&manager, &stop_watch, &delta_log, &delta_mu,
-                           interval] {
-      const int64_t backoff_cap_ms = interval.count() * 60;
-      goalrec::util::BackoffPolicy backoff(interval.count(), backoff_cap_ms,
-                                           /*seed=*/1);
-      bool failing = false;
-      std::chrono::milliseconds sleep_for = interval;
-      while (!stop_watch.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(sleep_for);
-        StatusOr<uint64_t> version = [&] {
-          std::lock_guard<std::mutex> lock(delta_mu);
-          return manager.ReloadFromDeltaLog(*delta_log);
-        }();
-        if (version.ok()) {
-          if (failing) {
-            GOALREC_LOG(INFO) << "delta directory recovered"
-                              << goalrec::util::Kv("version", *version);
-          }
-          failing = false;
-          backoff = goalrec::util::BackoffPolicy(interval.count(),
-                                                 backoff_cap_ms, /*seed=*/1);
-          sleep_for = interval;
-        } else {
-          if (!failing) {
-            GOALREC_LOG(WARN)
-                << "delta directory poll failing; still serving v"
-                << manager.current_version()
-                << goalrec::util::Kv("status", version.status().ToString());
-          }
-          failing = true;
-          sleep_for = backoff.Next();
-        }
-      }
-    });
-  } else if (watch) {
-    auto interval = std::chrono::milliseconds(watch_ms);
-    const goalrec::model::LoadOptions watch_load = *load_options;
-    watcher = std::thread([&manager, &stop_watch, library_path, interval,
-                           watch_load] {
-      std::error_code ec;
+  if (watch) {
+    std::function<StatusOr<uint64_t>(bool)> poll;
+    if (delta_mode) {
+      poll = [&poll_delta](bool) { return poll_delta(); };
+    } else {
+      std::error_code stat_ec;
       std::filesystem::file_time_type last =
-          std::filesystem::last_write_time(library_path, ec);
-      // While the watched file is bad, polls back off with decorrelated
-      // jitter (capped at 60× the interval) instead of hammering the reload
-      // path, and state changes are logged exactly once per transition —
-      // one WARN when reloads start failing, one INFO when they recover.
-      const int64_t backoff_cap_ms = interval.count() * 60;
-      goalrec::util::BackoffPolicy backoff(interval.count(), backoff_cap_ms,
-                                           /*seed=*/1);
-      bool failing = false;
-      std::chrono::milliseconds sleep_for = interval;
-      while (!stop_watch.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(sleep_for);
+          std::filesystem::last_write_time(library_path, stat_ec);
+      poll = [&manager, &reload_file, library_path, stat_ec,
+              last](bool failing) mutable -> StatusOr<uint64_t> {
         std::error_code poll_ec;
         std::filesystem::file_time_type now =
             std::filesystem::last_write_time(library_path, poll_ec);
         // While failing, keep retrying even without an mtime change: the
         // first failure consumed the change notification, but the file is
         // still bad and the writer may replace it at any moment.
-        bool changed = !poll_ec && (ec || now != last);
-        if (!changed && !failing) continue;
+        const bool changed = !poll_ec && (stat_ec || now != last);
+        if (!changed && !failing) return manager.current_version();
         if (!poll_ec) {
           last = now;
-          ec.clear();
+          stat_ec.clear();
         }
-        StatusOr<uint64_t> version =
-            manager.ReloadFromFile(library_path, {}, watch_load);
-        if (version.ok()) {
-          if (failing) {
-            GOALREC_LOG(INFO) << "watched library recovered"
-                              << goalrec::util::Kv("version", *version);
-          }
-          failing = false;
-          backoff = goalrec::util::BackoffPolicy(interval.count(),
-                                                 backoff_cap_ms, /*seed=*/1);
-          sleep_for = interval;
-        } else {
-          if (!failing) {
-            GOALREC_LOG(WARN)
-                << "watched library reload failing; still serving v"
-                << manager.current_version()
-                << goalrec::util::Kv("status", version.status().ToString());
-          }
-          failing = true;
-          sleep_for = backoff.Next();
-        }
-      }
-    });
+        return reload_file(library_path, {});
+      };
+    }
+    watcher = std::thread(
+        [&stop_watch, &manager, poll = std::move(poll), delta_mode,
+         interval = std::chrono::milliseconds(watch_ms)] {
+          WatchLibrary(stop_watch, interval,
+                       delta_mode ? "delta directory" : "watched library",
+                       manager, poll);
+        });
   }
 
   // The activity is tracked by *name* so it survives reloads that renumber
@@ -1247,10 +1208,7 @@ int CmdServe(const FlagParser& flags) {
       if (delta_mode) {
         // Reload == poll the delta directory now instead of waiting for the
         // watcher tick.
-        StatusOr<uint64_t> version = [&] {
-          std::lock_guard<std::mutex> lock(delta_mu);
-          return manager.ReloadFromDeltaLog(*delta_log);
-        }();
+        StatusOr<uint64_t> version = poll_delta();
         if (!version.ok()) {
           std::printf("poll failed (%s); still serving v%llu\n",
                       version.status().ToString().c_str(),
@@ -1267,8 +1225,7 @@ int CmdServe(const FlagParser& flags) {
         std::string_view rest = goalrec::util::Trim(trimmed.substr(7));
         if (!rest.empty()) path = std::string(rest);
       }
-      StatusOr<uint64_t> version =
-          manager.ReloadFromFile(path, RetryFromFlags(flags), *load_options);
+      StatusOr<uint64_t> version = reload_file(path, RetryFromFlags(flags));
       if (!version.ok()) {
         std::printf("reload failed (%s); still serving v%llu\n",
                     version.status().ToString().c_str(),

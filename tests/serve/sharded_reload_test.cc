@@ -1,12 +1,13 @@
-// Swap-under-query for SHARDED serving: query threads hammer a
+// Swap-under-query for the serving ladder: query threads hammer a
 // snapshot-mode ServingEngine whose ladder is built by
-// MakeShardedLadderFactory (per-shard fan-out on a thread pool) while a
-// reloader alternates the published library between two builds. Every
-// reload re-partitions the new library, so the test proves the whole shard
-// set swaps atomically with the snapshot — a query answers from the old
-// complete shard set or the new one, never a mix — and that the fan-out
-// pool, the warm scratch pool and the publish protocol are race-free (this
-// test runs in the TSan tree). Deterministic: fixed seeds, no sleeps.
+// MakeShardedLadderFactory while a reloader alternates the published
+// library between two builds. At 3 shards every reload re-partitions the new
+// library, so the test proves the whole shard set swaps atomically with the
+// snapshot — a query answers from the old complete shard set or the new one,
+// never a mix — and that the fan-out pool, the warm scratch pool and the
+// publish protocol are race-free. At 1 shard (the default deployment) the
+// same race runs over the plain kernels. Both run in the TSan tree.
+// Deterministic: fixed seeds, no sleeps.
 
 #include <cstdint>
 #include <memory>
@@ -47,7 +48,7 @@ bool SameList(const core::RecommendationList& got,
   return true;
 }
 
-TEST(ShardedReloadTest, ShardSetSwapsAtomicallyUnderQueries) {
+void RunSwapUnderQueries(uint32_t num_shards) {
   auto lib_a = model::MakeSnapshot(
       testing::RandomLibrary(kNumActions, 5, 24, 5, /*seed=*/111), "A");
   auto lib_b = model::MakeSnapshot(
@@ -67,7 +68,7 @@ TEST(ShardedReloadTest, ShardSetSwapsAtomicallyUnderQueries) {
   obs::MetricRegistry metrics;
   util::ThreadPool fanout_pool(3);
   ShardedLadderOptions ladder;
-  ladder.num_shards = 3;
+  ladder.num_shards = num_shards;
   ladder.pool = &fanout_pool;
   ladder.metrics = &metrics;
   SnapshotManager manager(lib_a, MakeShardedLadderFactory(ladder), &metrics);
@@ -121,13 +122,22 @@ TEST(ShardedReloadTest, ShardSetSwapsAtomicallyUnderQueries) {
   }
   EXPECT_EQ(manager.reload_count(), static_cast<uint64_t>(kReloads));
 
-  // Final scrape: shard gauges reflect the currently served partition.
+  // Final scrape: shard gauges reflect the currently served partition. An
+  // unsharded ladder publishes neither the gauges nor merge latencies.
   auto sharded = manager.Acquire()->sharded;
-  ASSERT_NE(sharded, nullptr);
   obs::RegistrySnapshot snap = metrics.Snapshot();
   const obs::MetricSnapshot* count = snap.Find("goalrec_shard_count");
+  const obs::MetricSnapshot* merge =
+      snap.Find("goalrec_shard_merge_latency_us");
+  if (num_shards == 1) {
+    EXPECT_EQ(sharded, nullptr);
+    EXPECT_EQ(count, nullptr);
+    EXPECT_EQ(merge, nullptr);
+    return;
+  }
+  ASSERT_NE(sharded, nullptr);
   ASSERT_NE(count, nullptr);
-  EXPECT_EQ(count->value, 3);
+  EXPECT_EQ(count->value, num_shards);
   int64_t impls = 0;
   for (uint32_t s = 0; s < sharded->num_shards; ++s) {
     const obs::MetricSnapshot* per_shard =
@@ -140,10 +150,16 @@ TEST(ShardedReloadTest, ShardSetSwapsAtomicallyUnderQueries) {
   EXPECT_EQ(impls, manager.Acquire()->library->library.num_implementations());
 
   // The sharded rungs observed their merges.
-  const obs::MetricSnapshot* merge =
-      snap.Find("goalrec_shard_merge_latency_us");
   ASSERT_NE(merge, nullptr);
   EXPECT_GT(merge->histogram.count, 0u);
+}
+
+TEST(ShardedReloadTest, ShardSetSwapsAtomicallyUnderQueries) {
+  RunSwapUnderQueries(3);
+}
+
+TEST(ShardedReloadTest, OneShardLadderSwapsAtomicallyUnderQueries) {
+  RunSwapUnderQueries(1);
 }
 
 // Reload guard still protects the sharded ladder: a candidate whose canary

@@ -140,6 +140,37 @@ TEST(SnapshotManagerTest, ReloadFromFileRoundTrips) {
   std::remove(path.c_str());
 }
 
+// A quarantine-mode reload hands back what it dropped, with provenance, so
+// `goalrec serve` can print it as it does for the initial load.
+TEST(SnapshotManagerTest, ReloadFromFileReportsQuarantinedRecords) {
+  obs::MetricRegistry metrics;
+  SnapshotManager manager(model::MakeSnapshot(PaperLibrary(), "paper"),
+                          TwoRungLadder, &metrics);
+  std::string path =
+      ::testing::TempDir() + "/snapshot_manager_quarantine_library.txt";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "# goalrec-library v1\ng1\ta1\ta2\nlonely_goal\ng2\ta3\ta1\n";
+  }
+  model::LoadOptions quarantine;
+  quarantine.mode = model::ValidationMode::kQuarantine;
+  model::LoadReport report;
+  util::StatusOr<uint64_t> version =
+      manager.ReloadFromFile(path, {}, quarantine, &report);
+  ASSERT_TRUE(version.ok()) << version.status().ToString();
+  EXPECT_EQ(manager.Acquire()->library->library.num_implementations(), 2u);
+  EXPECT_EQ(report.records_quarantined, 1u);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].line, 3u);
+
+  // Strict mode rejects the same file; the report still names the record.
+  model::LoadReport strict_report;
+  EXPECT_FALSE(manager.ReloadFromFile(path, {}, {}, &strict_report).ok());
+  EXPECT_EQ(manager.current_version(), *version);
+  EXPECT_EQ(strict_report.issues_total, 1u);
+  std::remove(path.c_str());
+}
+
 // ---- Reload guard: validation, canaries, rollback, failure metrics. ----
 
 int64_t FailureCount(obs::MetricRegistry& metrics, const std::string& reason) {

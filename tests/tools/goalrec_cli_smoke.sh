@@ -2,7 +2,9 @@
 # Smoke test for the goalrec command-line tool: generates a small FoodMart
 # library, converts it text -> .snap -> text and checks the statistics agree
 # at every step, runs `recommend` and `spaces` on it, serves a library with
-# a malformed record in quarantine mode, and checks that a malformed flag
+# a malformed record in quarantine mode (initial load and reload both print
+# their load report), checks that 1 and 2 shards serve identical answers,
+# that --watch_library picks up a replaced file, and that a malformed flag
 # value exits 2 with a message naming the flag.
 #
 #   tests/tools/goalrec_cli_smoke.sh <path to goalrec> <work dir>
@@ -48,10 +50,48 @@ bad="$dir/bad.library.txt"
 printf 'reload\nstatus\nquit\n' |
   "$goalrec" serve "$bad" --load_mode=quarantine >"$dir/serve.out" \
       2>"$dir/serve.err"
-grep -q '^load report: .* 1 quarantined' "$dir/serve.err" ||
-  fail "serve did not print its load report"
+[[ $(grep -c '^load report: .* 1 quarantined' "$dir/serve.err") == 2 ]] ||
+  fail "serve did not print the load report of its load and its reload:" \
+      "$(cat "$dir/serve.err")"
 grep -q 'reloaded .* as v' "$dir/serve.out" ||
   fail "serve reload ignored --load_mode=quarantine: $(cat "$dir/serve.out")"
+
+# One shard (the default) serves the plain kernels, two fan out; both answer
+# the same activity identically. --shards=0 is not a deployment.
+first_action=${actions%%,*}
+for shards in default 2; do
+  shard_flag=()
+  [[ $shards == default ]] || shard_flag=(--shards="$shards")
+  printf 'perform %s\nrecommend 5\nquit\n' "$first_action" |
+    "$goalrec" serve "$lib" --strategy=best_match "${shard_flag[@]}" \
+        >"$dir/serve_$shards.out" 2>/dev/null
+done
+grep -q '([0-9.-]*)$' "$dir/serve_default.out" ||
+  fail "serve recommended nothing: $(cat "$dir/serve_default.out")"
+diff "$dir/serve_default.out" "$dir/serve_2.out" >/dev/null ||
+  fail "1 and 2 shards answered differently:" \
+      "$(diff "$dir/serve_default.out" "$dir/serve_2.out")"
+code=0
+"$goalrec" serve "$lib" --shards=0 </dev/null >/dev/null 2>"$dir/err" ||
+  code=$?
+[[ $code == 2 ]] || fail "--shards=0 exited $code, want 2"
+grep -q -- '--shards' "$dir/err" ||
+  fail "--shards=0: error does not name the flag: $(cat "$dir/err")"
+
+# --watch_library reloads a library file replaced under it, once.
+watched="$dir/watched.library.txt"
+cp "$lib" "$watched"
+{
+  echo status
+  sleep 0.5
+  cp "$lib" "$watched.tmp" && mv "$watched.tmp" "$watched"
+  sleep 1
+  echo status
+  echo quit
+} | "$goalrec" serve "$watched" --watch_library --watch_interval_ms=100 \
+    >"$dir/watch.out" 2>/dev/null
+grep -q ', 1 reloads)' "$dir/watch.out" ||
+  fail "--watch_library missed the replaced file: $(cat "$dir/watch.out")"
 
 for flag in --admission_limit=abc --retry_attempts=zz --k=abc --explain=maybe; do
   code=0
