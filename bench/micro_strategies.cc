@@ -8,7 +8,7 @@
 #include "core/best_match.h"
 #include "core/breadth.h"
 #include "core/focus.h"
-#include "core/query_context.h"
+#include "core/query_workspace.h"
 #include "eval/scaling.h"
 #include "util/random.h"
 #include "util/set_ops.h"
@@ -124,8 +124,8 @@ void BM_BestMatchBoolean(benchmark::State& state) {
 }
 BENCHMARK(BM_BestMatchBoolean)->Arg(25000)->Unit(benchmark::kMicrosecond);
 
-// Ablation: answering with all four strategies per query — recomputing the
-// spaces per strategy vs sharing one QueryContext.
+// Ablation: answering with all four strategies per query — four allocating
+// Recommend calls vs four pooled kernels on one warm workspace.
 void BM_FourStrategiesIndependent(benchmark::State& state) {
   auto lib = BuildScalingLibrary(
       Workload(static_cast<uint32_t>(state.range(0))), 9);
@@ -146,7 +146,9 @@ void BM_FourStrategiesIndependent(benchmark::State& state) {
 BENCHMARK(BM_FourStrategiesIndependent)->Arg(25000)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_FourStrategiesSharedContext(benchmark::State& state) {
+// What eval::Suite::RunAll runs per cart: one warm workspace, the four
+// pooled kernels one after another.
+void BM_FourStrategiesPooled(benchmark::State& state) {
   auto lib = BuildScalingLibrary(
       Workload(static_cast<uint32_t>(state.range(0))), 9);
   goalrec::core::FocusRecommender focus_cmp(
@@ -155,17 +157,19 @@ void BM_FourStrategiesSharedContext(benchmark::State& state) {
       &lib, goalrec::core::FocusVariant::kCloseness);
   goalrec::core::BreadthRecommender breadth(&lib);
   goalrec::core::BestMatchRecommender best_match(&lib);
+  const goalrec::core::Recommender* roster[] = {&focus_cmp, &focus_cl,
+                                                &breadth, &best_match};
   auto h = MakeActivity(lib.num_actions(), 21);
+  goalrec::core::QueryWorkspace ws;
+  goalrec::core::RecommendationList out;
   for (auto _ : state) {
-    goalrec::core::QueryContext context =
-        goalrec::core::QueryContext::Create(lib, h);
-    benchmark::DoNotOptimize(focus_cmp.RecommendInContext(context, 10));
-    benchmark::DoNotOptimize(focus_cl.RecommendInContext(context, 10));
-    benchmark::DoNotOptimize(breadth.RecommendInContext(context, 10));
-    benchmark::DoNotOptimize(best_match.RecommendInContext(context, 10));
+    for (const goalrec::core::Recommender* rec : roster) {
+      rec->RecommendPooled(h, 10, nullptr, &ws, out);
+      benchmark::DoNotOptimize(out.data());
+    }
   }
 }
-BENCHMARK(BM_FourStrategiesSharedContext)->Arg(25000)->Arg(1000)
+BENCHMARK(BM_FourStrategiesPooled)->Arg(25000)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

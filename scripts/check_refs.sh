@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Dangling-reference check for the documentation: fails when a Markdown file
 # names a repository path under bench/ src/ tests/ scripts/ docs/
-# perfbench/ or examples/, or a BENCH_*.json file, that does not exist.
+# perfbench/ or examples/, or a BENCH_*.json file, that does not exist. It
+# also fails when a BENCH_*.json record at the root is not one valid JSON
+# document.
 #
 #   scripts/check_refs.sh
 #
@@ -65,7 +67,16 @@ while IFS= read -r md; do
   done < <(grep -noE '[A-Za-z0-9_.$/{},*#-]*(bench|src|tests|scripts|docs|perfbench|examples|BENCH_)[A-Za-z0-9_.$/{},*#-]*' "$md" || true)
 done <<<"$docs"
 
+for record in BENCH_*.json; do
+  [[ -e "$record" ]] || continue
+  if ! python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+      "$record" 2>/dev/null; then
+    echo "$record: not one valid JSON document" >&2
+    status=1
+  fi
+done
+
 if [[ $status == 0 ]]; then
-  echo "OK: every documented repository path exists"
+  echo "OK: every documented repository path exists and every record parses"
 fi
 exit $status

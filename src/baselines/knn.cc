@@ -1,8 +1,8 @@
 #include "baselines/knn.h"
 
-#include <unordered_map>
 #include <vector>
 
+#include "core/query_workspace.h"
 #include "util/dense_vector.h"
 #include "util/logging.h"
 #include "util/set_ops.h"
@@ -40,41 +40,61 @@ double KnnRecommender::UserSimilarity(const model::Activity& activity,
 
 core::RecommendationList KnnRecommender::Recommend(
     const model::Activity& activity, size_t k) const {
+  core::QueryWorkspace ws;
   core::RecommendationList list;
-  if (k == 0 || activity.empty()) return list;
+  RecommendPooled(activity, k, nullptr, &ws, list);
+  return list;
+}
 
-  // Candidate neighbours are exactly the users sharing at least one action
-  // with the query; count overlaps through the inverted index instead of
-  // scanning all users.
-  std::unordered_map<uint32_t, uint32_t> overlap;
+// Pass 1 scatters H's UsersOfAction postings into the workspace's
+// per-implementation counters, used as per-user counters (|H ∩ U_u|). Pass 2
+// credits the neighbours' similarities, best neighbour first, to their
+// actions outside H. Both selections are total orders, so first-touch order
+// never shows in the answer.
+void KnnRecommender::RecommendPooled(util::IdSpan activity, size_t k,
+                                     const util::StopToken* /*stop*/,
+                                     core::QueryWorkspace* workspace,
+                                     core::RecommendationList& out) const {
+  if (workspace == nullptr) {
+    out = Recommend(model::Activity(activity.begin(), activity.end()), k);
+    return;
+  }
+  out.clear();
+  if (k == 0 || activity.empty()) return;
+  core::QueryWorkspace& ws = *workspace;
+  const uint32_t num_actions = data_->num_actions();
+
+  ws.BeginHMark(num_actions);
+  ws.BeginImplPass(data_->num_users());
   for (model::ActionId a : activity) {
-    if (a >= data_->num_actions()) continue;
-    for (uint32_t u : data_->UsersOfAction(a)) ++overlap[u];
+    if (a >= num_actions) continue;  // unseen by the training data
+    ws.MarkH(a);
+    for (uint32_t u : data_->UsersOfAction(a)) ws.BumpImplCount(u);
   }
 
   util::TopK<ScoredUser, ByUserSimilarityDesc> neighbor_heap(
       options_.num_neighbors);
-  for (const auto& [user, common] : overlap) {
-    const model::Activity& other = data_->ActionsOfUser(user);
-    double sim =
-        util::JaccardFromCounts(common, activity.size(), other.size());
+  for (uint32_t user : ws.touched_impls()) {
+    double sim = util::JaccardFromCounts(ws.ImplCountOf(user),
+                                         activity.size(),
+                                         data_->ActionsOfUser(user).size());
     if (sim < options_.min_similarity) continue;
     neighbor_heap.Push(ScoredUser{user, sim});
   }
 
-  std::unordered_map<model::ActionId, double> scores;
+  ws.BeginActionPass(num_actions);
   for (const ScoredUser& neighbor : neighbor_heap.Take()) {
     for (model::ActionId a : data_->ActionsOfUser(neighbor.user)) {
-      if (util::Contains(activity, a)) continue;
-      scores[a] += neighbor.similarity;
+      if (ws.InH(a)) continue;
+      ws.AddScore(a, neighbor.similarity);
     }
   }
 
-  util::TopK<core::ScoredAction, core::ByScoreDesc> top_k(k);
-  for (const auto& [action, score] : scores) {
-    top_k.Push(core::ScoredAction{action, score});
-  }
-  return top_k.Take();
+  ws.top_k.Reset(k);
+  for (model::ActionId a : ws.touched()) ws.top_k.Push(ws.ScoreOf(a), a);
+  ws.top_k.TakeInto([&out](double score, uint32_t action) {
+    out.push_back(core::ScoredAction{action, score});
+  });
 }
 
 }  // namespace goalrec::baselines

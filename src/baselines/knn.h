@@ -31,6 +31,13 @@ class KnnRecommender : public core::Recommender {
   core::RecommendationList Recommend(const model::Activity& activity,
                                      size_t k) const override;
 
+  /// The one kernel (Recommend runs it on a local workspace). `workspace`
+  /// may be shared with other strategies between calls. Ignores `stop`.
+  void RecommendPooled(util::IdSpan activity, size_t k,
+                       const util::StopToken* stop,
+                       core::QueryWorkspace* workspace,
+                       core::RecommendationList& out) const override;
+
   /// Tanimoto similarity of the query activity to training user `u`;
   /// exposed for tests.
   double UserSimilarity(const model::Activity& activity, uint32_t u) const;

@@ -36,20 +36,24 @@ struct SpaceMetrics {
   }
 };
 
-// Builds the spaces into `ws`'s buffers. ws.activity must already hold the
-// normalised activity. Allocation-free once the workspace's buffers have
-// capacity for this library's space sizes.
-QueryContext BuildSpaces(const model::ImplementationLibrary& library,
-                         QueryWorkspace& ws, const util::StopToken* stop) {
+}  // namespace
+
+QueryContext QueryContext::Create(
+    const model::ImplementationLibrary& library, model::Activity activity,
+    const util::StopToken* stop) {
+  auto owned = std::make_shared<QueryWorkspace>();
+  QueryWorkspace& ws = *owned;
+  ws.activity = std::move(activity);
+  util::Normalize(ws.activity);
   obs::ScopedSpan span(obs::CurrentTrace(), "spaces");
   QueryContext context;
   context.library = &library;
   context.workspace = &ws;
+  context.owned_workspace = std::move(owned);
   context.stop = stop;
   context.trace = obs::CurrentTrace();
 
   // IS(H): union of the A-GI postings of every performed action.
-  ws.impl_space.clear();
   for (model::ActionId a : ws.activity) {
     if (a >= library.num_actions()) continue;  // action unseen by the library
     std::span<const model::ImplId> postings = library.ImplsOfAction(a);
@@ -60,8 +64,6 @@ QueryContext BuildSpaces(const model::ImplementationLibrary& library,
 
   // Goal space and candidate actions both derive from the implementation
   // space; reuse it instead of re-probing the A-GI index.
-  ws.goal_space.clear();
-  ws.scratch.clear();
   for (model::ImplId p : ws.impl_space) {
     if (stop != nullptr && stop->ShouldStop()) break;  // partial is discarded
     ws.goal_space.push_back(library.GoalOf(p));
@@ -92,27 +94,6 @@ QueryContext BuildSpaces(const model::ImplementationLibrary& library,
     span.Annotate("stopped_early", true);
   }
   return context;
-}
-
-}  // namespace
-
-QueryContext QueryContext::Create(
-    const model::ImplementationLibrary& library, model::Activity activity,
-    const util::StopToken* stop) {
-  auto ws = std::make_shared<QueryWorkspace>();
-  ws->activity = std::move(activity);
-  util::Normalize(ws->activity);
-  QueryContext context = BuildSpaces(library, *ws, stop);
-  context.owned_workspace = std::move(ws);
-  return context;
-}
-
-QueryContext QueryContext::Create(
-    const model::ImplementationLibrary& library, util::IdSpan activity,
-    QueryWorkspace& workspace, const util::StopToken* stop) {
-  workspace.activity.assign(activity.begin(), activity.end());
-  util::Normalize(workspace.activity);
-  return BuildSpaces(library, workspace, stop);
 }
 
 }  // namespace goalrec::core

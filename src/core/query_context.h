@@ -10,17 +10,13 @@
 #include "obs/trace.h"
 #include "util/deadline.h"
 
-// Shared per-query state. All four goal-based strategies start from the same
-// derived spaces — IS(H), GS(H) and the candidate set AS(H) − H. A
-// QueryContext computes them once; every strategy exposes a
-// RecommendInContext overload that reuses it, and the evaluation Suite
-// builds one context per user and fans it out.
-//
-// The spaces are *views*: spans into the buffers of a QueryWorkspace. With
-// the pooled Create overload the whole context is built without heap
-// allocation (steady state) — the workspace's buffers are reused query after
-// query. The legacy overload mints a private workspace per call for
-// convenience (tests, tools, one-shot queries).
+// Shared per-query state: the derived spaces IS(H), GS(H) and AS(H) − H,
+// computed once by a sort-and-dedup pass into a private QueryWorkspace that
+// the context co-owns (the spaces are spans into it). The allocating
+// Recommend of Focus and Best Match, and so the session path, build one.
+// Callers that answer one activity with several strategies (the evaluation
+// Suite, serving) lease one QueryWorkspace instead and call each strategy's
+// RecommendPooled on it; those kernels scatter postings and never sort.
 
 namespace goalrec::core {
 
@@ -52,9 +48,8 @@ struct QueryContext {
   /// the strategies can annotate spans without a new parameter on every
   /// signature. Not owned; must outlive the context.
   obs::Trace* trace = nullptr;
-  /// Set only by the legacy Create overload: keeps the private workspace the
-  /// spans point into alive for the lifetime of the context (and its
-  /// copies).
+  /// Keeps the private workspace the spans point into alive for the
+  /// lifetime of the context (and its copies).
   std::shared_ptr<QueryWorkspace> owned_workspace;
 
   /// Computes all three spaces into a freshly allocated private workspace.
@@ -65,14 +60,6 @@ struct QueryContext {
   /// with |IS(H)|, |GS(H)| and |AS(H)−H|.
   static QueryContext Create(const model::ImplementationLibrary& library,
                              model::Activity activity,
-                             const util::StopToken* stop = nullptr);
-
-  /// Pooled variant: computes the spaces into `workspace`'s buffers —
-  /// allocation-free once those buffers are warm. `activity` need not be
-  /// normalised (it is copied into the workspace and normalised there).
-  /// `workspace` must outlive the context and back no other live context.
-  static QueryContext Create(const model::ImplementationLibrary& library,
-                             util::IdSpan activity, QueryWorkspace& workspace,
                              const util::StopToken* stop = nullptr);
 };
 

@@ -19,10 +19,10 @@
 // the capacities stabilise and the steady-state per-query path performs zero
 // heap allocations (bench/micro_snapshot asserts this).
 //
-// A workspace is single-threaded state. One workspace backs at most one live
-// QueryContext at a time (creating a context overwrites the space buffers);
-// the serving engine leases one per query from a QueryWorkspacePool, the
-// evaluation suite keeps one per worker thread.
+// A workspace is single-threaded state. The serving engine leases one per
+// query from a QueryWorkspacePool and the evaluation suite one per cart; the
+// pooled kernels (RecommendPooled) of several strategies can run on the same
+// workspace one after another, since each starts its own passes.
 
 namespace goalrec::core {
 
@@ -161,10 +161,10 @@ class QueryWorkspace {
 
   // --- Reusable buffers -------------------------------------------------
   //
-  // QueryContext::Create fills the four space buffers; the spans on the
-  // context point into them, so they must not be mutated while a context
-  // built from this workspace is in use. Everything below `candidates` is
-  // free strategy scratch.
+  // QueryContext::Create fills the four space buffers of its private
+  // workspace and the context's spans point into them; the pooled kernels
+  // use them as plain scratch. Everything below `candidates` is free
+  // strategy scratch.
 
   model::IdSet activity;    ///< normalised H
   model::IdSet impl_space;  ///< IS(H)

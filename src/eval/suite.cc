@@ -50,20 +50,14 @@ void Suite::Init(std::vector<model::Activity> training_activities,
   }
 
   if (options.include_goal_based) {
-    auto focus_cmp = std::make_unique<core::FocusRecommender>(
-        &library, core::FocusVariant::kCompleteness);
-    auto focus_cl = std::make_unique<core::FocusRecommender>(
-        &library, core::FocusVariant::kCloseness);
-    auto breadth = std::make_unique<core::BreadthRecommender>(&library);
-    auto best_match = std::make_unique<core::BestMatchRecommender>(&library);
-    focus_cmp_ = focus_cmp.get();
-    focus_cl_ = focus_cl.get();
-    breadth_ = breadth.get();
-    best_match_ = best_match.get();
-    recommenders_.push_back(std::move(focus_cmp));
-    recommenders_.push_back(std::move(focus_cl));
-    recommenders_.push_back(std::move(breadth));
-    recommenders_.push_back(std::move(best_match));
+    recommenders_.push_back(std::make_unique<core::FocusRecommender>(
+        &library, core::FocusVariant::kCompleteness));
+    recommenders_.push_back(std::make_unique<core::FocusRecommender>(
+        &library, core::FocusVariant::kCloseness));
+    recommenders_.push_back(
+        std::make_unique<core::BreadthRecommender>(&library));
+    recommenders_.push_back(
+        std::make_unique<core::BestMatchRecommender>(&library));
   }
   if (options.include_cf_knn) {
     recommenders_.push_back(std::make_unique<baselines::KnnRecommender>(
@@ -129,34 +123,17 @@ std::vector<MethodResult> Suite::RunAll(
     results[m].name = recommenders_[m]->name();
     results[m].lists.resize(inputs.size());
   }
-  bool context_path = focus_cmp_ != nullptr;
-  const model::ImplementationLibrary& library = *library_;
   util::ParallelFor(
       inputs.size(),
       [&](size_t u) {
-        // One pooled context per user, shared by the goal-based strategies:
-        // the spaces are computed once, into workspace buffers reused across
-        // users (each worker thread ends up with its own workspace).
-        core::QueryWorkspacePool::Lease lease;
-        core::QueryContext context;
-        if (context_path) {
-          lease = workspace_pool_.Acquire();
-          context = core::QueryContext::Create(library, inputs[u], *lease);
-        }
+        // One leased workspace per cart, shared by every method in turn:
+        // each kernel starts its own epoch-stamped passes, so nothing from
+        // the previous method leaks into the next, and a worker thread
+        // keeps reusing the warm buffers it returned to the pool.
+        core::QueryWorkspacePool::Lease lease = workspace_pool_.Acquire();
         for (size_t m = 0; m < recommenders_.size(); ++m) {
-          const core::Recommender* rec = recommenders_[m].get();
-          core::RecommendationList& slot = results[m].lists[u];
-          if (rec == focus_cmp_ && context_path) {
-            focus_cmp_->RecommendInContext(context, k, slot);
-          } else if (rec == focus_cl_ && context_path) {
-            focus_cl_->RecommendInContext(context, k, slot);
-          } else if (rec == breadth_ && context_path) {
-            breadth_->RecommendInContext(context, k, slot);
-          } else if (rec == best_match_ && context_path) {
-            best_match_->RecommendInContext(context, k, slot);
-          } else {
-            slot = rec->Recommend(inputs[u], k);
-          }
+          recommenders_[m]->RecommendPooled(inputs[u], k, nullptr, lease.get(),
+                                            results[m].lists[u]);
         }
       },
       num_threads);

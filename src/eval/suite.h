@@ -7,9 +7,6 @@
 
 #include "baselines/als.h"
 #include "baselines/knn.h"
-#include "core/best_match.h"
-#include "core/breadth.h"
-#include "core/focus.h"
 #include "core/query_workspace.h"
 #include "core/recommender.h"
 #include "data/dataset.h"
@@ -76,14 +73,16 @@ class Suite {
 
   /// Runs every recommender over every input activity in parallel and
   /// returns one MethodResult per recommender. Deterministic regardless of
-  /// thread count. The goal-based strategies share one pooled QueryContext
-  /// per user, so their common spaces are computed once and the scratch
-  /// buffers are reused across users (no steady-state allocation).
+  /// thread count. Each cart leases one QueryWorkspace and every method
+  /// answers it through RecommendPooled on that workspace, so the goal-based
+  /// strategies and CF kNN scatter into warm buffers reused across carts.
+  /// Each list equals the method's own Recommend answer.
   std::vector<MethodResult> RunAll(
       const std::vector<model::Activity>& inputs, size_t k,
       size_t num_threads = 0) const;
 
-  /// Workspaces minted by RunAll so far — bounded by peak thread count.
+  /// Workspaces minted by RunAll so far — bounded by peak thread count,
+  /// since a worker returns its lease before taking the next cart.
   size_t workspaces_created() const { return workspace_pool_.created(); }
 
  private:
@@ -97,19 +96,13 @@ class Suite {
   std::shared_ptr<const model::LibrarySnapshot> snapshot_;
   /// The evaluated library: &dataset_->library or &snapshot_->library.
   const model::ImplementationLibrary* library_ = nullptr;
-  /// Per-thread scratch for the goal-based context path.
+  /// The workspaces RunAll leases, one per cart in flight.
   mutable core::QueryWorkspacePool workspace_pool_;
   std::unique_ptr<baselines::InteractionData> interactions_;
   /// Base strategy borrowed by the hybrid/MMR wrappers (kept out of the
   /// roster vector so its address is stable).
   std::unique_ptr<core::Recommender> wrapper_base_;
   std::vector<std::unique_ptr<core::Recommender>> recommenders_;
-  /// Typed views into recommenders_ for the context-sharing fast path;
-  /// entries are null when the roster omits the strategy.
-  const core::FocusRecommender* focus_cmp_ = nullptr;
-  const core::FocusRecommender* focus_cl_ = nullptr;
-  const core::BreadthRecommender* breadth_ = nullptr;
-  const core::BestMatchRecommender* best_match_ = nullptr;
 };
 
 }  // namespace goalrec::eval

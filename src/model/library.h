@@ -192,9 +192,10 @@ class ImplementationLibrary {
 
   // --- space queries (Definitions 4.1/4.2, Equations 1–2) --------------------
   //
-  // These are the allocating convenience forms; the steady-state query path
-  // goes through core::QueryContext::Create with a pooled
-  // core::QueryWorkspace, which computes the same sets into reused buffers.
+  // These are the allocating convenience forms. The steady-state query path
+  // (serving, the evaluation Suite) leases one core::QueryWorkspace and calls
+  // each strategy's RecommendPooled, whose kernels scatter the postings of H
+  // into the workspace's reused buffers instead of materialising these sets.
 
   /// IS(H): implementations sharing at least one action with `activity`.
   IdSet ImplementationSpace(const Activity& activity) const;

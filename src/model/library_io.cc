@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -49,6 +50,8 @@ auto InstrumentedLoad(const char* format, const std::string& path, Fn fn)
 }
 
 constexpr char kTextHeader[] = "# goalrec-library v1";
+// Declares an action that no implementation references (library_io.h).
+constexpr char kUnreferencedAction[] = "#!unreferenced_action: ";
 
 /// Offending tokens are echoed into diagnostics; clip so a pathological
 /// multi-megabyte "line" cannot explode a log message.
@@ -112,6 +115,13 @@ util::Status SaveLibraryText(const ImplementationLibrary& library,
     }
     out << '\n';
   }
+  // Actions no implementation references come last, so the implementation
+  // lines intern every referenced action in the same order as before.
+  for (ActionId a = 0; a < library.num_actions(); ++a) {
+    if (library.ImplsOfAction(a).empty()) {
+      out << kUnreferencedAction << library.actions().Name(a) << '\n';
+    }
+  }
   if (!out) return util::IoError("write failed: " + path);
   return util::Status::Ok();
 }
@@ -174,6 +184,24 @@ util::StatusOr<ImplementationLibrary> LoadLibraryTextImpl(
   while (std::getline(in, line)) {
     ++line_number;
     if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (util::StartsWith(line, kUnreferencedAction)) {
+      std::string_view action =
+          std::string_view(line).substr(sizeof(kUnreferencedAction) - 1);
+      if (action.empty() || action.size() > limits.max_name_bytes) {
+        util::Status status =
+            bad_record(line_number, line, "bad unreferenced action name");
+        if (!status.ok()) return status;
+        continue;
+      }
+      builder.InternAction(action);
+      if (builder.num_actions() > limits.max_actions) {
+        return util::ResourceExhaustedError(
+            path + ":" + std::to_string(line_number) +
+            ": vocabulary exceeds the load cap (" +
+            std::to_string(builder.num_actions()) + " actions)");
+      }
+      continue;
+    }
     if (line.empty() || line[0] == '#') continue;
     ++rep.records_total;
 

@@ -17,11 +17,14 @@
 //   * Text (one implementation per line, tab-separated):
 //       # goalrec-library v1            <- required header
 //       <goal name>\t<action>\t<action>...
-//     Lines starting with '#' after the header are comments. Ids are
+//       #!unreferenced_action: <action>  <- declares a vocabulary action
+//     Other lines starting with '#' after the header are comments. Ids are
 //     assigned in file order, so a save/load round-trip preserves names and
-//     structure but not numeric ids; actions/goals interned but never
-//     referenced by an implementation are not written (they are
-//     unreachable by every query anyway).
+//     structure but not numeric ids. Actions that no implementation
+//     references are written as declarations after the implementation
+//     lines, so activity files over the same vocabulary (a generated
+//     dataset's carts) still resolve after a round-trip; goals without an
+//     implementation are not written.
 //   * The checksummed, crash-safe snapshot format ("*.snap",
 //     model/snapshot_io.h), which keeps the full vocabularies and the exact
 //     ids. Serving reload paths persist this one.

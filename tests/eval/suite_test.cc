@@ -137,6 +137,42 @@ TEST(SuiteTest, RunAllDeterministicAcrossThreadCounts) {
   }
 }
 
+// RunAll answers every method through RecommendPooled on one leased
+// workspace per cart; each method's own Recommend is the reference. For
+// Focus and Best Match that side still builds a sorted QueryContext, so two
+// independent code paths must agree bit for bit.
+TEST(SuiteTest, RunAllMatchesEachRecommendersOwnAnswer) {
+  data::Dataset dataset = TinyFoodmart();
+  std::vector<data::EvalUser> users = data::SplitDataset(dataset, 0.5, 5);
+  std::vector<model::Activity> inputs = VisibleActivities(users);
+  SuiteOptions options = FastSuiteOptions();
+  options.include_popularity = true;
+  options.include_association_rules = true;
+  options.include_cf_item_knn = true;
+  options.include_hybrid = true;
+  options.include_mmr = true;
+  Suite suite(&dataset, inputs, options);
+  inputs.insert(inputs.begin() + 1, model::Activity{});  // an empty cart
+  // k = 0, the usual list length, and more than any method has candidates.
+  const size_t all = dataset.library.num_actions() + 1;
+  for (size_t k : {size_t{0}, size_t{10}, all}) {
+    for (size_t threads : {1u, 4u}) {
+      std::vector<MethodResult> results = suite.RunAll(inputs, k, threads);
+      ASSERT_EQ(results.size(), suite.size());
+      for (size_t m = 0; m < suite.size(); ++m) {
+        ASSERT_EQ(results[m].lists.size(), inputs.size());
+        for (size_t u = 0; u < inputs.size(); ++u) {
+          EXPECT_EQ(results[m].lists[u],
+                    suite.recommender(m).Recommend(inputs[u], k))
+              << results[m].name << " cart " << u << " k " << k << " threads "
+              << threads;
+        }
+      }
+    }
+  }
+  EXPECT_LE(suite.workspaces_created(), 4u);
+}
+
 TEST(SuiteTest, SnapshotPinnedSuiteMatchesDatasetSuite) {
   data::Dataset dataset = TinyFoodmart();
   std::vector<data::EvalUser> users = data::SplitDataset(dataset, 0.5, 4);

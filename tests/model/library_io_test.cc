@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -110,6 +113,57 @@ TEST(LibraryIoTest, TextRoundTripPreservesStructureOnRandomLibraries) {
     EXPECT_EQ(signature(original), signature(*loaded));
     std::remove(path.c_str());
   }
+}
+
+// An action no implementation references (a product nobody's recipe uses)
+// is still part of the vocabulary: activity files name it, so the text
+// format must keep it through a round-trip.
+TEST(LibraryIoTest, TextRoundTripKeepsUnreferencedActions) {
+  LibraryBuilder builder;
+  builder.InternAction("unused_first");
+  builder.AddImplementation("g", {"a1", "a2"});
+  builder.InternAction("unused_last");
+  ImplementationLibrary original = std::move(builder).Build();
+  std::string path = TempPath("goalrec_lib_unreferenced.txt");
+  ASSERT_TRUE(SaveLibraryText(original, path).ok());
+  {
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(text,
+              "# goalrec-library v1\ng\ta1\ta2\n"
+              "#!unreferenced_action: unused_first\n"
+              "#!unreferenced_action: unused_last\n");
+  }
+  util::StatusOr<ImplementationLibrary> loaded = LoadLibraryText(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_actions(), 4u);
+  // Implementation lines intern first, so referenced ids come first.
+  EXPECT_EQ(loaded->actions().Find("a1"), std::optional<ActionId>(0));
+  EXPECT_EQ(loaded->actions().Find("a2"), std::optional<ActionId>(1));
+  EXPECT_TRUE(loaded->actions().Find("unused_first").has_value());
+  EXPECT_TRUE(loaded->actions().Find("unused_last").has_value());
+  EXPECT_EQ(loaded->num_implementations(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(LibraryIoTest, EmptyUnreferencedActionIsABadRecord) {
+  std::string path = TempPath("goalrec_lib_bad_unreferenced.txt");
+  {
+    std::ofstream out(path);
+    out << "# goalrec-library v1\ng\ta1\n#!unreferenced_action: \n";
+  }
+  util::StatusOr<ImplementationLibrary> strict = LoadLibraryText(path);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_NE(strict.status().ToString().find(":3:"), std::string::npos)
+      << strict.status().ToString();
+  LoadOptions quarantine;
+  quarantine.mode = ValidationMode::kQuarantine;
+  util::StatusOr<ImplementationLibrary> lenient =
+      LoadLibraryText(path, quarantine);
+  ASSERT_TRUE(lenient.ok()) << lenient.status().ToString();
+  EXPECT_EQ(lenient->num_actions(), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(LibraryIoTest, TextFormatIsHumanReadable) {

@@ -82,10 +82,10 @@ TEST_P(SnapshotIoOracleTest, DecodedSnapshotIsBitIdenticalToOriginal) {
       }
     }
     util::Normalize(activity);
-    // Actions disconnected from every implementation are not serialised by
-    // the text format, so the remap can shrink the activity — that is fine:
-    // the property under test (text-loaded ≡ snapshot-round-tripped) holds
-    // for whatever query the text-loaded vocabulary can express.
+    // Every action survives the text format (unreferenced ones as
+    // declarations), so the remap keeps the whole activity; the property
+    // under test (text-loaded ≡ snapshot-round-tripped) would hold for any
+    // query the text-loaded vocabulary can express.
     c.library = *std::move(text_loaded);
     c.activity = std::move(activity);
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for the goalrec command-line tool: generates a small FoodMart
 # library, converts it text -> .snap -> text and checks the statistics agree
-# at every step, runs `recommend` and `spaces` on it, serves a library with
+# at every step, evaluates the generated library and activities with the full
+# roster, runs `recommend` and `spaces` on it, serves a library with
 # a malformed record in quarantine mode (initial load and reload both print
 # their load report), checks that 1 and 2 shards serve identical answers,
 # that --watch_library picks up a replaced file, and that a malformed flag
@@ -33,6 +34,18 @@ stats=$("$goalrec" stats "$lib")
   fail "statistics differ after text -> .snap"
 [[ "$("$goalrec" stats "$dir/fm.round.txt")" == "$stats" ]] ||
   fail "statistics differ after text -> .snap -> text"
+
+# The generated pair is self-consistent: every action a cart names is in the
+# saved library, so `evaluate` runs the whole roster and writes its reports
+# (into a directory that must exist).
+mkdir -p "$dir/reports"
+"$goalrec" evaluate "$lib" "$dir/fm.activities.csv" --out="$dir/reports" \
+    >"$dir/evaluate.out" 2>"$dir/evaluate.err" ||
+  fail "evaluate failed: $(cat "$dir/evaluate.err")"
+grep -q '^--- true-positive rate vs hidden actions ---' "$dir/evaluate.out" ||
+  fail "evaluate printed no TPR table: $(cat "$dir/evaluate.out")"
+ls "$dir/reports"/*.csv >/dev/null 2>&1 ||
+  fail "evaluate wrote no CSV report into $dir/reports"
 
 # An activity made of the first implementation's first two actions.
 actions=$(sed -n 2p "$lib" | cut -f2,3 | tr '\t' ',')
