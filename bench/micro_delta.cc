@@ -19,6 +19,13 @@
 //      append -> poll -> fold -> guarded swap). Reports sustained
 //      updates/sec, end-to-end publish latency, and query p50/p99 with
 //      and without concurrent mutation.
+//   4. Publish split, outside in: the stages of one publish timed one by
+//      one from outside on the 4-shard serving ladder — poll (read and
+//      CRC-check the new segment), fold (the merged library), snapshot
+//      (MakeSnapshot's copy), ladder (re-partition and recommenders) and
+//      guard (ValidateLibrary) — beside the whole ReloadFromDeltaLog on a
+//      second reader of the same chain. `other` is the publish time the
+//      stages do not cover (swap, bookkeeping, freeing the old snapshot).
 //
 // Flags: --smoke (small library, short sweep; CI), --seed, --updates,
 // --threads.
@@ -31,6 +38,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,8 +50,10 @@
 #include "model/delta_log.h"
 #include "model/snapshot.h"
 #include "model/snapshot_io.h"
+#include "model/validate.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
+#include "serve/sharded.h"
 #include "serve/snapshot_manager.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -259,6 +269,71 @@ int main(int argc, char** argv) {
   const double updates_per_sec_loaded =
       load_seconds > 0 ? static_cast<double>(updates) / load_seconds : 0.0;
 
+  // --- 4. Publish split, outside in -----------------------------------------
+  std::filesystem::remove_all(dir);
+  created = goalrec::model::DeltaLog::Create(dir, base);
+  if (!created.ok()) return 1;
+  goalrec::model::DeltaLog split_writer = std::move(created).value();
+  opened = goalrec::model::DeltaLog::Open(dir, reader_options);
+  if (!opened.ok()) return 1;
+  goalrec::model::DeltaLog staged = std::move(opened).value();
+  opened = goalrec::model::DeltaLog::Open(dir, reader_options);
+  if (!opened.ok()) return 1;
+  goalrec::model::DeltaLog whole = std::move(opened).value();
+
+  constexpr uint32_t kSplitShards = 4;
+  goalrec::obs::MetricRegistry split_registry;
+  goalrec::serve::ShardedLadderOptions ladder_options;
+  ladder_options.num_shards = kSplitShards;
+  ladder_options.metrics = &split_registry;
+  const goalrec::serve::LadderFactory ladder =
+      goalrec::serve::MakeShardedLadderFactory(ladder_options);
+  goalrec::serve::SnapshotManager split_manager(
+      goalrec::model::MakeSnapshot(whole.library(), dir), ladder,
+      &split_registry);
+
+  enum Stage { kPoll, kFold, kSnapshot, kLadder, kGuard, kStages, kPublish };
+  static constexpr const char* kStageNames[] = {
+      "poll", "fold", "snapshot", "ladder", "guard", "stages", "publish"};
+  std::vector<std::vector<double>> split(std::size(kStageNames));
+  goalrec::util::Rng split_rng(seed, /*stream=*/3);
+  for (int64_t u = 0; u < updates; ++u) {
+    goalrec::model::DeltaOps ops =
+        MakeOps(base, split_rng, u,
+                split_writer.stats().view.live_implementations);
+    if (!split_writer.Append(ops).ok()) return 1;
+
+    Clock::time_point start = Clock::now();
+    if (!staged.Poll().ok()) return 1;
+    split[kPoll].push_back(MsSince(start));
+    Clock::time_point at = Clock::now();
+    const goalrec::model::ImplementationLibrary& folded = staged.library();
+    split[kFold].push_back(MsSince(at));
+    at = Clock::now();
+    std::shared_ptr<const goalrec::model::LibrarySnapshot> snapshot =
+        goalrec::model::MakeSnapshot(folded, dir);
+    split[kSnapshot].push_back(MsSince(at));
+    at = Clock::now();
+    goalrec::serve::ServingSnapshot serving;
+    serving.library = snapshot;
+    ladder(snapshot->library, serving);
+    split[kLadder].push_back(MsSince(at));
+    at = Clock::now();
+    if (!goalrec::model::ValidateLibrary(snapshot->library).ok()) return 1;
+    split[kGuard].push_back(MsSince(at));
+    split[kStages].push_back(MsSince(start));
+
+    at = Clock::now();
+    if (!split_manager.ReloadFromDeltaLog(whole).ok()) return 1;
+    split[kPublish].push_back(MsSince(at));
+
+    if ((u + 1) % compact_every == 0) {
+      if (!split_writer.Compact().ok()) return 1;
+      if (!staged.Poll().ok()) return 1;
+      if (!split_manager.ReloadFromDeltaLog(whole).ok()) return 1;
+    }
+  }
+
   const bool ok = size_gate_ok;
   std::printf("{\n  \"benchmark\": \"micro_delta\", \"smoke\": %s,\n",
               smoke ? "true" : "false");
@@ -295,6 +370,17 @@ int main(int argc, char** argv) {
       "    \"query_ms_mutating\": {\"samples\": %zu, \"p50\": %.3f, "
       "\"p99\": %.3f}},\n",
       busy.size(), Percentile(busy, 0.50), Percentile(busy, 0.99));
+  std::printf(
+      "  \"publish_split\": {\"updates\": %lld, \"shards\": %u, "
+      "\"p50_ms\": {",
+      static_cast<long long>(updates), kSplitShards);
+  for (size_t stage = 0; stage < split.size(); ++stage) {
+    std::printf("\"%s\": %.3f, ", kStageNames[stage],
+                Percentile(split[stage], 0.50));
+  }
+  std::printf("\"other\": %.3f}},\n",
+              Percentile(split[kPublish], 0.50) -
+                  Percentile(split[kStages], 0.50));
   std::printf("  \"gates_ok\": %s\n}\n", ok ? "true" : "false");
 
   std::error_code cleanup_ec;

@@ -84,6 +84,10 @@ ImplementationLibrary LibraryRowWriter::Finish() && {
   ImplementationLibrary lib;
   lib.actions_ = std::move(actions_);
   lib.goals_ = std::move(goals_);
+  // Every later copy of the library (snapshot, fold, shard, builder) shares
+  // these names instead of copying them.
+  lib.actions_.Share();
+  lib.goals_.Share();
   lib.impl_offsets_ = std::move(impl_offsets_);
   lib.impl_actions_ = std::move(impl_actions_);
   lib.impl_goals_ = std::move(impl_goals_);

@@ -133,6 +133,7 @@ void MergedLibraryView::Fold() const {
   merged_ = ImplementationLibrary();
 
   // Base vocabularies are copied, never re-interned: ids 0..N-1 preserved.
+  // The copies share the base's names and own only what the chain adds.
   Vocabulary actions = base_.actions();
   Vocabulary goals = base_.goals();
 

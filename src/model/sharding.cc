@@ -75,11 +75,11 @@ std::shared_ptr<const ShardedSnapshot> BuildShardedSnapshot(
     shard_postings[shard] += base.ImplActionCount(p);
   }
 
-  // Every shard copies the FULL base vocabularies, so action/goal ids are
+  // Every shard carries the FULL base vocabularies, so action/goal ids are
   // base ids on every shard — queries fan out and merge without any id
   // translation, and a shard can embed candidates it has never seen in its
-  // own implementations (Best Match phase B). Rows copy straight out of the
-  // base arenas.
+  // own implementations (Best Match phase B). The copies share the base's
+  // names (model/vocabulary.h). Rows copy straight out of the base arenas.
   out->shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     const std::vector<uint32_t>& logical = out->local_to_logical[s];

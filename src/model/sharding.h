@@ -30,13 +30,13 @@
 //     counts (each implementation lives on exactly one shard).
 //
 // Id spaces. Every shard carries a copy of the base library's full action
-// and goal vocabularies, so action/goal ids are IDENTICAL across
-// the base and all shards — queries and merged results never translate
-// them. Implementation ids are shard-local; the snapshot carries the stable
-// logical→(shard, local) map and its per-shard inverse. Local ids are
-// assigned in ascending logical order, so (score desc, local id asc) within
-// a shard equals (score desc, logical id asc) — the tie order the root
-// merge preserves.
+// and goal vocabularies (sharing the base's names, not duplicating them), so
+// action/goal ids are IDENTICAL across the base and all shards — queries and
+// merged results never translate them. Implementation ids are shard-local;
+// the snapshot carries the stable logical→(shard, local) map and its
+// per-shard inverse. Local ids are assigned in ascending logical order, so
+// (score desc, local id asc) within a shard equals (score desc, logical id
+// asc) — the tie order the root merge preserves.
 
 namespace goalrec::model {
 

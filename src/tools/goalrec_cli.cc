@@ -1420,7 +1420,13 @@ int CmdEvaluate(const FlagParser& flags) {
 
   if (flags.Has("out")) {
     std::string out_dir = flags.GetString("out");
-    Status exported = goalrec::eval::ExportReportsCsv(out_dir, dataset, users,
+    // The report directory and its parents are created as needed.
+    std::error_code mkdir_error;
+    std::filesystem::create_directories(out_dir, mkdir_error);
+    Status exported =
+        mkdir_error ? goalrec::util::IoError("cannot create " + out_dir +
+                                             ": " + mkdir_error.message())
+                    : goalrec::eval::ExportReportsCsv(out_dir, dataset, users,
                                                       inputs, results);
     if (!exported.ok()) {
       GOALREC_LOG(ERROR) << "report export failed"

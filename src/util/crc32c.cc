@@ -1,6 +1,12 @@
 #include "util/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define GOALREC_CRC32C_SSE42 1
+#endif
 
 namespace goalrec::util {
 namespace {
@@ -35,9 +41,23 @@ const Crc32cTables& Tables() {
   return tables;
 }
 
+using ExtendFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+ExtendFn PickExtend() {
+  return detail::HasHardwareCrc32c() ? detail::ExtendCrc32cHardware
+                                     : detail::ExtendCrc32cTable;
+}
+
 }  // namespace
 
 uint32_t ExtendCrc32c(uint32_t crc, const void* data, size_t n) {
+  static const ExtendFn extend = PickExtend();
+  return extend(crc, data, n);
+}
+
+namespace detail {
+
+uint32_t ExtendCrc32cTable(uint32_t crc, const void* data, size_t n) {
   const Crc32cTables& tables = Tables();
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
@@ -56,4 +76,46 @@ uint32_t ExtendCrc32c(uint32_t crc, const void* data, size_t n) {
   return ~crc;
 }
 
+#ifdef GOALREC_CRC32C_SSE42
+
+bool HasHardwareCrc32c() {
+  __builtin_cpu_init();  // safe even if first reached from a static ctor
+  return __builtin_cpu_supports("sse4.2");
+}
+
+// Compiled for SSE4.2 regardless of -march; only called once the CPU check
+// passed. Bytes up to an 8-byte boundary, then one 64-bit word per `crc32`,
+// then the tail.
+__attribute__((target("sse4.2"))) uint32_t ExtendCrc32cHardware(
+    uint32_t crc, const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t c = ~crc;
+  while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 7u) != 0) {
+    c = _mm_crc32_u8(c, *p++);
+    --n;
+  }
+  uint64_t wide = c;
+  while (n >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    wide = _mm_crc32_u64(wide, word);
+    p += 8;
+    n -= 8;
+  }
+  c = static_cast<uint32_t>(wide);
+  while (n-- > 0) c = _mm_crc32_u8(c, *p++);
+  return ~c;
+}
+
+#else
+
+bool HasHardwareCrc32c() { return false; }
+
+uint32_t ExtendCrc32cHardware(uint32_t crc, const void* data, size_t n) {
+  return ExtendCrc32cTable(crc, data, n);
+}
+
+#endif
+
+}  // namespace detail
 }  // namespace goalrec::util

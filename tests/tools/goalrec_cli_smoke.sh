@@ -2,7 +2,7 @@
 # Smoke test for the goalrec command-line tool: generates a small FoodMart
 # library, converts it text -> .snap -> text and checks the statistics agree
 # at every step, evaluates the generated library and activities with the full
-# roster, runs `recommend` and `spaces` on it, serves a library with
+# roster (also into a report directory it has to create), runs `recommend` and `spaces` on it, serves a library with
 # a malformed record in quarantine mode (initial load and reload both print
 # their load report), checks that 1 and 2 shards serve identical answers,
 # that --watch_library picks up a replaced file, and that a malformed flag
@@ -37,7 +37,7 @@ stats=$("$goalrec" stats "$lib")
 
 # The generated pair is self-consistent: every action a cart names is in the
 # saved library, so `evaluate` runs the whole roster and writes its reports
-# (into a directory that must exist).
+# (into a directory that already exists).
 mkdir -p "$dir/reports"
 "$goalrec" evaluate "$lib" "$dir/fm.activities.csv" --out="$dir/reports" \
     >"$dir/evaluate.out" 2>"$dir/evaluate.err" ||
@@ -46,6 +46,14 @@ grep -q '^--- true-positive rate vs hidden actions ---' "$dir/evaluate.out" ||
   fail "evaluate printed no TPR table: $(cat "$dir/evaluate.out")"
 ls "$dir/reports"/*.csv >/dev/null 2>&1 ||
   fail "evaluate wrote no CSV report into $dir/reports"
+# --out creates a report directory that does not exist yet, parents included
+# (a few users keep this second run short).
+head -n 200 "$dir/fm.activities.csv" >"$dir/fm.few.csv"
+"$goalrec" evaluate "$lib" "$dir/fm.few.csv" --out="$dir/new/nested/reports" \
+    >/dev/null 2>"$dir/evaluate_new.err" ||
+  fail "evaluate into a new directory failed: $(cat "$dir/evaluate_new.err")"
+[[ -s "$dir/new/nested/reports/tpr.csv" ]] ||
+  fail "evaluate wrote no tpr.csv into the new directory"
 
 # An activity made of the first implementation's first two actions.
 actions=$(sed -n 2p "$lib" | cut -f2,3 | tr '\t' ',')
