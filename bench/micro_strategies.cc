@@ -1,7 +1,8 @@
 // Micro-benchmarks for the four goal-based strategies and the two
 // §5.4/DESIGN.md ablations: Algorithm 2's single-pass Breadth accumulation
 // vs the naive per-candidate Eq. 6 evaluation, and Best Match under the
-// three distance metrics.
+// three distance metrics. The single-strategy rows time the query kernel
+// (RecommendPooled) on a warm workspace, as serving and evaluation run it.
 
 #include <benchmark/benchmark.h>
 
@@ -42,13 +43,25 @@ goalrec::model::Activity MakeActivity(uint32_t num_actions, uint64_t seed) {
 // Connectivity regimes: Arg = number of actions; 25000 actions -> ~12
 // impls/action, 1000 actions -> ~300 impls/action.
 
+// One strategy's kernel on a warm workspace.
+void RunPooled(benchmark::State& state,
+               const goalrec::core::Recommender& recommender,
+               const goalrec::model::Activity& h) {
+  goalrec::core::QueryWorkspace ws;
+  goalrec::core::RecommendationList out;
+  for (auto _ : state) {
+    recommender.RecommendPooled(h, 10, nullptr, &ws, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+
 void BM_FocusCompleteness(benchmark::State& state) {
   auto lib = BuildScalingLibrary(
       Workload(static_cast<uint32_t>(state.range(0))), 9);
   goalrec::core::FocusRecommender focus(
       &lib, goalrec::core::FocusVariant::kCompleteness);
   auto h = MakeActivity(lib.num_actions(), 21);
-  for (auto _ : state) benchmark::DoNotOptimize(focus.Recommend(h, 10));
+  RunPooled(state, focus, h);
 }
 BENCHMARK(BM_FocusCompleteness)->Arg(25000)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
@@ -59,7 +72,7 @@ void BM_FocusCloseness(benchmark::State& state) {
   goalrec::core::FocusRecommender focus(
       &lib, goalrec::core::FocusVariant::kCloseness);
   auto h = MakeActivity(lib.num_actions(), 21);
-  for (auto _ : state) benchmark::DoNotOptimize(focus.Recommend(h, 10));
+  RunPooled(state, focus, h);
 }
 BENCHMARK(BM_FocusCloseness)->Arg(25000)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
@@ -69,7 +82,7 @@ void BM_Breadth(benchmark::State& state) {
       Workload(static_cast<uint32_t>(state.range(0))), 9);
   goalrec::core::BreadthRecommender breadth(&lib);
   auto h = MakeActivity(lib.num_actions(), 21);
-  for (auto _ : state) benchmark::DoNotOptimize(breadth.Recommend(h, 10));
+  RunPooled(state, breadth, h);
 }
 BENCHMARK(BM_Breadth)->Arg(25000)->Arg(1000)->Unit(benchmark::kMicrosecond);
 
@@ -96,7 +109,7 @@ void BM_BestMatchEuclidean(benchmark::State& state) {
       Workload(static_cast<uint32_t>(state.range(0))), 9);
   goalrec::core::BestMatchRecommender best_match(&lib);
   auto h = MakeActivity(lib.num_actions(), 21);
-  for (auto _ : state) benchmark::DoNotOptimize(best_match.Recommend(h, 10));
+  RunPooled(state, best_match, h);
 }
 BENCHMARK(BM_BestMatchEuclidean)->Arg(25000)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
@@ -108,7 +121,7 @@ void BM_BestMatchCosine(benchmark::State& state) {
   options.metric = goalrec::util::DistanceMetric::kCosine;
   goalrec::core::BestMatchRecommender best_match(&lib, options);
   auto h = MakeActivity(lib.num_actions(), 21);
-  for (auto _ : state) benchmark::DoNotOptimize(best_match.Recommend(h, 10));
+  RunPooled(state, best_match, h);
 }
 BENCHMARK(BM_BestMatchCosine)->Arg(25000)->Unit(benchmark::kMicrosecond);
 
@@ -120,7 +133,7 @@ void BM_BestMatchBoolean(benchmark::State& state) {
       goalrec::core::GoalVectorRepresentation::kBoolean;
   goalrec::core::BestMatchRecommender best_match(&lib, options);
   auto h = MakeActivity(lib.num_actions(), 21);
-  for (auto _ : state) benchmark::DoNotOptimize(best_match.Recommend(h, 10));
+  RunPooled(state, best_match, h);
 }
 BENCHMARK(BM_BestMatchBoolean)->Arg(25000)->Unit(benchmark::kMicrosecond);
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Dangling-reference check for the documentation: fails when a Markdown file
 # names a repository path under bench/ src/ tests/ scripts/ docs/
-# perfbench/ or examples/, or a BENCH_*.json file, that does not exist. It
-# also fails when a BENCH_*.json record at the root is not one valid JSON
-# document.
+# perfbench/ or examples/, a BENCH_*.json file, or a backticked bare
+# document or script name, that does not exist. It also fails when a
+# BENCH_*.json record at the root is not one valid JSON document.
 #
 #   scripts/check_refs.sh
 #
@@ -11,6 +11,12 @@
 # resolve to `bench/x.cc` (or `.cpp`), `{a,b}` lists and `*` globs are
 # expanded, and anything inside another path (build/bench/x, $dir/tests/y,
 # ../src) is skipped, since build trees are not in the repo.
+# A backticked bare name ending in .md, .json, .txt, .py or .sh (`DESIGN.md`,
+# `run.py`) must exist at the root or next to the citing document, where a
+# relative Markdown link would resolve. Bare source names (`focus.cc`) are
+# module-relative shorthand once their directory is named, and other
+# extensions (`base.snap`) name files that programs write, so neither is
+# checked.
 # Only the documentation is checked: the top-level guides listed below and
 # every Markdown file under docs/, perfbench/ and .claude/skills/. The change
 # log records artefacts that were since removed, and PAPERS.md / SNIPPETS.md
@@ -65,6 +71,15 @@ while IFS= read -r md; do
       fi
     fi
   done < <(grep -noE '[A-Za-z0-9_.$/{},*#-]*(bench|src|tests|scripts|docs|perfbench|examples|BENCH_)[A-Za-z0-9_.$/{},*#-]*' "$md" || true)
+  # Backticked bare names; BENCH_*.json is already checked above.
+  while IFS=: read -r line token; do
+    token=${token//\`/}
+    [[ "$token" == BENCH_* ]] && continue
+    if [[ ! -e "$token" && ! -e "$(dirname "$md")/$token" ]]; then
+      echo "$md:$line: dangling reference '$token'" >&2
+      status=1
+    fi
+  done < <(grep -noE '`[A-Za-z0-9_.-]+\.(md|json|txt|py|sh)`' "$md" || true)
 done <<<"$docs"
 
 for record in BENCH_*.json; do

@@ -1,5 +1,6 @@
 #include "baselines/knn.h"
 
+#include <optional>
 #include <vector>
 
 #include "core/query_workspace.h"
@@ -40,9 +41,8 @@ double KnnRecommender::UserSimilarity(const model::Activity& activity,
 
 core::RecommendationList KnnRecommender::Recommend(
     const model::Activity& activity, size_t k) const {
-  core::QueryWorkspace ws;
   core::RecommendationList list;
-  RecommendPooled(activity, k, nullptr, &ws, list);
+  RecommendPooled(activity, k, nullptr, nullptr, list);
   return list;
 }
 
@@ -55,13 +55,11 @@ void KnnRecommender::RecommendPooled(util::IdSpan activity, size_t k,
                                      const util::StopToken* /*stop*/,
                                      core::QueryWorkspace* workspace,
                                      core::RecommendationList& out) const {
-  if (workspace == nullptr) {
-    out = Recommend(model::Activity(activity.begin(), activity.end()), k);
-    return;
-  }
   out.clear();
   if (k == 0 || activity.empty()) return;
-  core::QueryWorkspace& ws = *workspace;
+  std::optional<core::QueryWorkspace> fresh;
+  core::QueryWorkspace& ws =
+      workspace != nullptr ? *workspace : fresh.emplace();
   const uint32_t num_actions = data_->num_actions();
 
   ws.BeginHMark(num_actions);

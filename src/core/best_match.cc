@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "core/query_workspace.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "util/deadline.h"
 #include "util/logging.h"
+#include "util/set_ops.h"
 #include "util/top_k.h"
 
 namespace goalrec::core {
@@ -29,6 +33,43 @@ int64_t GoalIndex(std::span<const model::GoalId> goal_space,
 // (≈ 3·n·cap²).
 bool SparseDistanceIsExact(size_t dims, double cap) {
   return (8.0 * static_cast<double>(dims) + 8.0) * cap * cap < 9.0e15;
+}
+
+// The allocating Recommend's spaces, built by sort and dedup: the activity
+// into ws.activity, GS(H) into ws.goal_space and AS(H) − H into
+// ws.candidates, all ascending. The kernel derives the same sets from a
+// postings scatter instead (DeriveSpaces). This is the fork that ROADMAP's
+// "One query path per strategy" item removes; moving Recommend onto
+// DeriveSpaces waits for the session benchmark to stop charging throughput
+// as memory.
+void BuildSortedSpaces(const model::ImplementationLibrary& library,
+                       const model::Activity& activity, QueryWorkspace& ws) {
+  ws.activity = activity;
+  util::Normalize(ws.activity);
+
+  // IS(H): union of the A-GI postings of every performed action.
+  model::IdSet impl_space;
+  for (model::ActionId a : ws.activity) {
+    if (a >= library.num_actions()) continue;  // action unseen by the library
+    std::span<const model::ImplId> postings = library.ImplsOfAction(a);
+    impl_space.insert(impl_space.end(), postings.begin(), postings.end());
+  }
+  util::Normalize(impl_space);
+
+  // Goal space and candidate actions both derive from the implementation
+  // space; reuse it instead of re-probing the A-GI index.
+  for (model::ImplId p : impl_space) {
+    ws.goal_space.push_back(library.GoalOf(p));
+    std::span<const model::ActionId> impl_actions = library.ActionsOf(p);
+    ws.scratch.insert(ws.scratch.end(), impl_actions.begin(),
+                      impl_actions.end());
+  }
+  util::Normalize(ws.goal_space);
+  util::Normalize(ws.scratch);
+  // Candidates: union of the implementations' actions minus the activity.
+  // (AS(H)'s self-exclusion subtleties only affect members of H, which the
+  // difference removes anyway.)
+  util::DifferenceInto(ws.scratch, ws.activity, ws.candidates);
 }
 
 }  // namespace
@@ -89,26 +130,20 @@ util::DenseVector BestMatchRecommender::Profile(
 
 RecommendationList BestMatchRecommender::Recommend(
     const model::Activity& activity, size_t k) const {
-  return RecommendCancellable(activity, k, nullptr);
-}
-
-RecommendationList BestMatchRecommender::RecommendCancellable(
-    const model::Activity& activity, size_t k,
-    const util::StopToken* stop) const {
-  QueryContext context = QueryContext::Create(*library_, activity, stop);
-  return RecommendInContext(context, k);
+  QueryWorkspace ws;
+  BuildSortedSpaces(*library_, activity, ws);
+  RecommendationList out;
+  RecommendOver(ws.activity, ws.goal_space, ws.candidates, k, nullptr, ws,
+                out);
+  return out;
 }
 
 void BestMatchRecommender::RecommendPooled(util::IdSpan activity, size_t k,
                                            const util::StopToken* stop,
                                            QueryWorkspace* workspace,
                                            RecommendationList& out) const {
-  if (workspace == nullptr) {
-    out = RecommendCancellable(
-        model::Activity(activity.begin(), activity.end()), k, stop);
-    return;
-  }
-  QueryWorkspace& ws = *workspace;
+  std::optional<QueryWorkspace> fresh;
+  QueryWorkspace& ws = workspace != nullptr ? *workspace : fresh.emplace();
   ws.activity.assign(activity.begin(), activity.end());
   util::Normalize(ws.activity);
   DeriveSpaces(ws.activity, ws, ws.candidates);
@@ -118,7 +153,7 @@ void BestMatchRecommender::RecommendPooled(util::IdSpan activity, size_t k,
 // GS(H) and AS(H) − H straight from the postings scatter: one
 // per-implementation counting pass gives IS(H); goals dedup through the
 // goal marker, candidates through the action marker. Same sets as
-// QueryContext::Create, without materialising IS(H)'s sorted union or the
+// BuildSortedSpaces, without materialising IS(H)'s sorted union or the
 // candidate sort (the top-k order is total, so candidate order is free).
 void BestMatchRecommender::DeriveSpaces(util::IdSpan activity,
                                         QueryWorkspace& ws,
@@ -146,22 +181,6 @@ void BestMatchRecommender::DeriveSpaces(util::IdSpan activity,
       if (ws.TestAndMark(a)) candidates.push_back(a);
     }
   }
-}
-
-RecommendationList BestMatchRecommender::RecommendInContext(
-    const QueryContext& context, size_t k) const {
-  RecommendationList list;
-  RecommendInContext(context, k, list);
-  return list;
-}
-
-void BestMatchRecommender::RecommendInContext(const QueryContext& context,
-                                              size_t k,
-                                              RecommendationList& out) const {
-  GOALREC_CHECK(context.library == library_);
-  GOALREC_CHECK(context.workspace != nullptr);
-  RecommendOver(context.activity, context.goal_space, context.candidates, k,
-                context.stop, *context.workspace, out);
 }
 
 // The goal-major scan. The dense evaluation embeds every candidate as a

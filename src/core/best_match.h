@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/goal_weights.h"
-#include "core/query_context.h"
 #include "core/recommender.h"
 #include "core/shard_types.h"
 #include "model/library.h"
@@ -52,28 +51,14 @@ class BestMatchRecommender : public Recommender {
   RecommendationList Recommend(const model::Activity& activity,
                                size_t k) const override;
 
-  /// Deadline-aware Recommend: the scoring scan (the strategy's dominant
-  /// cost, §5.4) polls `stop` once per goal of GS(H). Every distance is
-  /// complete only when the scan ends, so a query stopped mid-scan returns
-  /// an empty list rather than half-summed distances.
-  RecommendationList RecommendCancellable(
-      const model::Activity& activity, size_t k,
-      const util::StopToken* stop) const override;
-
-  /// Zero-allocation serving path: spaces, profile and per-action partials
-  /// all live on `workspace`'s reusable buffers.
+  /// The kernel: spaces, profile and per-action partials all live on
+  /// `workspace`'s reusable buffers. The scoring scan (the strategy's
+  /// dominant cost, §5.4) polls `stop` once per goal of GS(H). Every
+  /// distance is complete only when the scan ends, so a query stopped
+  /// mid-scan returns an empty list rather than half-summed distances.
   void RecommendPooled(util::IdSpan activity, size_t k,
                        const util::StopToken* stop, QueryWorkspace* workspace,
                        RecommendationList& out) const override;
-
-  /// Same result as Recommend, reusing the context's precomputed goal space
-  /// and candidate set.
-  RecommendationList RecommendInContext(const QueryContext& context,
-                                        size_t k) const;
-
-  /// Out-param RecommendInContext: results land in `out` (cleared first).
-  void RecommendInContext(const QueryContext& context, size_t k,
-                          RecommendationList& out) const;
 
   /// Algorithm 3 (Get-Goal-Based-Profile): the aggregated user vector H⃗ over
   /// `goal_space` (which must be GoalSpace(activity), sorted).

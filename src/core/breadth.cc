@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 
+#include "core/query_workspace.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "util/deadline.h"
 #include "util/logging.h"
 #include "util/set_ops.h"
 #include "util/top_k.h"
@@ -48,62 +51,11 @@ double BreadthRecommender::Score(model::ActionId action,
 
 RecommendationList BreadthRecommender::Recommend(
     const model::Activity& activity, size_t k) const {
-  return RecommendCancellable(activity, k, nullptr);
+  RecommendationList out;
+  RecommendPooled(activity, k, nullptr, nullptr, out);
+  return out;
 }
 
-RecommendationList BreadthRecommender::RecommendCancellable(
-    const model::Activity& activity, size_t k,
-    const util::StopToken* stop) const {
-  QueryWorkspace ws;
-  model::Activity normalized = activity;
-  util::Normalize(normalized);
-  RecommendationList list;
-  RecommendOver(normalized, k, stop, ws, list);
-  return list;
-}
-
-void BreadthRecommender::RecommendPooled(util::IdSpan activity, size_t k,
-                                         const util::StopToken* stop,
-                                         QueryWorkspace* workspace,
-                                         RecommendationList& out) const {
-  if (workspace == nullptr) {
-    out = RecommendCancellable(
-        model::Activity(activity.begin(), activity.end()), k, stop);
-    return;
-  }
-  QueryWorkspace& ws = *workspace;
-  ws.activity.assign(activity.begin(), activity.end());
-  util::Normalize(ws.activity);
-  RecommendOver(ws.activity, k, stop, ws, out);
-}
-
-RecommendationList BreadthRecommender::RecommendInContext(
-    const QueryContext& context, size_t k) const {
-  RecommendationList list;
-  RecommendInContext(context, k, list);
-  return list;
-}
-
-void BreadthRecommender::RecommendInContext(const QueryContext& context,
-                                            size_t k,
-                                            RecommendationList& out) const {
-  GOALREC_CHECK(context.library == library_);
-  GOALREC_CHECK(context.workspace != nullptr);
-  RecommendOver(context.activity, k, context.stop, *context.workspace, out);
-}
-
-// Algorithm 2 as a two-scatter kernel. Pass 1 walks the ImplsOfAction
-// postings of every h ∈ H bumping a per-implementation counter — after the
-// pass every implementation p ∈ IS(H) holds |A_p ∩ H| with no sorted
-// intersections. Pass 2 walks the touched implementations and credits the
-// count to each member action through the epoch-stamped score array.
-//
-// Bit-identity: unweighted scores are sums of small non-negative integers
-// held in doubles — every partial sum is an exact integer, so the result is
-// independent of accumulation order and the first-touch traversal is safe.
-// With goal weights the terms are arbitrary doubles and addition order
-// matters, so that path sorts the touched list to restore the ascending
-// implementation-id order the reference accumulates in.
 // Scatter + accumulation shared by the serving kernel and the sharded
 // fan-out. Pass 1 walks the ImplsOfAction postings of every h ∈ H bumping a
 // per-implementation counter — after the pass every implementation
@@ -189,15 +141,19 @@ bool BreadthRecommender::AccumulateScores(util::IdSpan activity,
   return false;
 }
 
-void BreadthRecommender::RecommendOver(util::IdSpan activity, size_t k,
-                                       const util::StopToken* stop,
-                                       QueryWorkspace& ws,
-                                       RecommendationList& out) const {
+void BreadthRecommender::RecommendPooled(util::IdSpan activity, size_t k,
+                                         const util::StopToken* stop,
+                                         QueryWorkspace* workspace,
+                                         RecommendationList& out) const {
+  std::optional<QueryWorkspace> fresh;
+  QueryWorkspace& ws = workspace != nullptr ? *workspace : fresh.emplace();
+  ws.activity.assign(activity.begin(), activity.end());
+  util::Normalize(ws.activity);
   obs::ScopedSpan span(obs::CurrentTrace(), "strategy/Breadth");
   out.clear();
   if (k == 0) return;
   const uint32_t num_actions = library_->num_actions();
-  const bool dense = AccumulateScores(activity, stop, ws);
+  const bool dense = AccumulateScores(ws.activity, stop, ws);
 
   // The top-k comparator is a total order (score desc, action id asc), so
   // the result is independent of the candidate traversal order — the dense

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/goal_weights.h"
-#include "core/query_context.h"
 #include "core/recommender.h"
 #include "core/shard_types.h"
 #include "model/library.h"
@@ -50,24 +49,13 @@ class BreadthRecommender : public Recommender {
   RecommendationList Recommend(const model::Activity& activity,
                                size_t k) const override;
 
-  /// Deadline-aware Recommend: the IS(H) accumulation loop polls `stop` and
-  /// the result is a best-effort partial once it fires.
-  RecommendationList RecommendCancellable(
-      const model::Activity& activity, size_t k,
-      const util::StopToken* stop) const override;
-
-  /// Zero-allocation serving path over `workspace`'s reusable buffers.
+  /// The kernel: one postings scatter into `workspace`'s epoch-stamped
+  /// counters gives IS(H) and every |A ∩ H|, then the scores accumulate and
+  /// emit on its reusable buffers. The IS(H) accumulation loop polls
+  /// `stop`; the result is a best-effort partial once it fires.
   void RecommendPooled(util::IdSpan activity, size_t k,
                        const util::StopToken* stop, QueryWorkspace* workspace,
                        RecommendationList& out) const override;
-
-  /// Same result as Recommend, reusing the context's precomputed IS(H).
-  RecommendationList RecommendInContext(const QueryContext& context,
-                                        size_t k) const;
-
-  /// Out-param RecommendInContext: results land in `out` (cleared first).
-  void RecommendInContext(const QueryContext& context, size_t k,
-                          RecommendationList& out) const;
 
   /// Eq. 6 score of a single action (brute force over ImplsOfAction);
   /// exposed for tests and explainability.
@@ -85,14 +73,7 @@ class BreadthRecommender : public Recommender {
                        std::vector<ShardActionScore>& out) const;
 
  private:
-  /// The scoring kernel: derives IS(H) and every |A ∩ H| itself via a
-  /// postings scatter into `workspace`'s epoch-stamped counters, then
-  /// accumulates and emits. `activity` must be normalised.
-  void RecommendOver(util::IdSpan activity, size_t k,
-                     const util::StopToken* stop, QueryWorkspace& workspace,
-                     RecommendationList& out) const;
-
-  /// Scatter + score accumulation shared by RecommendOver and
+  /// Scatter + score accumulation shared by RecommendPooled and
   /// AccumulateShard. Returns true when the dense accumulator was used
   /// (scores live in ws.dense_score, indexed by action id) and false for
   /// the sparse one (scores behind ws.ScoreOf over ws.touched()). Either

@@ -1,9 +1,12 @@
 #include "core/focus.h"
 
 #include <algorithm>
+#include <optional>
 
+#include "core/query_workspace.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "util/deadline.h"
 #include "util/logging.h"
 #include "util/set_ops.h"
 
@@ -41,15 +44,6 @@ std::vector<RankedImplementation> FocusRecommender::RankImplementations(
   QueryWorkspace workspace;
   std::vector<RankedImplementation> ranked;
   RankInto(normalized, nullptr, workspace, ranked);
-  return ranked;
-}
-
-std::vector<RankedImplementation> FocusRecommender::RankImplementationsIn(
-    const QueryContext& context) const {
-  GOALREC_CHECK(context.library == library_);
-  GOALREC_CHECK(context.workspace != nullptr);
-  std::vector<RankedImplementation> ranked;
-  RankInto(context.activity, context.stop, *context.workspace, ranked);
   return ranked;
 }
 
@@ -114,29 +108,19 @@ void FocusRecommender::RankUnsortedInto(
 
 RecommendationList FocusRecommender::Recommend(
     const model::Activity& activity, size_t k) const {
-  return RecommendCancellable(activity, k, nullptr);
+  RecommendationList out;
+  RecommendPooled(activity, k, nullptr, nullptr, out);
+  return out;
 }
 
-RecommendationList FocusRecommender::RecommendCancellable(
-    const model::Activity& activity, size_t k,
-    const util::StopToken* stop) const {
-  QueryContext context = QueryContext::Create(*library_, activity, stop);
-  return RecommendInContext(context, k);
-}
-
+// Focus needs neither the goal space nor the candidate set, and the ranking
+// kernel derives IS(H) itself from the postings scatter.
 void FocusRecommender::RecommendPooled(util::IdSpan activity, size_t k,
                                        const util::StopToken* stop,
                                        QueryWorkspace* workspace,
                                        RecommendationList& out) const {
-  if (workspace == nullptr) {
-    out = RecommendCancellable(
-        model::Activity(activity.begin(), activity.end()), k, stop);
-    return;
-  }
-  // Focus needs neither the goal space nor the candidate set, and the
-  // ranking kernel derives IS(H) itself from the postings scatter — so the
-  // pooled path skips QueryContext::Create entirely.
-  QueryWorkspace& ws = *workspace;
+  std::optional<QueryWorkspace> fresh;
+  QueryWorkspace& ws = workspace != nullptr ? *workspace : fresh.emplace();
   ws.activity.assign(activity.begin(), activity.end());
   util::Normalize(ws.activity);
   obs::ScopedSpan span(obs::CurrentTrace(), trace_label_);
@@ -154,30 +138,6 @@ void FocusRecommender::RecommendPooled(util::IdSpan activity, size_t k,
   span.Annotate("impls_ranked", ws.ranked.size());
   span.Annotate("emitted", out.size());
   if (stop != nullptr && stop->StopRequested()) {
-    span.Annotate("stopped_early", true);
-  }
-}
-
-RecommendationList FocusRecommender::RecommendInContext(
-    const QueryContext& context, size_t k) const {
-  RecommendationList list;
-  RecommendInContext(context, k, list);
-  return list;
-}
-
-void FocusRecommender::RecommendInContext(const QueryContext& context,
-                                          size_t k,
-                                          RecommendationList& out) const {
-  GOALREC_CHECK(context.library == library_);
-  GOALREC_CHECK(context.workspace != nullptr);
-  obs::ScopedSpan span(context.trace, trace_label_);
-  QueryWorkspace& ws = *context.workspace;
-  RankUnsortedInto(context.activity, context.stop, ws, ws.ranked);
-  EmitFromRanking(ws.ranked, k, ws, out);
-  span.Annotate("impl_space", context.impl_space.size());
-  span.Annotate("impls_ranked", ws.ranked.size());
-  span.Annotate("emitted", out.size());
-  if (context.stop != nullptr && context.stop->StopRequested()) {
     span.Annotate("stopped_early", true);
   }
 }

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/goal_weights.h"
-#include "core/query_context.h"
 #include "core/recommender.h"
 #include "core/shard_types.h"
 #include "model/library.h"
@@ -48,37 +47,18 @@ class FocusRecommender : public Recommender {
   RecommendationList Recommend(const model::Activity& activity,
                                size_t k) const override;
 
-  /// Deadline-aware Recommend: the implementation-ranking loop polls `stop`
-  /// and the result is a best-effort partial once it fires.
-  RecommendationList RecommendCancellable(
-      const model::Activity& activity, size_t k,
-      const util::StopToken* stop) const override;
-
-  /// Zero-allocation serving path: spaces are built into `workspace` and the
-  /// ranking/emission loops run entirely on its reusable buffers.
+  /// The kernel: one postings scatter ranks IS(H) and the emission loop
+  /// runs on the workspace's reusable buffers. The ranking loop polls
+  /// `stop`; the result is a best-effort partial once it fires.
   void RecommendPooled(util::IdSpan activity, size_t k,
                        const util::StopToken* stop, QueryWorkspace* workspace,
                        RecommendationList& out) const override;
-
-  /// Same result as Recommend, reusing the context's precomputed IS(H).
-  /// The context must have been created against this recommender's library.
-  RecommendationList RecommendInContext(const QueryContext& context,
-                                        size_t k) const;
-
-  /// Out-param RecommendInContext: results land in `out` (cleared first),
-  /// using the context's workspace for all intermediate state.
-  void RecommendInContext(const QueryContext& context, size_t k,
-                          RecommendationList& out) const;
 
   /// The implementation ranking that drives Recommend: every implementation
   /// of IS(H) with at least one missing action, best first (score
   /// descending, impl id ascending on ties).
   std::vector<RankedImplementation> RankImplementations(
       const model::Activity& activity) const;
-
-  /// RankImplementations over a precomputed context.
-  std::vector<RankedImplementation> RankImplementationsIn(
-      const QueryContext& context) const;
 
   /// Sharded fan-out entry point (shard_merge.h): runs the ranking kernel
   /// over this shard's library and emits the first `k` locally-distinct

@@ -161,13 +161,11 @@ class QueryWorkspace {
 
   // --- Reusable buffers -------------------------------------------------
   //
-  // QueryContext::Create fills the four space buffers of its private
-  // workspace and the context's spans point into them; the pooled kernels
-  // use them as plain scratch. Everything below `candidates` is free
-  // strategy scratch.
+  // The kernels normalise H into `activity`; Best Match derives its spaces
+  // into `goal_space` and `candidates`. Everything below `candidates` is
+  // free strategy scratch.
 
   model::IdSet activity;    ///< normalised H
-  model::IdSet impl_space;  ///< IS(H)
   model::IdSet goal_space;  ///< GS(H)
   model::IdSet candidates;  ///< AS(H) − H
 

@@ -2,18 +2,11 @@
 
 namespace goalrec::core {
 
-RecommendationList Recommender::RecommendCancellable(
-    const model::Activity& activity, size_t k,
-    const util::StopToken* /*stop*/) const {
-  return Recommend(activity, k);
-}
-
 void Recommender::RecommendPooled(util::IdSpan activity, size_t k,
-                                  const util::StopToken* stop,
+                                  const util::StopToken* /*stop*/,
                                   QueryWorkspace* /*workspace*/,
                                   RecommendationList& out) const {
-  out = RecommendCancellable(model::Activity(activity.begin(), activity.end()),
-                             k, stop);
+  out = Recommend(model::Activity(activity.begin(), activity.end()), k);
 }
 
 std::vector<model::ActionId> ActionsOf(const RecommendationList& list) {

@@ -62,23 +62,19 @@ class Recommender {
   virtual RecommendationList Recommend(const model::Activity& activity,
                                        size_t k) const = 0;
 
-  /// Deadline/cancellation-aware entry point used by the serving engine.
+  /// The query kernel, which serving, evaluation and the sharded fan-out
+  /// call. `activity` is H in canonical Activity form (the goal strategies
+  /// normalise it themselves and ignore ids their library does not know).
+  /// Results land in `out` (cleared first), so a caller that reuses both
+  /// `workspace` and `out` runs the whole query without touching the
+  /// allocator once buffers have warmed up. A null `workspace` means a
+  /// fresh local QueryWorkspace.
   /// `stop` may be null (no limit). Strategies that honour it poll
   /// stop->ShouldStop() inside their scoring loops and bail out early; a
   /// list returned while stop->StopRequested() is a best-effort partial
-  /// answer the caller must treat as unusable for exact ranking. The default
-  /// ignores the token (the full answer is computed unbounded).
-  virtual RecommendationList RecommendCancellable(
-      const model::Activity& activity, size_t k,
-      const util::StopToken* stop) const;
-
-  /// Allocation-free serving entry point. `activity` must be sorted
-  /// (canonical Activity form); results land in `out` (cleared first), so a
-  /// caller that reuses both `workspace` and `out` runs the whole query path
-  /// without touching the allocator once buffers have warmed up. `workspace`
-  /// may be null and is ignored by strategies that have no scratch needs; the
-  /// default forwards to RecommendCancellable (one activity copy + the
-  /// strategy's own allocations — correct, just not allocation-free).
+  /// answer the caller must treat as unusable for exact ranking. The
+  /// default ignores both `stop` and `workspace` and answers with Recommend
+  /// (one activity copy plus the strategy's own allocations).
   virtual void RecommendPooled(util::IdSpan activity, size_t k,
                                const util::StopToken* stop,
                                QueryWorkspace* workspace,

@@ -13,13 +13,12 @@
 
 // Per-query tracing. A Trace is a tree of timed spans with key/value
 // annotations: the serving engine opens one span per rung attempt, the
-// strategies annotate candidate-set sizes and early stops, and QueryContext
-// records the space-construction work. Traces are sampled (TraceSampler) so
-// the steady-state cost is a branch per query; a sampled query costs a few
-// vector pushes plus a mutex the query almost always holds uncontended —
-// no I/O.
+// strategies annotate candidate-set sizes and early stops. Traces are
+// sampled (TraceSampler) so the steady-state cost is a branch per query; a
+// sampled query costs a few vector pushes plus a mutex the query almost
+// always holds uncontended — no I/O.
 //
-// Cross-cutting code (QueryContext, the strategies) reaches the active
+// Cross-cutting code (the strategies, the shard fan-out) reaches the active
 // trace through the thread-local CurrentTrace(), which the engine sets for
 // the duration of each rung via ScopedTraceActivation — the same pattern as
 // a request-scoped context in production RPC stacks. ThreadPool::Submit and

@@ -156,7 +156,7 @@ void ServingEngine::InitInstruments() {
   }
 }
 
-util::StatusOr<ServeResult> ServingEngine::ServeImpl(
+util::StatusOr<ServeResult> ServingEngine::Serve(
     const model::Activity& activity, size_t k, util::CancellationToken cancel,
     QueryPriority priority) const {
   Clock::time_point query_start = Clock::now();
@@ -248,8 +248,8 @@ util::StatusOr<ServeResult> ServingEngine::RunLadder(
     Clock::time_point query_start, const std::shared_ptr<obs::Trace>& trace,
     uint64_t query_id, int64_t recorder_start_ns) const {
   obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
-  // Activate the trace for the whole query: QueryContext::Create and the
-  // strategies pick it up through obs::CurrentTrace().
+  // Activate the trace for the whole query: the strategies pick it up
+  // through obs::CurrentTrace().
   obs::ScopedTraceActivation activation(trace.get());
   obs::ScopedSpan serve_span(trace.get(), "serve");
   serve_span.Annotate("k", k);

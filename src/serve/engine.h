@@ -167,27 +167,14 @@ class ServingEngine {
   /// Serves one query. Returns an error only when the query was cancelled
   /// (kCancelled), shed by admission control (kResourceExhausted), or every
   /// rung failed (kUnavailable); a deadline alone never produces an error,
-  /// it produces a degraded answer.
-  util::StatusOr<ServeResult> Serve(const model::Activity& activity,
-                                    size_t k) const {
-    return ServeImpl(activity, k, util::CancellationToken(),
-                     QueryPriority::kInteractive);
-  }
-
-  /// Serve with caller-side cancellation.
-  util::StatusOr<ServeResult> Serve(const model::Activity& activity, size_t k,
-                                    util::CancellationToken cancel) const {
-    return ServeImpl(activity, k, std::move(cancel),
-                     QueryPriority::kInteractive);
-  }
-
-  /// Serve with cancellation and an explicit priority class. Batch traffic
-  /// is shed first under overload (see serve/admission.h).
-  util::StatusOr<ServeResult> Serve(const model::Activity& activity, size_t k,
-                                    util::CancellationToken cancel,
-                                    QueryPriority priority) const {
-    return ServeImpl(activity, k, std::move(cancel), priority);
-  }
+  /// it produces a degraded answer. `cancel` lets the caller abort the
+  /// query from another thread; batch `priority` traffic is shed first
+  /// under overload (see serve/admission.h). One call: admission (exactly
+  /// once per query), trace sampling, the ladder walk, slot release.
+  util::StatusOr<ServeResult> Serve(
+      const model::Activity& activity, size_t k,
+      util::CancellationToken cancel = util::CancellationToken(),
+      QueryPriority priority = QueryPriority::kInteractive) const;
 
   size_t num_rungs() const { return rungs_.size(); }
   /// The ladder shape. In snapshot mode the `recommender` pointers are null
@@ -214,14 +201,6 @@ class ServingEngine {
     /// CircuitBreaker::State as an integer; null when breakers are off.
     obs::Gauge* breaker_state = nullptr;
   };
-
-  /// The single entry point behind every public Serve overload: admission
-  /// (exactly once per query), trace sampling, the ladder walk, slot
-  /// release.
-  util::StatusOr<ServeResult> ServeImpl(const model::Activity& activity,
-                                        size_t k,
-                                        util::CancellationToken cancel,
-                                        QueryPriority priority) const;
 
   /// `trace` is shared (not raw) so a captured tail exemplar can co-own the
   /// span tree past the query; `query_id` labels the query's recorder events

@@ -272,14 +272,8 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
 
 core::RecommendationList ShardedRecommender::Recommend(
     const model::Activity& activity, size_t k) const {
-  return RecommendCancellable(activity, k, nullptr);
-}
-
-core::RecommendationList ShardedRecommender::RecommendCancellable(
-    const model::Activity& activity, size_t k,
-    const util::StopToken* stop) const {
   core::RecommendationList out;
-  RecommendPooled(activity, k, stop, nullptr, out);
+  RecommendPooled(activity, k, nullptr, nullptr, out);
   return out;
 }
 

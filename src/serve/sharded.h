@@ -77,13 +77,9 @@ class ShardedRecommender : public core::Recommender {
   /// rung names must stay stable across sharded and unsharded deployments.
   std::string name() const override;
 
+  /// RecommendPooled with a fresh root workspace.
   core::RecommendationList Recommend(const model::Activity& activity,
                                      size_t k) const override;
-
-  /// RecommendPooled with a fresh root workspace.
-  core::RecommendationList RecommendCancellable(
-      const model::Activity& activity, size_t k,
-      const util::StopToken* stop) const override;
 
   /// The one execution path: `workspace` is the ROOT workspace (merge
   /// buffers, final top-k, summed kernel stats; a fresh one when null);

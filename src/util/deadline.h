@@ -11,9 +11,9 @@
 // absolute point on the steady clock; a CancellationSource/CancellationToken
 // pair lets a caller abort a query from another thread; a StopToken combines
 // both into the single cheap predicate that the strategy scoring loops poll
-// (see core::QueryContext::stop). Nothing here is preemptive: work stops
-// only where code polls, which keeps the strategies allocation- and
-// lock-free on the hot path.
+// (the `stop` of core::Recommender::RecommendPooled). Nothing here is
+// preemptive: work stops only where code polls, which keeps the strategies
+// allocation- and lock-free on the hot path.
 
 namespace goalrec::util {
 

@@ -89,15 +89,13 @@ class ScoredTopK {
   explicit ScoredTopK(size_t k = 1) { Reset(k); }
 
   /// Re-arms the collector for a fresh stream with bound `k` (> 0), keeping
-  /// buffer capacity: zero steady-state allocations once warm.
+  /// buffer capacity: zero steady-state allocations once warm. The buffers
+  /// grow with the entries actually pushed, never to `k` up front, so a
+  /// caller's k far beyond the candidate count costs nothing.
   void Reset(size_t k) {
     GOALREC_CHECK_GT(k, 0u);
     k_ = k;
     size_ = 0;
-    if (scores_.size() < k) {
-      scores_.resize(k);
-      ids_.resize(k);
-    }
   }
 
   /// Offers one (score, id). Keeps it only if it ranks within the top k.
@@ -116,8 +114,13 @@ class ScoredTopK {
       ReplaceFloor(score, id);
       return;
     }
-    scores_[size_] = score;
-    ids_[size_] = id;
+    if (size_ == scores_.size()) {
+      scores_.push_back(score);
+      ids_.push_back(id);
+    } else {
+      scores_[size_] = score;
+      ids_[size_] = id;
+    }
     SiftUp(size_);
     ++size_;
     if (size_ == k_) {

@@ -1,11 +1,14 @@
 #include "core/best_match.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/query_workspace.h"
+#include "testing/differential.h"
 #include "testing/fixtures.h"
+#include "testing/reference.h"
 #include "util/deadline.h"
 
 namespace goalrec::core {
@@ -170,6 +173,98 @@ TEST(BestMatchTest, StopMidScanReturnsEmptyAndLeavesWorkspaceClean) {
 
       best_match.RecommendPooled(activity, 10, nullptr, &ws, out);
       EXPECT_EQ(out, full);
+    }
+  }
+}
+
+// M one-implementation goals {h, a} and one goal {h, c}, queried with
+// H = {h}: GS(H) has M + 1 goals, the profile is 1 on each, a⃗ is 1 on the
+// M goals and c⃗ on the last one, under both representations.
+model::ImplementationLibrary CertificateLibrary(uint32_t m) {
+  model::LibraryBuilder builder;
+  for (uint32_t i = 0; i < m; ++i) {
+    builder.AddImplementation("g" + std::to_string(i), {"h", "a"});
+  }
+  builder.AddImplementation("gc", {"h", "c"});
+  return std::move(builder).Build();
+}
+
+// Eqs. 7-10 on CertificateLibrary(m) in closed form, in the reference's
+// expression shapes: a's distance is the one mismatch on c's goal, c's the
+// M mismatches on the others; cosine divides the exact dot product by the
+// product of the norms.
+testing::ReferenceList CertificateAnswer(uint32_t m,
+                                         util::DistanceMetric metric,
+                                         model::ActionId a,
+                                         model::ActionId c) {
+  const double dm = static_cast<double>(m);
+  double da = 0.0, dc = 0.0;
+  switch (metric) {
+    case util::DistanceMetric::kEuclidean:
+      da = std::sqrt(1.0);
+      dc = std::sqrt(dm);
+      break;
+    case util::DistanceMetric::kManhattan:
+      da = 1.0;
+      dc = dm;
+      break;
+    case util::DistanceMetric::kCosine:
+      da = 1.0 - dm / (std::sqrt(dm + 1.0) * std::sqrt(dm));
+      dc = 1.0 - 1.0 / (std::sqrt(dm + 1.0) * std::sqrt(1.0));
+      break;
+  }
+  return {{a, -da}, {c, -dc}};
+}
+
+// The exactness certificate fails for a candidate whose posting list is
+// long enough: with M = 110,000, (8·|GS(H)| + 8)·|ImplsOfAction(a)|² is
+// about 1.06e16, past 9e15, so the kernel re-embeds a densely while c (one
+// posting) stays on the sparse read-off. The answer must not change. The
+// naive reference scans every implementation once per goal of GS(H) and
+// embedded action, about 1.2e10 steps per action at this size, so it checks
+// the closed form at M = 100 (where the certificate holds) and the closed
+// form stands in for it at M = 110,000.
+TEST(BestMatchTest, FailedCertificateFallsBackDenselyAndMatchesOracle) {
+  for (uint32_t m : {100u, 110000u}) {
+    model::ImplementationLibrary lib = CertificateLibrary(m);
+    const model::ActionId h = *lib.actions().Find("h");
+    const model::ActionId a = *lib.actions().Find("a");
+    const model::ActionId c = *lib.actions().Find("c");
+    const uint32_t fallbacks_per_query = m == 100 ? 0 : 1;
+    QueryWorkspace ws;
+    for (const BestMatchOptions& variant :
+         testing::OracleVariants(testing::OracleStrategy::kBestMatch)) {
+      const std::string name =
+          testing::OracleVariantName(testing::OracleStrategy::kBestMatch,
+                                     variant);
+      testing::ReferenceList expected =
+          CertificateAnswer(m, variant.metric, a, c);
+      if (m == 100) {
+        ASSERT_EQ(testing::ReferenceBestMatch(lib, {h}, 10, variant),
+                  expected)
+            << name;
+      }
+      testing::DiffOptions strict;
+      strict.strict_order = true;
+      BestMatchRecommender best_match(&lib, variant);
+      testing::DiffOutcome allocating =
+          testing::CompareLists(best_match.Recommend({h}, 10), expected,
+                                strict);
+      EXPECT_TRUE(allocating.match) << name << " M = " << m << ": "
+                                    << allocating.detail;
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const uint32_t before = ws.kernel_stats.dense_fallbacks;
+        RecommendationList pooled;
+        best_match.RecommendPooled(model::Activity{h}, 10, nullptr, &ws,
+                                   pooled);
+        EXPECT_EQ(ws.kernel_stats.dense_fallbacks - before,
+                  fallbacks_per_query)
+            << name << " M = " << m;
+        testing::DiffOutcome outcome =
+            testing::CompareLists(pooled, expected, strict);
+        EXPECT_TRUE(outcome.match) << name << " M = " << m << ": "
+                                   << outcome.detail;
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/query_workspace.h"
 #include "testing/fixtures.h"
 
 namespace goalrec::core {

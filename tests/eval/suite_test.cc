@@ -139,7 +139,7 @@ TEST(SuiteTest, RunAllDeterministicAcrossThreadCounts) {
 
 // RunAll answers every method through RecommendPooled on one leased
 // workspace per cart; each method's own Recommend is the reference. For
-// Focus and Best Match that side still builds a sorted QueryContext, so two
+// Best Match that side still builds its spaces by sorting, so two
 // independent code paths must agree bit for bit.
 TEST(SuiteTest, RunAllMatchesEachRecommendersOwnAnswer) {
   data::Dataset dataset = TinyFoodmart();

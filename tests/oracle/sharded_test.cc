@@ -101,7 +101,7 @@ TEST_P(ShardedOracleTest, ShardedMergeIsBitIdenticalToSingleShard) {
 
       // Allocating path: fresh workspaces, sequential fan-out.
       core::RecommendationList allocating =
-          recommender.RecommendCancellable(c.activity, c.k, nullptr);
+          recommender.Recommend(c.activity, c.k);
       ASSERT_EQ(allocating, pooled)
           << name << " sharded allocating vs pooled diverged (case seed "
           << case_seed << ")";

@@ -47,14 +47,15 @@ class SlowCooperativeRecommender : public core::Recommender {
                                      size_t) const override {
     return {{model::ActionId{0}, 1.0}};
   }
-  core::RecommendationList RecommendCancellable(
-      const model::Activity& activity, size_t k,
-      const util::StopToken* stop) const override {
+  void RecommendPooled(util::IdSpan activity, size_t k,
+                       const util::StopToken* stop, core::QueryWorkspace*,
+                       core::RecommendationList& out) const override {
+    out.clear();
     auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(2);
     while (std::chrono::steady_clock::now() < cap) {
-      if (stop != nullptr && stop->ShouldStop()) return {};
+      if (stop != nullptr && stop->ShouldStop()) return;
     }
-    return Recommend(activity, k);
+    out = Recommend(model::Activity(activity.begin(), activity.end()), k);
   }
 };
 

@@ -62,15 +62,17 @@ class FlakyRecommender : public core::Recommender {
                                      size_t) const override {
     return SomeList();
   }
-  core::RecommendationList RecommendCancellable(
-      const model::Activity& activity, size_t k,
-      const util::StopToken* stop) const override {
-    if (!slow_.load()) return Recommend(activity, k);
-    auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(2);
-    while (std::chrono::steady_clock::now() < cap) {
-      if (stop != nullptr && stop->ShouldStop()) return {};
+  void RecommendPooled(util::IdSpan activity, size_t k,
+                       const util::StopToken* stop, core::QueryWorkspace*,
+                       core::RecommendationList& out) const override {
+    out.clear();
+    if (slow_.load()) {
+      auto cap = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (std::chrono::steady_clock::now() < cap) {
+        if (stop != nullptr && stop->ShouldStop()) return;
+      }
     }
-    return Recommend(activity, k);
+    out = Recommend(model::Activity(activity.begin(), activity.end()), k);
   }
 
  private:

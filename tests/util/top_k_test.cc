@@ -1,6 +1,7 @@
 #include "util/top_k.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -176,6 +177,17 @@ TEST(ScoredTopKTest, ResetReusesBuffersAcrossStreams) {
     top.Push(static_cast<double>(id), id);
   }
   EXPECT_EQ(Drain(top), (Drained{{4.0, 4}, {3.0, 3}}));
+}
+
+// A bound far beyond the entries pushed (a client's k = SIZE_MAX) keeps
+// every entry and reserves nothing for the unused slots.
+TEST(ScoredTopKTest, BoundBeyondEntriesKeepsAll) {
+  ScoredTopK top(std::numeric_limits<size_t>::max());
+  for (uint32_t id : {3u, 1u, 2u}) top.Push(static_cast<double>(id), id);
+  EXPECT_EQ(Drain(top), (Drained{{3.0, 3}, {2.0, 2}, {1.0, 1}}));
+  top.Reset(std::numeric_limits<size_t>::max() - 1);
+  top.Push(0.5, 7);
+  EXPECT_EQ(Drain(top), (Drained{{0.5, 7}}));
 }
 
 TEST(ScoredTopKTest, NegativeScoresOrderCorrectly) {
