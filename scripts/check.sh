@@ -17,7 +17,11 @@ fi
 
 run_suite() {
   local build_dir=$1; shift
-  cmake -B "$build_dir" -S . "${GENERATOR_ARGS[@]}" "$@" >/dev/null
+  # A configured tree keeps its generator: CMake refuses to switch it, and
+  # the Tier-1 command configures build/ with the platform default.
+  local generator_args=("${GENERATOR_ARGS[@]}")
+  if [[ -f "$build_dir/CMakeCache.txt" ]]; then generator_args=(); fi
+  cmake -B "$build_dir" -S . "${generator_args[@]}" "$@" >/dev/null
   cmake --build "$build_dir" -j "$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "${CTEST_ARGS[@]}"
 }

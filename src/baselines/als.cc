@@ -79,6 +79,9 @@ void AlsRecommender::Train() {
     SolveSide(user_rows, action_factors_, user_factors_);
     SolveSide(action_rows, user_factors_, action_factors_);
   }
+  // Every fold-in solves against the final action factors, so their Gram
+  // matrix YᵀY is computed once here, as Hu, Koren & Volinsky (2008) do.
+  action_gram_ = ComputeGram(action_factors_, dim);
 }
 
 void AlsRecommender::SolveSide(
@@ -99,14 +102,12 @@ double AlsRecommender::Predict(const util::DenseVector& user_vector,
 
 util::DenseVector AlsRecommender::FoldInUser(
     const model::Activity& activity) const {
-  util::DenseMatrix gram =
-      ComputeGram(action_factors_, options_.num_factors);
   std::vector<uint32_t> observed;
   observed.reserve(activity.size());
   for (model::ActionId a : activity) {
     if (a < data_->num_actions()) observed.push_back(a);
   }
-  return SolveRow(gram, observed, action_factors_, options_);
+  return SolveRow(action_gram_, observed, action_factors_, options_);
 }
 
 double AlsRecommender::Objective() const {

@@ -62,6 +62,8 @@ class AlsRecommender : public core::Recommender {
   AlsOptions options_;
   std::vector<util::DenseVector> user_factors_;
   std::vector<util::DenseVector> action_factors_;
+  /// Gram matrix of the trained action factors, which FoldInUser reads.
+  util::DenseMatrix action_gram_;
 };
 
 }  // namespace goalrec::baselines

@@ -37,8 +37,9 @@ bool SparseDistanceIsExact(size_t dims, double cap) {
 
 // The allocating Recommend's spaces, built by sort and dedup: the activity
 // into ws.activity, GS(H) into ws.goal_space and AS(H) − H into
-// ws.candidates, all ascending. The kernel derives the same sets from a
-// postings scatter instead (DeriveSpaces). This is the fork that ROADMAP's
+// ws.candidates, all ascending. The kernel derives GS(H) from a postings
+// scatter instead (DeriveSpaces) and collects the candidates during its
+// scan. This is the fork that ROADMAP's
 // "One query path per strategy" item removes; moving Recommend onto
 // DeriveSpaces waits for the session benchmark to stop charging throughput
 // as memory.
@@ -70,6 +71,151 @@ void BuildSortedSpaces(const model::ImplementationLibrary& library,
   // (AS(H)'s self-exclusion subtleties only affect members of H, which the
   // difference removes anyway.)
   util::DifferenceInto(ws.scratch, ws.activity, ws.candidates);
+}
+
+// Folds an action's count c for one goal, whose profile entry is h, into
+// the action's partial sums (see ScanGoalsAs).
+template <util::DistanceMetric kMetric, bool kBoolean>
+void Fold(double h, QueryWorkspace::ActionPartial& e) {
+  const double c = kBoolean ? 1.0 : static_cast<double>(e.hits);
+  if constexpr (kMetric == util::DistanceMetric::kEuclidean) {
+    const double d = h - c;
+    e.x += d * d - h * h;
+  } else if constexpr (kMetric == util::DistanceMetric::kManhattan) {
+    e.x += std::abs(h - c) - h;
+  } else {
+    e.x += h * c;
+    e.y += c * c;
+  }
+}
+
+// The goal-major scan. The dense evaluation embeds every candidate as a
+// full |GS(H)|-dimensional vector; a candidate's vector is non-zero only on
+// goals whose implementations contain it, so the scan walks the
+// implementations of GS(H)'s goals once, goal by goal, and counts per
+// action how many of goal g_i's implementations contain it: that count is
+// c_i (capped at 1 for kBoolean). H's own actions counted the same way give
+// the profile entry h_i. Each (action, goal) count is folded into the
+// action's partial as soon as a later goal touches the action — h_i is
+// complete by then — and the rest after the last goal:
+//
+//   Euclidean  x += (h − c)² − h²      distance² = Σh² + x
+//   Manhattan  x += |h − c| − h        distance  = Σh + x
+//   Cosine     x += h·c, y += c²       distance  = 1 − x / (‖H⃗‖·√y)
+//
+// Every term is an exact integer under SparseDistanceIsExact, so the sums
+// equal the dense strict-order walk's whatever the order. The scan never
+// looks at the postings of the candidates themselves, which reach far
+// outside GS(H) for well-connected actions.
+//
+// Every implementation of IS(H) belongs to a goal of GS(H), so the scan
+// also meets every candidate: given `candidates`, it collects AS(H) − H
+// from the implementations the scatter counted (ImplCountOf > 0), deduped
+// through the action marker. The metric and representation are template
+// parameters, so the per-posting loop carries neither the fold's switch
+// nor the boolean test.
+//
+// Entry state per action a, against the pass's base stamp: stamp < base is
+// stale (untouched this query); hits == kInH with stamp >= base marks a ∈ H;
+// otherwise stamp = base + 1 + i names the goal slot whose count `hits`
+// still holds unfolded. Returns false when `stop` fired mid-scan.
+template <util::DistanceMetric kMetric, bool kBoolean>
+bool ScanGoalsAs(const model::ImplementationLibrary& library,
+                 util::IdSpan activity,
+                 std::span<const model::GoalId> goal_space,
+                 const util::StopToken* stop, model::IdSet* candidates,
+                 QueryWorkspace& ws) {
+  constexpr uint32_t kInH = 0xFFFFFFFFu;
+  const size_t n = goal_space.size();
+  const uint32_t num_actions = library.num_actions();
+  const uint32_t base = ws.BeginPartialPass(num_actions, n);
+  for (model::ActionId a : activity) {
+    if (a < num_actions) ws.partials[a] = {base, kInH, 0.0, 0.0};
+  }
+  if (candidates != nullptr) {
+    ws.BeginActionPass(num_actions);
+    candidates->clear();
+  }
+  uint32_t folds = 0;
+  ws.profile.assign(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    if (stop != nullptr && stop->ShouldStop()) return false;
+    const uint32_t cur = base + 1 + static_cast<uint32_t>(i);
+    double h = 0.0;
+    for (model::ImplId p : library.ImplsOfGoal(goal_space[i])) {
+      std::span<const model::ActionId> actions = library.ActionsOf(p);
+      for (model::ActionId a : actions) {
+        QueryWorkspace::ActionPartial& e = ws.partials[a];
+        if (e.stamp == cur) {
+          if (e.hits != kInH) {
+            ++e.hits;
+          } else if (!kBoolean) {
+            h += 1.0;
+          }
+        } else if (e.stamp < base) {  // first touch this query
+          e = {cur, 1, 0.0, 0.0};
+          ws.partial_actions.push_back(a);
+        } else if (e.hits == kInH) {  // first touch of this goal, a ∈ H
+          e.stamp = cur;
+          h += 1.0;
+        } else {  // first touch of this goal: fold the previous goal's count
+          Fold<kMetric, kBoolean>(ws.profile[e.stamp - base - 1], e);
+          ++folds;
+          e.stamp = cur;
+          e.hits = 1;
+        }
+      }
+      if (candidates != nullptr && ws.ImplCountOf(p) > 0) {
+        for (model::ActionId a : actions) {
+          if (!ws.InH(a) && ws.TestAndMark(a)) candidates->push_back(a);
+        }
+      }
+    }
+    ws.profile[i] = h;
+  }
+  for (model::ActionId a : ws.partial_actions) {
+    QueryWorkspace::ActionPartial& e = ws.partials[a];
+    Fold<kMetric, kBoolean>(ws.profile[e.stamp - base - 1], e);
+  }
+  folds += static_cast<uint32_t>(ws.partial_actions.size());
+  ws.kernel_stats.slots_touched += folds;
+  return true;
+}
+
+// ScanGoalsAs<kMetric, ·> for the representation picked at run time.
+template <util::DistanceMetric kMetric>
+bool ScanGoalsAs(bool boolean, const model::ImplementationLibrary& library,
+                 util::IdSpan activity,
+                 std::span<const model::GoalId> goal_space,
+                 const util::StopToken* stop, model::IdSet* candidates,
+                 QueryWorkspace& ws) {
+  return boolean ? ScanGoalsAs<kMetric, true>(library, activity, goal_space,
+                                              stop, candidates, ws)
+                 : ScanGoalsAs<kMetric, false>(library, activity, goal_space,
+                                               stop, candidates, ws);
+}
+
+// The scan for the metric and representation `options` pick: six
+// instantiations, chosen once per query. A null `candidates` collects none.
+bool ScanGoals(const model::ImplementationLibrary& library,
+               const BestMatchOptions& options, util::IdSpan activity,
+               std::span<const model::GoalId> goal_space,
+               const util::StopToken* stop, model::IdSet* candidates,
+               QueryWorkspace& ws) {
+  const bool boolean =
+      options.representation == GoalVectorRepresentation::kBoolean;
+  switch (options.metric) {
+    case util::DistanceMetric::kEuclidean:
+      return ScanGoalsAs<util::DistanceMetric::kEuclidean>(
+          boolean, library, activity, goal_space, stop, candidates, ws);
+    case util::DistanceMetric::kManhattan:
+      return ScanGoalsAs<util::DistanceMetric::kManhattan>(
+          boolean, library, activity, goal_space, stop, candidates, ws);
+    case util::DistanceMetric::kCosine:
+      return ScanGoalsAs<util::DistanceMetric::kCosine>(
+          boolean, library, activity, goal_space, stop, candidates, ws);
+  }
+  return false;
 }
 
 }  // namespace
@@ -133,8 +279,7 @@ RecommendationList BestMatchRecommender::Recommend(
   QueryWorkspace ws;
   BuildSortedSpaces(*library_, activity, ws);
   RecommendationList out;
-  RecommendOver(ws.activity, ws.goal_space, ws.candidates, k, nullptr, ws,
-                out);
+  RecommendOver(/*collect=*/false, k, nullptr, ws, out);
   return out;
 }
 
@@ -146,18 +291,20 @@ void BestMatchRecommender::RecommendPooled(util::IdSpan activity, size_t k,
   QueryWorkspace& ws = workspace != nullptr ? *workspace : fresh.emplace();
   ws.activity.assign(activity.begin(), activity.end());
   util::Normalize(ws.activity);
-  DeriveSpaces(ws.activity, ws, ws.candidates);
-  RecommendOver(ws.activity, ws.goal_space, ws.candidates, k, stop, ws, out);
+  DeriveSpaces(ws.activity, ws);
+  RecommendOver(/*collect=*/true, k, stop, ws, out);
 }
 
-// GS(H) and AS(H) − H straight from the postings scatter: one
-// per-implementation counting pass gives IS(H); goals dedup through the
-// goal marker, candidates through the action marker. Same sets as
-// BuildSortedSpaces, without materialising IS(H)'s sorted union or the
-// candidate sort (the top-k order is total, so candidate order is free).
+// GS(H) straight from the postings scatter: one per-implementation counting
+// pass gives IS(H), and the goals of its implementations dedup through the
+// goal marker. Sorting GS(H) keeps the scan's walk of the goal CSR in
+// ascending order, which matters on libraries too large for the cache.
+// When GS(H) holds at least a sixteenth of all goals (FoodMart: 6.9k of
+// 56.5k), one branch-free sweep of the goal marker sorts it for under a
+// nanosecond per goal, where a comparison sort pays log₂|GS(H)| compares
+// of about 3 ns per element.
 void BestMatchRecommender::DeriveSpaces(util::IdSpan activity,
-                                        QueryWorkspace& ws,
-                                        model::IdSet& candidates) const {
+                                        QueryWorkspace& ws) const {
   const uint32_t num_actions = library_->num_actions();
   ws.BeginHMark(num_actions);
   ws.BeginImplPass(library_->num_implementations());
@@ -166,112 +313,30 @@ void BestMatchRecommender::DeriveSpaces(util::IdSpan activity,
     ws.MarkH(h);
     for (model::ImplId p : library_->ImplsOfAction(h)) ws.BumpImplCount(p);
   }
-  ws.BeginGoalPass(library_->num_goals());
+  const size_t num_goals = library_->num_goals();
+  ws.BeginGoalPass(num_goals);
   ws.goal_space.clear();
   for (model::ImplId p : ws.touched_impls()) {
     model::GoalId g = library_->GoalOf(p);
     if (ws.TestAndMarkGoal(g)) ws.goal_space.push_back(g);
   }
-  std::sort(ws.goal_space.begin(), ws.goal_space.end());
-  ws.BeginActionPass(num_actions);
-  candidates.clear();
-  for (model::ImplId p : ws.touched_impls()) {
-    for (model::ActionId a : library_->ActionsOf(p)) {
-      if (ws.InH(a)) continue;
-      if (ws.TestAndMark(a)) candidates.push_back(a);
-    }
+  if (16 * ws.goal_space.size() >= num_goals) {
+    ws.SortMarkedGoals(num_goals, ws.goal_space);
+  } else {
+    std::sort(ws.goal_space.begin(), ws.goal_space.end());
   }
 }
 
-// The goal-major scan. The dense evaluation embeds every candidate as a
-// full |GS(H)|-dimensional vector; a candidate's vector is non-zero only on
-// goals whose implementations contain it, so the scan walks the
-// implementations of GS(H)'s goals once, goal by goal, and counts per
-// action how many of goal g_i's implementations contain it: that count is
-// c_i (capped at 1 for kBoolean). H's own actions counted the same way give
-// the profile entry h_i. Each (action, goal) count is folded into the
-// action's partial as soon as a later goal touches the action — h_i is
-// complete by then — and the rest after the last goal:
-//
-//   Euclidean  x += (h − c)² − h²      distance² = Σh² + x
-//   Manhattan  x += |h − c| − h        distance  = Σh + x
-//   Cosine     x += h·c, y += c²       distance  = 1 − x / (‖H⃗‖·√y)
-//
-// Every term is an exact integer under SparseDistanceIsExact, so the sums
-// equal the dense strict-order walk's whatever the order. The scan never
-// looks at the postings of the candidates themselves, which reach far
-// outside GS(H) for well-connected actions.
-//
-// Entry state per action a, against the pass's base stamp: stamp < base is
-// stale (untouched this query); hits == kInH with stamp >= base marks a ∈ H;
-// otherwise stamp = base + 1 + i names the goal slot whose count `hits`
-// still holds unfolded.
-bool BestMatchRecommender::ScanGoals(util::IdSpan activity,
-                                     std::span<const model::GoalId> goal_space,
-                                     const util::StopToken* stop,
-                                     QueryWorkspace& ws) const {
-  constexpr uint32_t kInH = 0xFFFFFFFFu;
-  const size_t n = goal_space.size();
-  const uint32_t num_actions = library_->num_actions();
-  const bool boolean =
-      options_.representation == GoalVectorRepresentation::kBoolean;
-  const util::DistanceMetric metric = options_.metric;
-  const uint32_t base = ws.BeginPartialPass(num_actions, n);
-  for (model::ActionId a : activity) {
-    if (a < num_actions) ws.partials[a] = {base, kInH, 0.0, 0.0};
-  }
-  uint32_t folds = 0;
-  const auto fold = [&](QueryWorkspace::ActionPartial& e) {
-    const double h = ws.profile[e.stamp - base - 1];
-    const double c = boolean ? 1.0 : static_cast<double>(e.hits);
-    switch (metric) {
-      case util::DistanceMetric::kEuclidean: {
-        const double d = h - c;
-        e.x += d * d - h * h;
-        break;
-      }
-      case util::DistanceMetric::kManhattan:
-        e.x += std::abs(h - c) - h;
-        break;
-      case util::DistanceMetric::kCosine:
-        e.x += h * c;
-        e.y += c * c;
-        break;
+// AS(H) − H from the scatter, by its own walk of IS(H): the goal-weighted
+// path, which never runs the scan that collects candidates on the way.
+void BestMatchRecommender::CollectCandidates(QueryWorkspace& ws) const {
+  ws.BeginActionPass(library_->num_actions());
+  ws.candidates.clear();
+  for (model::ImplId p : ws.touched_impls()) {
+    for (model::ActionId a : library_->ActionsOf(p)) {
+      if (!ws.InH(a) && ws.TestAndMark(a)) ws.candidates.push_back(a);
     }
-    ++folds;
-  };
-  ws.profile.assign(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    if (stop != nullptr && stop->ShouldStop()) return false;
-    const uint32_t cur = base + 1 + static_cast<uint32_t>(i);
-    double h = 0.0;
-    for (model::ImplId p : library_->ImplsOfGoal(goal_space[i])) {
-      for (model::ActionId a : library_->ActionsOf(p)) {
-        QueryWorkspace::ActionPartial& e = ws.partials[a];
-        if (e.stamp == cur) {
-          if (e.hits != kInH) {
-            ++e.hits;
-          } else if (!boolean) {
-            h += 1.0;
-          }
-        } else if (e.stamp < base) {  // first touch this query
-          e = {cur, 1, 0.0, 0.0};
-          ws.partial_actions.push_back(a);
-        } else if (e.hits == kInH) {  // first touch of this goal, a ∈ H
-          e.stamp = cur;
-          h += 1.0;
-        } else {  // first touch of this goal: fold the previous goal's count
-          fold(e);
-          e.stamp = cur;
-          e.hits = 1;
-        }
-      }
-    }
-    ws.profile[i] = h;
   }
-  for (model::ActionId a : ws.partial_actions) fold(ws.partials[a]);
-  ws.kernel_stats.slots_touched += folds;
-  return true;
 }
 
 void BestMatchRecommender::RankCandidates(
@@ -332,23 +397,24 @@ void BestMatchRecommender::RankCandidates(
 
 // Goal weights scale dimensions by arbitrary doubles, which breaks the
 // exact-integer argument, so the weighted path keeps the dense evaluation.
-void BestMatchRecommender::RecommendOver(
-    util::IdSpan activity, std::span<const model::GoalId> goal_space,
-    util::IdSpan candidates, size_t k, const util::StopToken* stop,
-    QueryWorkspace& ws, RecommendationList& out) const {
+void BestMatchRecommender::RecommendOver(bool collect, size_t k,
+                                         const util::StopToken* stop,
+                                         QueryWorkspace& ws,
+                                         RecommendationList& out) const {
   obs::ScopedSpan span(obs::CurrentTrace(), "strategy/BestMatch");
-  span.Annotate("goal_space", goal_space.size());
-  span.Annotate("candidates", candidates.size());
+  span.Annotate("goal_space", ws.goal_space.size());
   out.clear();
   if (k == 0) return;
-  if (goal_space.empty()) return;
+  if (ws.goal_space.empty()) return;
 
   if (options_.goal_weights != nullptr) {
-    ProfileInto(activity, goal_space, ws.profile, ws.action_vec);
+    if (collect) CollectCandidates(ws);
+    span.Annotate("candidates", ws.candidates.size());
+    ProfileInto(ws.activity, ws.goal_space, ws.profile, ws.action_vec);
     ws.top_k.Reset(k);
-    for (model::ActionId a : candidates) {
+    for (model::ActionId a : ws.candidates) {
       if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
-      ActionVectorInto(a, goal_space, ws.action_vec);
+      ActionVectorInto(a, ws.goal_space, ws.action_vec);
       ws.top_k.Push(-util::Distance(ws.profile, ws.action_vec,
                                     options_.metric),
                     a);
@@ -356,16 +422,18 @@ void BestMatchRecommender::RecommendOver(
     ws.top_k.TakeInto([&out](double score, uint32_t id) {
       out.push_back(ScoredAction{id, score});
     });
-  } else if (ScanGoals(activity, goal_space, stop, ws)) {
+  } else if (ScanGoals(*library_, options_, ws.activity, ws.goal_space, stop,
+                       collect ? &ws.candidates : nullptr, ws)) {
+    span.Annotate("candidates", ws.candidates.size());
     obs::FlightRecorder::Default().Record(
         obs::RecorderEventType::kStageStamp,
         static_cast<uint16_t>(obs::KernelStage::kScatter),
-        static_cast<uint32_t>(activity.size()));
-    RankCandidates(goal_space, candidates, k, ws, out);
+        static_cast<uint32_t>(ws.activity.size()));
+    RankCandidates(ws.goal_space, ws.candidates, k, ws, out);
     obs::FlightRecorder::Default().Record(
         obs::RecorderEventType::kStageStamp,
         static_cast<uint16_t>(obs::KernelStage::kRank),
-        static_cast<uint32_t>(candidates.size()));
+        static_cast<uint32_t>(ws.candidates.size()));
     obs::FlightRecorder::Default().Record(
         obs::RecorderEventType::kStageStamp,
         static_cast<uint16_t>(obs::KernelStage::kEmit),
@@ -389,8 +457,9 @@ void BestMatchRecommender::ScanShard(util::IdSpan activity,
   // Weights scale dimensions by arbitrary doubles, which breaks the
   // exact-integer partial-sum argument the root merge rests on.
   GOALREC_CHECK(options_.goal_weights == nullptr);
-  DeriveSpaces(activity, ws, out.candidates);
-  ScanGoals(activity, ws.goal_space, stop, ws);
+  DeriveSpaces(activity, ws);
+  ScanGoals(*library_, options_, activity, ws.goal_space, stop,
+            &out.candidates, ws);
   out.goals.assign(ws.goal_space.begin(), ws.goal_space.end());
   out.h.assign(ws.profile.begin(), ws.profile.end());
   out.partials.clear();

@@ -70,13 +70,14 @@ class BestMatchRecommender : public Recommender {
                                  const model::IdSet& goal_space) const;
 
   /// Sharded fan-out, shard side (shard_merge.h): derives this shard's
-  /// GS(H) slice and candidate set from the postings scatter, then runs the
-  /// goal-major scan over the slice, recording the profile slice and the
-  /// partials of every action outside H that the slice's implementations
-  /// touch. Goal-colocated partitioning makes the slices disjoint, so the
-  /// root rebuilds every global quantity by exact-integer sums. A scan
-  /// stopped by `stop` leaves `out` half-summed. `activity` must be
-  /// normalised. Unweighted recommenders only.
+  /// GS(H) slice from the postings scatter, then runs the goal-major scan
+  /// over the slice, which collects the shard's candidates on the way and
+  /// records the profile slice and the partials of every action outside H
+  /// that the slice's implementations touch. Goal-colocated partitioning
+  /// makes the slices disjoint, so the root rebuilds every global quantity
+  /// by exact-integer sums. A scan stopped by `stop` leaves `out`
+  /// half-summed. `activity` must be normalised. Unweighted recommenders
+  /// only.
   void ScanShard(util::IdSpan activity, const util::StopToken* stop,
                  QueryWorkspace& ws, BestMatchShardProfile& out) const;
 
@@ -98,20 +99,17 @@ class BestMatchRecommender : public Recommender {
   void ProfileInto(util::IdSpan activity,
                    std::span<const model::GoalId> goal_space,
                    util::DenseVector& out, util::DenseVector& scratch) const;
-  /// Sorted GS(H) into ws.goal_space and AS(H) − H into `candidates`, from
-  /// one scatter over H's postings.
-  void DeriveSpaces(util::IdSpan activity, QueryWorkspace& ws,
-                    model::IdSet& candidates) const;
-  /// The goal-major scan: ws.profile over `goal_space` and the partials of
-  /// every action outside H. Returns false when `stop` fired mid-scan.
-  bool ScanGoals(util::IdSpan activity,
-                 std::span<const model::GoalId> goal_space,
-                 const util::StopToken* stop, QueryWorkspace& ws) const;
-  void RecommendOver(util::IdSpan activity,
-                     std::span<const model::GoalId> goal_space,
-                     util::IdSpan candidates, size_t k,
-                     const util::StopToken* stop, QueryWorkspace& workspace,
-                     RecommendationList& out) const;
+  /// Sorted GS(H) into ws.goal_space, from one scatter over H's postings
+  /// that leaves IS(H) counted and H marked in `ws` for the scan.
+  void DeriveSpaces(util::IdSpan activity, QueryWorkspace& ws) const;
+  /// AS(H) − H into ws.candidates by a walk of the scatter's IS(H): the
+  /// goal-weighted path's candidates, which no scan collects.
+  void CollectCandidates(QueryWorkspace& ws) const;
+  /// Ranks over ws.activity and ws.goal_space. With `collect`, ws holds
+  /// DeriveSpaces' scatter and the candidates are gathered from it; without,
+  /// ws.candidates already holds AS(H) − H.
+  void RecommendOver(bool collect, size_t k, const util::StopToken* stop,
+                     QueryWorkspace& ws, RecommendationList& out) const;
 
   const model::ImplementationLibrary* library_;
   BestMatchOptions options_;

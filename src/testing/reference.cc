@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <span>
 
@@ -145,13 +146,17 @@ double ReferenceBreadthScore(const model::ImplementationLibrary& library,
 std::vector<double> ReferenceActionGoalVector(
     const model::ImplementationLibrary& library, model::ActionId action,
     const std::vector<model::GoalId>& goal_space) {
+  // One pass over every implementation: each occurrence of `action` adds 1
+  // to the dimension of its implementation's goal, found through a map of
+  // the goal space built here.
+  std::map<model::GoalId, size_t> dimension;
+  for (size_t i = 0; i < goal_space.size(); ++i) dimension[goal_space[i]] = i;
   std::vector<double> vec(goal_space.size(), 0.0);
-  for (size_t i = 0; i < goal_space.size(); ++i) {
-    for (model::ImplId p = 0; p < library.num_implementations(); ++p) {
-      if (library.GoalOf(p) != goal_space[i]) continue;
-      for (model::ActionId b : library.ActionsOf(p)) {
-        if (b == action) vec[i] += 1.0;
-      }
+  for (model::ImplId p = 0; p < library.num_implementations(); ++p) {
+    auto it = dimension.find(library.GoalOf(p));
+    if (it == dimension.end()) continue;
+    for (model::ActionId b : library.ActionsOf(p)) {
+      if (b == action) vec[it->second] += 1.0;
     }
   }
   return vec;

@@ -183,15 +183,14 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& body,
   // Workers re-activate the caller's trace; the caller outlives them (it
   // joins below), so the raw pointer is safe.
   obs::Trace* trace = obs::CurrentTrace();
-  size_t chunk = (n + workers - 1) / workers;
+  // Indices go out one at a time from a shared counter, so a worker that
+  // drew a few slow indices does not leave the others idle at the end.
+  std::atomic<size_t> next{0};
   for (size_t w = 0; w < workers; ++w) {
-    size_t begin = w * chunk;
-    size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    threads.emplace_back([begin, end, &body, &failure_mutex, &first_failure,
+    threads.emplace_back([n, &next, &body, &failure_mutex, &first_failure,
                           trace] {
       obs::ScopedTraceActivation activation(trace);
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = next++; i < n; i = next++) {
         try {
           body(i);
         } catch (...) {

@@ -66,11 +66,12 @@ class ThreadPool {
   size_t failed_tasks_ = 0;
 };
 
-/// Runs body(i) for i in [0, n), partitioned into contiguous chunks across
-/// `num_threads` (0 = hardware concurrency). Blocks until all complete.
-/// `body` must be safe to invoke concurrently for distinct i. If any
-/// invocation throws, the remaining indices of other chunks still run and
-/// the first exception is rethrown in the calling thread after the join.
+/// Runs body(i) for i in [0, n) on `num_threads` workers (0 = hardware
+/// concurrency), each taking the next unclaimed index until none is left,
+/// so indices of uneven cost balance across the workers. Blocks until all
+/// complete. `body` must be safe to invoke concurrently for distinct i. If
+/// any invocation throws, every other index still runs and the first
+/// exception is rethrown in the calling thread after the join.
 void ParallelFor(size_t n, const std::function<void(size_t)>& body,
                  size_t num_threads = 0);
 

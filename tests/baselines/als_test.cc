@@ -1,5 +1,10 @@
 #include "baselines/als.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "util/random.h"
@@ -94,6 +99,52 @@ TEST(AlsTest, RespectsK) {
   InteractionData data(users, 6);
   AlsRecommender als(&data, FastOptions());
   EXPECT_EQ(als.Recommend({0}, 3).size(), 3u);
+}
+
+// Fold-in on a seeded interaction matrix, bit for bit. The literals were
+// captured when FoldInUser still computed the Gram matrix of the action
+// factors on every call; a Gram matrix of the user factors, or of the
+// action factors of an earlier iteration, changes them.
+TEST(AlsTest, FoldInMatchesGoldenBits) {
+  util::Rng rng(29);
+  std::vector<model::Activity> users;
+  for (int u = 0; u < 40; ++u) {
+    std::vector<uint32_t> picked =
+        rng.SampleWithoutReplacement(12, 1 + rng.UniformUint32(4));
+    std::sort(picked.begin(), picked.end());
+    users.push_back(model::Activity(picked.begin(), picked.end()));
+  }
+  InteractionData data(std::move(users), 12);
+  AlsRecommender als(&data, FastOptions());
+
+  constexpr uint64_t kUserVector[] = {
+      0x401127cb9e9119c6ULL, 0x3fe1ff2b5b310b4cULL, 0xbfdcfeffc5b11728ULL,
+      0x3ffc55944b6ebbeeULL, 0x3fdd41ec2fc72566ULL, 0x3fc82484bc6ab99cULL,
+      0x3ffcfe6644e1aeb5ULL, 0x3fed692258df7119ULL,
+  };
+  util::DenseVector user = als.FoldInUser({1, 4, 7});
+  ASSERT_EQ(user.size(), std::size(kUserVector));
+  for (size_t d = 0; d < user.size(); ++d) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(user[d]), kUserVector[d]) << "d = " << d;
+  }
+
+  struct Golden {
+    model::ActionId action;
+    uint64_t score_bits;
+  };
+  constexpr Golden kTop[] = {
+      {10, 0x3fe5d4bba08cb153ULL},
+      {3, 0x3fe0697cd359b059ULL},
+      {6, 0x3fd96466507cdda7ULL},
+      {0, 0x3fd7b754a8a1361cULL},
+  };
+  core::RecommendationList top = als.Recommend({1, 4, 7}, 4);
+  ASSERT_EQ(top.size(), std::size(kTop));
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].action, kTop[i].action) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(top[i].score), kTop[i].score_bits)
+        << "rank " << i;
+  }
 }
 
 }  // namespace

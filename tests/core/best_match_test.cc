@@ -1,15 +1,22 @@
 #include "core/best_match.h"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/query_workspace.h"
+#include "model/sharding.h"
+#include "serve/sharded.h"
 #include "testing/differential.h"
 #include "testing/fixtures.h"
 #include "testing/reference.h"
 #include "util/deadline.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace goalrec::core {
 namespace {
@@ -177,6 +184,81 @@ TEST(BestMatchTest, StopMidScanReturnsEmptyAndLeavesWorkspaceClean) {
   }
 }
 
+// The scan collects candidates from the implementations of IS(H) only.
+// Goal g has implementations {h, a} and {b, c}, and goal o {c, d} is
+// disjoint from H = {h}: the scan walks {b, c} and gives b and c partials,
+// but neither is in AS(H) − H, so only a may be recommended, on every path.
+TEST(BestMatchTest, ScanCollectsOnlyTheActionSpaceOfH) {
+  model::LibraryBuilder builder;
+  builder.AddImplementation("g", {"h", "a"});
+  builder.AddImplementation("g", {"b", "c"});
+  builder.AddImplementation("o", {"c", "d"});
+  model::ImplementationLibrary lib = std::move(builder).Build();
+  const model::ActionId h = *lib.actions().Find("h");
+  const model::ActionId a = *lib.actions().Find("a");
+  const model::Activity activity = {h};
+  std::shared_ptr<const model::ShardedSnapshot> sharded =
+      model::BuildShardedSnapshot(lib, /*num_shards=*/4);
+  util::ThreadPool pool(2);
+  QueryWorkspace warm;
+  testing::DiffOptions strict;
+  strict.strict_order = true;
+  for (const BestMatchOptions& variant :
+       testing::OracleVariants(testing::OracleStrategy::kBestMatch)) {
+    const std::string name = testing::OracleVariantName(
+        testing::OracleStrategy::kBestMatch, variant);
+    const testing::ReferenceList expected =
+        testing::ReferenceBestMatch(lib, activity, 10, variant);
+    ASSERT_EQ(expected.size(), 1u) << name;
+    ASSERT_EQ(expected[0].action, a) << name;
+    const BestMatchRecommender kernel(&lib, variant);
+    const serve::ShardedRecommender fanned(
+        sharded, serve::ShardedStrategy::kBestMatch, &pool, variant);
+    for (const Recommender* r :
+         {static_cast<const Recommender*>(&kernel),
+          static_cast<const Recommender*>(&fanned)}) {
+      const std::string subject = r == &kernel ? name : name + "/4-shard";
+      RecommendationList pooled_warm, pooled_null;
+      r->RecommendPooled(activity, 10, nullptr, &warm, pooled_warm);
+      r->RecommendPooled(activity, 10, nullptr, nullptr, pooled_null);
+      const std::pair<const char*, RecommendationList> answers[] = {
+          {"Recommend", r->Recommend(activity, 10)},
+          {"RecommendPooled(warm)", pooled_warm},
+          {"RecommendPooled(null)", pooled_null},
+      };
+      for (const auto& [path, list] : answers) {
+        testing::DiffOutcome outcome =
+            testing::CompareLists(list, expected, strict);
+        EXPECT_TRUE(outcome.match)
+            << subject << " " << path << ": " << outcome.detail;
+      }
+    }
+  }
+}
+
+// The marker sweep that sorts a large GS(H) gives std::sort's order, with
+// marks of an earlier pass over more goals left behind in the marker.
+TEST(QueryWorkspaceTest, SortMarkedGoalsMatchesSort) {
+  util::Rng rng(17);
+  QueryWorkspace ws;
+  for (size_t num_goals : {1000u, 64u, 1u, 300u}) {
+    ws.BeginGoalPass(num_goals);
+    model::IdSet marked;
+    for (size_t i = 0; i < num_goals / 2 + 1; ++i) {
+      const model::GoalId g =
+          rng.UniformUint32(static_cast<uint32_t>(num_goals));
+      if (ws.TestAndMarkGoal(g)) marked.push_back(g);
+    }
+    if (ws.TestAndMarkGoal(static_cast<model::GoalId>(num_goals - 1))) {
+      marked.push_back(static_cast<model::GoalId>(num_goals - 1));
+    }
+    model::IdSet sorted = marked;
+    std::sort(sorted.begin(), sorted.end());
+    ws.SortMarkedGoals(num_goals, marked);
+    EXPECT_EQ(marked, sorted) << "num_goals = " << num_goals;
+  }
+}
+
 // M one-implementation goals {h, a} and one goal {h, c}, queried with
 // H = {h}: GS(H) has M + 1 goals, the profile is 1 on each, a⃗ is 1 on the
 // M goals and c⃗ on the last one, under both representations.
@@ -220,10 +302,8 @@ testing::ReferenceList CertificateAnswer(uint32_t m,
 // long enough: with M = 110,000, (8·|GS(H)| + 8)·|ImplsOfAction(a)|² is
 // about 1.06e16, past 9e15, so the kernel re-embeds a densely while c (one
 // posting) stays on the sparse read-off. The answer must not change. The
-// naive reference scans every implementation once per goal of GS(H) and
-// embedded action, about 1.2e10 steps per action at this size, so it checks
-// the closed form at M = 100 (where the certificate holds) and the closed
-// form stands in for it at M = 110,000.
+// naive reference and the closed form must agree at M = 100, where the
+// certificate holds, and at M = 110,000, where it fails.
 TEST(BestMatchTest, FailedCertificateFallsBackDenselyAndMatchesOracle) {
   for (uint32_t m : {100u, 110000u}) {
     model::ImplementationLibrary lib = CertificateLibrary(m);
@@ -239,11 +319,8 @@ TEST(BestMatchTest, FailedCertificateFallsBackDenselyAndMatchesOracle) {
                                      variant);
       testing::ReferenceList expected =
           CertificateAnswer(m, variant.metric, a, c);
-      if (m == 100) {
-        ASSERT_EQ(testing::ReferenceBestMatch(lib, {h}, 10, variant),
-                  expected)
-            << name;
-      }
+      ASSERT_EQ(testing::ReferenceBestMatch(lib, {h}, 10, variant), expected)
+          << name << " M = " << m;
       testing::DiffOptions strict;
       strict.strict_order = true;
       BestMatchRecommender best_match(&lib, variant);

@@ -1,8 +1,13 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,10 +113,49 @@ TEST(ParallelForTest, SingleThreadFallback) {
 }
 
 TEST(ParallelForTest, MoreThreadsThanWork) {
-  std::atomic<int> sum{0};
-  ParallelFor(3, [&](size_t i) { sum += static_cast<int>(i); },
-              /*num_threads=*/16);
-  EXPECT_EQ(sum.load(), 3);
+  std::vector<std::atomic<int>> hits(3);
+  ParallelFor(3, [&](size_t i) { ++hits[i]; }, /*num_threads=*/16);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Indices of very uneven cost: every one still runs exactly once.
+TEST(ParallelForTest, SkewedCostRunsEveryIndexOnce) {
+  std::vector<std::atomic<int>> hits(200);
+  ParallelFor(
+      200,
+      [&](size_t i) {
+        if (i % 50 == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        ++hits[i];
+      },
+      /*num_threads=*/4);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Index 0 waits until every other index has run. Contiguous chunks would
+// strand indices 1..3 behind it on the same worker; handing indices out
+// on demand lets the second worker take them all.
+TEST(ParallelForTest, SlowIndexDoesNotHoldBackTheOthers) {
+  constexpr size_t kN = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t done = 0;
+  bool others_finished_first = false;
+  ParallelFor(
+      kN,
+      [&](size_t i) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (i == 0) {
+          others_finished_first = cv.wait_for(
+              lock, std::chrono::seconds(10), [&] { return done == kN - 1; });
+        } else {
+          ++done;
+          cv.notify_all();
+        }
+      },
+      /*num_threads=*/2);
+  EXPECT_TRUE(others_finished_first);
 }
 
 TEST(ParallelForTest, LargeSumMatchesSerial) {
@@ -123,16 +167,21 @@ TEST(ParallelForTest, LargeSumMatchesSerial) {
 }
 
 TEST(ParallelForTest, ThrowingBodyRethrowsAfterJoin) {
-  std::atomic<int> ran{0};
-  EXPECT_THROW(ParallelFor(100,
-                           [&ran](size_t i) {
-                             ++ran;
-                             if (i == 7) throw std::runtime_error("body boom");
-                           },
-                           /*num_threads=*/4),
-               std::runtime_error);
-  // Other chunks keep running to completion; only the exception propagates.
-  EXPECT_EQ(ran.load(), 100);
+  std::vector<std::atomic<int>> hits(100);
+  std::string message;
+  try {
+    ParallelFor(100,
+                [&hits](size_t i) {
+                  ++hits[i];
+                  if (i == 7) throw std::runtime_error("body boom");
+                },
+                /*num_threads=*/4);
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message, "body boom");
+  // Every other index still runs, once; only the exception propagates.
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelForTest, ThrowingBodyRethrowsInSingleThreadFallback) {
