@@ -182,19 +182,6 @@ bool ScanGoalsAs(const model::ImplementationLibrary& library,
   return true;
 }
 
-// ScanGoalsAs<kMetric, ·> for the representation picked at run time.
-template <util::DistanceMetric kMetric>
-bool ScanGoalsAs(bool boolean, const model::ImplementationLibrary& library,
-                 util::IdSpan activity,
-                 std::span<const model::GoalId> goal_space,
-                 const util::StopToken* stop, model::IdSet* candidates,
-                 QueryWorkspace& ws) {
-  return boolean ? ScanGoalsAs<kMetric, true>(library, activity, goal_space,
-                                              stop, candidates, ws)
-                 : ScanGoalsAs<kMetric, false>(library, activity, goal_space,
-                                               stop, candidates, ws);
-}
-
 // The scan for the metric and representation `options` pick: six
 // instantiations, chosen once per query. A null `candidates` collects none.
 bool ScanGoals(const model::ImplementationLibrary& library,
@@ -202,18 +189,20 @@ bool ScanGoals(const model::ImplementationLibrary& library,
                std::span<const model::GoalId> goal_space,
                const util::StopToken* stop, model::IdSet* candidates,
                QueryWorkspace& ws) {
-  const bool boolean =
-      options.representation == GoalVectorRepresentation::kBoolean;
+  auto scan = [&]<util::DistanceMetric kMetric>() {
+    return options.representation == GoalVectorRepresentation::kBoolean
+               ? ScanGoalsAs<kMetric, true>(library, activity, goal_space,
+                                            stop, candidates, ws)
+               : ScanGoalsAs<kMetric, false>(library, activity, goal_space,
+                                             stop, candidates, ws);
+  };
   switch (options.metric) {
     case util::DistanceMetric::kEuclidean:
-      return ScanGoalsAs<util::DistanceMetric::kEuclidean>(
-          boolean, library, activity, goal_space, stop, candidates, ws);
+      return scan.template operator()<util::DistanceMetric::kEuclidean>();
     case util::DistanceMetric::kManhattan:
-      return ScanGoalsAs<util::DistanceMetric::kManhattan>(
-          boolean, library, activity, goal_space, stop, candidates, ws);
+      return scan.template operator()<util::DistanceMetric::kManhattan>();
     case util::DistanceMetric::kCosine:
-      return ScanGoalsAs<util::DistanceMetric::kCosine>(
-          boolean, library, activity, goal_space, stop, candidates, ws);
+      return scan.template operator()<util::DistanceMetric::kCosine>();
   }
   return false;
 }
@@ -299,10 +288,6 @@ void BestMatchRecommender::RecommendPooled(util::IdSpan activity, size_t k,
 // pass gives IS(H), and the goals of its implementations dedup through the
 // goal marker. Sorting GS(H) keeps the scan's walk of the goal CSR in
 // ascending order, which matters on libraries too large for the cache.
-// When GS(H) holds at least a sixteenth of all goals (FoodMart: 6.9k of
-// 56.5k), one branch-free sweep of the goal marker sorts it for under a
-// nanosecond per goal, where a comparison sort pays log₂|GS(H)| compares
-// of about 3 ns per element.
 void BestMatchRecommender::DeriveSpaces(util::IdSpan activity,
                                         QueryWorkspace& ws) const {
   const uint32_t num_actions = library_->num_actions();
@@ -313,18 +298,13 @@ void BestMatchRecommender::DeriveSpaces(util::IdSpan activity,
     ws.MarkH(h);
     for (model::ImplId p : library_->ImplsOfAction(h)) ws.BumpImplCount(p);
   }
-  const size_t num_goals = library_->num_goals();
-  ws.BeginGoalPass(num_goals);
+  ws.BeginGoalPass(library_->num_goals());
   ws.goal_space.clear();
   for (model::ImplId p : ws.touched_impls()) {
     model::GoalId g = library_->GoalOf(p);
     if (ws.TestAndMarkGoal(g)) ws.goal_space.push_back(g);
   }
-  if (16 * ws.goal_space.size() >= num_goals) {
-    ws.SortMarkedGoals(num_goals, ws.goal_space);
-  } else {
-    std::sort(ws.goal_space.begin(), ws.goal_space.end());
-  }
+  std::sort(ws.goal_space.begin(), ws.goal_space.end());
 }
 
 // AS(H) − H from the scatter, by its own walk of IS(H): the goal-weighted

@@ -159,20 +159,6 @@ class QueryWorkspace {
     return true;
   }
 
-  /// Rewrites `goals`, which must hold each goal marked in the current pass
-  /// once and nothing else, in ascending order by one sweep of the marker
-  /// over ids below `num_goals`: cheaper than sorting once the marked goals
-  /// are a large share of all goals.
-  void SortMarkedGoals(size_t num_goals, model::IdSet& goals) const {
-    // Branch-free: every id is stored, and kept only if marked.
-    const size_t n = goals.size();
-    size_t next = 0;
-    for (size_t g = 0; g < num_goals && next < n; ++g) {
-      goals[next] = static_cast<model::GoalId>(g);
-      next += goal_epoch_[g] == goal_mark_ ? 1 : 0;
-    }
-  }
-
   // --- Reusable buffers -------------------------------------------------
   //
   // The kernels normalise H into `activity`; Best Match derives its spaces

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <iterator>
 
 #include <gtest/gtest.h>
 
+#include "util/linalg.h"
 #include "util/random.h"
 
 namespace goalrec::baselines {
@@ -101,11 +101,13 @@ TEST(AlsTest, RespectsK) {
   EXPECT_EQ(als.Recommend({0}, 3).size(), 3u);
 }
 
-// Fold-in on a seeded interaction matrix, bit for bit. The literals were
-// captured when FoldInUser still computed the Gram matrix of the action
-// factors on every call; a Gram matrix of the user factors, or of the
-// action factors of an earlier iteration, changes them.
-TEST(AlsTest, FoldInMatchesGoldenBits) {
+// Fold-in on a seeded interaction matrix, bit for bit against the same
+// solve built by hand in this build: the action factors read back through
+// Predict on unit vectors, their Gram matrix, then SolveRow's steps. A Gram
+// matrix of the user factors, or of the action factors of an earlier
+// iteration, changes the bits. Both sides round alike, so the check holds
+// wherever the compiler fuses multiply-adds.
+TEST(AlsTest, FoldInSolvesAgainstTheFinalActionGram) {
   util::Rng rng(29);
   std::vector<model::Activity> users;
   for (int u = 0; u < 40; ++u) {
@@ -115,34 +117,45 @@ TEST(AlsTest, FoldInMatchesGoldenBits) {
     users.push_back(model::Activity(picked.begin(), picked.end()));
   }
   InteractionData data(std::move(users), 12);
-  AlsRecommender als(&data, FastOptions());
+  const AlsOptions options = FastOptions();
+  AlsRecommender als(&data, options);
 
-  constexpr uint64_t kUserVector[] = {
-      0x401127cb9e9119c6ULL, 0x3fe1ff2b5b310b4cULL, 0xbfdcfeffc5b11728ULL,
-      0x3ffc55944b6ebbeeULL, 0x3fdd41ec2fc72566ULL, 0x3fc82484bc6ab99cULL,
-      0x3ffcfe6644e1aeb5ULL, 0x3fed692258df7119ULL,
-  };
-  util::DenseVector user = als.FoldInUser({1, 4, 7});
-  ASSERT_EQ(user.size(), std::size(kUserVector));
-  for (size_t d = 0; d < user.size(); ++d) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(user[d]), kUserVector[d]) << "d = " << d;
+  const size_t dim = options.num_factors;
+  std::vector<util::DenseVector> factors(data.num_actions());
+  for (model::ActionId a = 0; a < data.num_actions(); ++a) {
+    for (size_t d = 0; d < dim; ++d) {
+      util::DenseVector unit(dim, 0.0);
+      unit[d] = 1.0;
+      factors[a].push_back(als.Predict(unit, a));
+    }
   }
+  util::DenseMatrix system(dim, dim);
+  for (const util::DenseVector& f : factors) system.AddOuterProduct(f, 1.0);
+  const model::Activity activity = {1, 4, 7};
+  util::DenseVector rhs(dim, 0.0);
+  for (model::ActionId j : activity) {
+    system.AddOuterProduct(factors[j], options.alpha);
+    for (size_t d = 0; d < dim; ++d) {
+      rhs[d] += (1.0 + options.alpha) * factors[j][d];
+    }
+  }
+  system.AddToDiagonal(options.lambda * static_cast<double>(activity.size()) +
+                       1e-9);
+  util::StatusOr<util::DenseVector> expected = util::CholeskySolve(system, rhs);
+  ASSERT_TRUE(expected.ok());
 
-  struct Golden {
-    model::ActionId action;
-    uint64_t score_bits;
-  };
-  constexpr Golden kTop[] = {
-      {10, 0x3fe5d4bba08cb153ULL},
-      {3, 0x3fe0697cd359b059ULL},
-      {6, 0x3fd96466507cdda7ULL},
-      {0, 0x3fd7b754a8a1361cULL},
-  };
-  core::RecommendationList top = als.Recommend({1, 4, 7}, 4);
-  ASSERT_EQ(top.size(), std::size(kTop));
+  const util::DenseVector user = als.FoldInUser(activity);
+  ASSERT_EQ(user.size(), dim);
+  for (size_t d = 0; d < dim; ++d) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(user[d]),
+              std::bit_cast<uint64_t>((*expected)[d]))
+        << "d = " << d;
+  }
+  const core::RecommendationList top = als.Recommend(activity, 4);
+  ASSERT_EQ(top.size(), 4u);
   for (size_t i = 0; i < top.size(); ++i) {
-    EXPECT_EQ(top[i].action, kTop[i].action) << "rank " << i;
-    EXPECT_EQ(std::bit_cast<uint64_t>(top[i].score), kTop[i].score_bits)
+    EXPECT_EQ(std::bit_cast<uint64_t>(top[i].score),
+              std::bit_cast<uint64_t>(als.Predict(*expected, top[i].action)))
         << "rank " << i;
   }
 }

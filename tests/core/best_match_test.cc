@@ -1,10 +1,8 @@
 #include "core/best_match.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -233,29 +231,6 @@ TEST(BestMatchTest, ScanCollectsOnlyTheActionSpaceOfH) {
             << subject << " " << path << ": " << outcome.detail;
       }
     }
-  }
-}
-
-// The marker sweep that sorts a large GS(H) gives std::sort's order, with
-// marks of an earlier pass over more goals left behind in the marker.
-TEST(QueryWorkspaceTest, SortMarkedGoalsMatchesSort) {
-  util::Rng rng(17);
-  QueryWorkspace ws;
-  for (size_t num_goals : {1000u, 64u, 1u, 300u}) {
-    ws.BeginGoalPass(num_goals);
-    model::IdSet marked;
-    for (size_t i = 0; i < num_goals / 2 + 1; ++i) {
-      const model::GoalId g =
-          rng.UniformUint32(static_cast<uint32_t>(num_goals));
-      if (ws.TestAndMarkGoal(g)) marked.push_back(g);
-    }
-    if (ws.TestAndMarkGoal(static_cast<model::GoalId>(num_goals - 1))) {
-      marked.push_back(static_cast<model::GoalId>(num_goals - 1));
-    }
-    model::IdSet sorted = marked;
-    std::sort(sorted.begin(), sorted.end());
-    ws.SortMarkedGoals(num_goals, marked);
-    EXPECT_EQ(marked, sorted) << "num_goals = " << num_goals;
   }
 }
 

@@ -95,10 +95,18 @@ TEST(ThreadPoolTest, NonExceptionThrowSurfacesAsInternal) {
   EXPECT_THROW(pool.RethrowIfFailed(), int);
 }
 
+// Also under very uneven per-index cost: every 250th index sleeps.
 TEST(ParallelForTest, CoversAllIndicesExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(1000, [&](size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (bool skewed : {false, true}) {
+    std::vector<std::atomic<int>> hits(1000);
+    ParallelFor(1000, [&](size_t i) {
+      if (skewed && i % 250 == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      ++hits[i];
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "skewed " << skewed;
+  }
 }
 
 TEST(ParallelForTest, ZeroIterations) {
@@ -115,21 +123,6 @@ TEST(ParallelForTest, SingleThreadFallback) {
 TEST(ParallelForTest, MoreThreadsThanWork) {
   std::vector<std::atomic<int>> hits(3);
   ParallelFor(3, [&](size_t i) { ++hits[i]; }, /*num_threads=*/16);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-// Indices of very uneven cost: every one still runs exactly once.
-TEST(ParallelForTest, SkewedCostRunsEveryIndexOnce) {
-  std::vector<std::atomic<int>> hits(200);
-  ParallelFor(
-      200,
-      [&](size_t i) {
-        if (i % 50 == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        ++hits[i];
-      },
-      /*num_threads=*/4);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
