@@ -20,12 +20,17 @@
 //      updates/sec, end-to-end publish latency, and query p50/p99 with
 //      and without concurrent mutation.
 //   4. Publish split, outside in: the stages of one publish timed one by
-//      one from outside on the 4-shard serving ladder — poll (read and
+//      one from outside on the sharded serving ladder — poll (read and
 //      CRC-check the new segment), fold (the merged library), snapshot
-//      (MakeSnapshot's copy), ladder (re-partition and recommenders) and
-//      guard (ValidateLibrary) — beside the whole ReloadFromDeltaLog on a
-//      second reader of the same chain. `other` is the publish time the
-//      stages do not cover (swap, bookkeeping, freeing the old snapshot).
+//      (the fold's shared snapshot, which the publish serves as is),
+//      ladder (re-partition and recommenders) and guard (ValidateLibrary)
+//      — beside the whole ReloadFromDeltaLog on a second reader of the
+//      same chain. `other` is the publish time the stages do not cover
+//      (swap, bookkeeping, freeing the old snapshot). It runs on the 10k
+//      library at 4 shards, then at perfbench reload_delta's shape: 100k
+//      implementations over 2k actions, segments of 4 appends and 2
+//      tombstones, at 1 and at 4 shards (--smoke: 25k implementations, just
+//      above the parallel cut-off).
 //
 // Flags: --smoke (small library, short sweep; CI), --seed, --updates,
 // --threads.
@@ -91,6 +96,114 @@ goalrec::model::DeltaOps MakeOps(const goalrec::model::ImplementationLibrary&
     ops.tombstoned_impls.push_back(rng.UniformUint32(logical_rows / 2));
   }
   return ops;
+}
+
+/// A segment shaped like perfbench reload_delta's: four appended
+/// implementations of six actions each and two tombstoned base rows.
+goalrec::model::DeltaOps MakeReloadOps(
+    const goalrec::model::ImplementationLibrary& base,
+    goalrec::util::Rng& rng, int64_t update) {
+  goalrec::model::DeltaOps ops;
+  for (int j = 0; j < 4; ++j) {
+    goalrec::model::DeltaImplementation impl;
+    impl.goal = "reload goal " + std::to_string(update) + "/" +
+                std::to_string(j / 2);
+    for (uint32_t id : rng.SampleWithoutReplacement(base.num_actions(), 6)) {
+      impl.actions.push_back(base.actions().Name(id));
+    }
+    ops.appended.push_back(std::move(impl));
+  }
+  for (int j = 0; j < 2; ++j) {
+    ops.tombstoned_impls.push_back(
+        rng.UniformUint32(base.num_implementations()));
+  }
+  return ops;
+}
+
+enum Stage { kPoll, kFold, kSnapshot, kLadder, kGuard, kStages, kPublish };
+constexpr const char* kStageNames[] = {"poll",  "fold",   "snapshot",
+                                       "ladder", "guard", "stages",
+                                       "publish"};
+
+/// Section 4 on a fresh delta directory at `dir` over `base`: `updates`
+/// publishes of `make_ops` segments, compacting every `compact_every`.
+/// Returns each stage's median (ms), in Stage order, then `other`; empty
+/// on a failed publish.
+template <typename MakeOps>
+std::vector<double> PublishSplit(
+    const goalrec::model::ImplementationLibrary& base, const std::string& dir,
+    uint32_t shards, int64_t updates, int64_t compact_every,
+    MakeOps make_ops) {
+  std::filesystem::remove_all(dir);
+  auto created = goalrec::model::DeltaLog::Create(dir, base);
+  if (!created.ok()) return {};
+  goalrec::model::DeltaLog writer = std::move(created).value();
+  goalrec::model::DeltaLogOptions reader_options;
+  reader_options.remove_stale_segments = false;
+  auto opened = goalrec::model::DeltaLog::Open(dir, reader_options);
+  if (!opened.ok()) return {};
+  goalrec::model::DeltaLog staged = std::move(opened).value();
+  opened = goalrec::model::DeltaLog::Open(dir, reader_options);
+  if (!opened.ok()) return {};
+  goalrec::model::DeltaLog whole = std::move(opened).value();
+
+  goalrec::obs::MetricRegistry registry;
+  goalrec::serve::ShardedLadderOptions ladder_options;
+  ladder_options.num_shards = shards;
+  ladder_options.metrics = &registry;
+  const goalrec::serve::LadderFactory ladder =
+      goalrec::serve::MakeShardedLadderFactory(ladder_options);
+  goalrec::serve::SnapshotManager manager(
+      goalrec::model::MakeSnapshot(whole.library(), dir), ladder, &registry);
+
+  std::vector<std::vector<double>> split(std::size(kStageNames));
+  for (int64_t u = 0; u < updates; ++u) {
+    if (!writer.Append(make_ops(writer, u)).ok()) return {};
+
+    Clock::time_point start = Clock::now();
+    if (!staged.Poll().ok()) return {};
+    split[kPoll].push_back(MsSince(start));
+    Clock::time_point at = Clock::now();
+    const goalrec::model::ImplementationLibrary& folded = staged.library();
+    split[kFold].push_back(MsSince(at));
+    at = Clock::now();
+    std::shared_ptr<const goalrec::model::LibrarySnapshot> snapshot =
+        staged.snapshot();
+    split[kSnapshot].push_back(MsSince(at));
+    at = Clock::now();
+    goalrec::serve::ServingSnapshot serving;
+    serving.library = snapshot;
+    ladder(snapshot->library, serving);
+    split[kLadder].push_back(MsSince(at));
+    at = Clock::now();
+    if (!goalrec::model::ValidateLibrary(folded).ok()) return {};
+    split[kGuard].push_back(MsSince(at));
+    split[kStages].push_back(MsSince(start));
+
+    at = Clock::now();
+    if (!manager.ReloadFromDeltaLog(whole).ok()) return {};
+    split[kPublish].push_back(MsSince(at));
+
+    if ((u + 1) % compact_every == 0) {
+      if (!writer.Compact().ok()) return {};
+      if (!staged.Poll().ok()) return {};
+      if (!manager.ReloadFromDeltaLog(whole).ok()) return {};
+    }
+  }
+  std::vector<double> p50;
+  for (const std::vector<double>& samples : split) {
+    p50.push_back(Percentile(samples, 0.50));
+  }
+  p50.push_back(p50[kPublish] - p50[kStages]);
+  return p50;
+}
+
+void PrintSplit(const std::vector<double>& p50) {
+  std::printf("{");
+  for (size_t stage = 0; stage < std::size(kStageNames); ++stage) {
+    std::printf("\"%s\": %.3f, ", kStageNames[stage], p50[stage]);
+  }
+  std::printf("\"other\": %.3f}", p50.back());
 }
 
 void BreadthLadder(const goalrec::model::ImplementationLibrary& library,
@@ -270,68 +383,34 @@ int main(int argc, char** argv) {
       load_seconds > 0 ? static_cast<double>(updates) / load_seconds : 0.0;
 
   // --- 4. Publish split, outside in -----------------------------------------
-  std::filesystem::remove_all(dir);
-  created = goalrec::model::DeltaLog::Create(dir, base);
-  if (!created.ok()) return 1;
-  goalrec::model::DeltaLog split_writer = std::move(created).value();
-  opened = goalrec::model::DeltaLog::Open(dir, reader_options);
-  if (!opened.ok()) return 1;
-  goalrec::model::DeltaLog staged = std::move(opened).value();
-  opened = goalrec::model::DeltaLog::Open(dir, reader_options);
-  if (!opened.ok()) return 1;
-  goalrec::model::DeltaLog whole = std::move(opened).value();
-
   constexpr uint32_t kSplitShards = 4;
-  goalrec::obs::MetricRegistry split_registry;
-  goalrec::serve::ShardedLadderOptions ladder_options;
-  ladder_options.num_shards = kSplitShards;
-  ladder_options.metrics = &split_registry;
-  const goalrec::serve::LadderFactory ladder =
-      goalrec::serve::MakeShardedLadderFactory(ladder_options);
-  goalrec::serve::SnapshotManager split_manager(
-      goalrec::model::MakeSnapshot(whole.library(), dir), ladder,
-      &split_registry);
-
-  enum Stage { kPoll, kFold, kSnapshot, kLadder, kGuard, kStages, kPublish };
-  static constexpr const char* kStageNames[] = {
-      "poll", "fold", "snapshot", "ladder", "guard", "stages", "publish"};
-  std::vector<std::vector<double>> split(std::size(kStageNames));
   goalrec::util::Rng split_rng(seed, /*stream=*/3);
-  for (int64_t u = 0; u < updates; ++u) {
-    goalrec::model::DeltaOps ops =
-        MakeOps(base, split_rng, u,
-                split_writer.stats().view.live_implementations);
-    if (!split_writer.Append(ops).ok()) return 1;
+  const std::vector<double> split = PublishSplit(
+      base, dir, kSplitShards, updates, compact_every,
+      [&](const goalrec::model::DeltaLog& writer, int64_t u) {
+        return MakeOps(base, split_rng, u,
+                       writer.stats().view.live_implementations);
+      });
+  if (split.empty()) return 1;
 
-    Clock::time_point start = Clock::now();
-    if (!staged.Poll().ok()) return 1;
-    split[kPoll].push_back(MsSince(start));
-    Clock::time_point at = Clock::now();
-    const goalrec::model::ImplementationLibrary& folded = staged.library();
-    split[kFold].push_back(MsSince(at));
-    at = Clock::now();
-    std::shared_ptr<const goalrec::model::LibrarySnapshot> snapshot =
-        goalrec::model::MakeSnapshot(folded, dir);
-    split[kSnapshot].push_back(MsSince(at));
-    at = Clock::now();
-    goalrec::serve::ServingSnapshot serving;
-    serving.library = snapshot;
-    ladder(snapshot->library, serving);
-    split[kLadder].push_back(MsSince(at));
-    at = Clock::now();
-    if (!goalrec::model::ValidateLibrary(snapshot->library).ok()) return 1;
-    split[kGuard].push_back(MsSince(at));
-    split[kStages].push_back(MsSince(start));
-
-    at = Clock::now();
-    if (!split_manager.ReloadFromDeltaLog(whole).ok()) return 1;
-    split[kPublish].push_back(MsSince(at));
-
-    if ((u + 1) % compact_every == 0) {
-      if (!split_writer.Compact().ok()) return 1;
-      if (!staged.Poll().ok()) return 1;
-      if (!split_manager.ReloadFromDeltaLog(whole).ok()) return 1;
-    }
+  // The same split at perfbench reload_delta's shape.
+  goalrec::eval::ScalingWorkload reload_workload;
+  reload_workload.num_implementations = smoke ? 25000 : 100000;
+  reload_workload.num_actions = 2000;
+  reload_workload.implementation_size = 6;
+  const goalrec::model::ImplementationLibrary reload_base =
+      goalrec::eval::BuildScalingLibrary(reload_workload, seed);
+  const int64_t reload_updates = smoke ? 10 : 120;
+  constexpr uint32_t kReloadShardCounts[] = {1, 4};
+  std::vector<std::vector<double>> reload_split;
+  for (uint32_t shards : kReloadShardCounts) {
+    goalrec::util::Rng reload_rng(seed, /*stream=*/4);
+    reload_split.push_back(PublishSplit(
+        reload_base, dir, shards, reload_updates, /*compact_every=*/8,
+        [&](const goalrec::model::DeltaLog&, int64_t u) {
+          return MakeReloadOps(reload_base, reload_rng, u);
+        }));
+    if (reload_split.back().empty()) return 1;
   }
 
   const bool ok = size_gate_ok;
@@ -372,15 +451,21 @@ int main(int argc, char** argv) {
       busy.size(), Percentile(busy, 0.50), Percentile(busy, 0.99));
   std::printf(
       "  \"publish_split\": {\"updates\": %lld, \"shards\": %u, "
-      "\"p50_ms\": {",
+      "\"p50_ms\": ",
       static_cast<long long>(updates), kSplitShards);
-  for (size_t stage = 0; stage < split.size(); ++stage) {
-    std::printf("\"%s\": %.3f, ", kStageNames[stage],
-                Percentile(split[stage], 0.50));
+  PrintSplit(split);
+  std::printf("},\n");
+  std::printf(
+      "  \"publish_split_reload_shape\": {\"implementations\": %u, "
+      "\"actions\": %u, \"updates\": %lld, \"p50_ms\": {",
+      reload_base.num_implementations(), reload_base.num_actions(),
+      static_cast<long long>(reload_updates));
+  for (size_t i = 0; i < std::size(kReloadShardCounts); ++i) {
+    std::printf("%s\"%u_shards\": ", i == 0 ? "" : ", ",
+                kReloadShardCounts[i]);
+    PrintSplit(reload_split[i]);
   }
-  std::printf("\"other\": %.3f}},\n",
-              Percentile(split[kPublish], 0.50) -
-                  Percentile(split[kStages], 0.50));
+  std::printf("}},\n");
   std::printf("  \"gates_ok\": %s\n}\n", ok ? "true" : "false");
 
   std::error_code cleanup_ec;

@@ -156,7 +156,8 @@ util::Status DeltaLog::Reopen() {
   util::StatusOr<ImplementationLibrary> library =
       DecodeSnapshot(bytes.value(), base, options_.load);
   if (!library.ok()) return library.status();
-  view_.emplace(std::move(library).value(), util::Crc32c(bytes.value()));
+  view_.emplace(std::move(library).value(), util::Crc32c(bytes.value()),
+                dir_);
   quarantined_.clear();
   CatchUpChain();
   return util::Status::Ok();
@@ -275,9 +276,10 @@ util::Status DeltaLog::Compact() {
   if (util::Status s = FsyncDir(dir_); !s.ok()) return s;
 
   // Re-anchor the chain at the new base. The merged library IS the new base
-  // (same bytes just published), so no re-decode is needed.
+  // (same bytes just published), so no re-decode is needed; it moves unless
+  // a reader of this log still holds its snapshot.
   ImplementationLibrary merged = std::move(*view_).TakeLibrary();
-  view_.emplace(std::move(merged), new_crc);
+  view_.emplace(std::move(merged), new_crc, dir_);
   quarantined_.clear();
   CatchUpChain();  // cleans any remaining stale files; no chain yet
 
@@ -302,7 +304,7 @@ util::StatusOr<DeltaLog::PollResult> DeltaLog::Poll() {
     util::StatusOr<ImplementationLibrary> library =
         DecodeSnapshot(bytes.value(), base_path(), options_.load);
     if (!library.ok()) return library.status();
-    view_.emplace(std::move(library).value(), crc);
+    view_.emplace(std::move(library).value(), crc, dir_);
     quarantined_.clear();
     result.reopened_base = true;
   }

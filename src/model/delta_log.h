@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "model/library.h"
 #include "model/library_io.h"
 #include "model/merged_view.h"
+#include "model/snapshot.h"
 #include "util/status.h"
 
 // On-disk manager for a delta-snapshot directory:
@@ -104,8 +106,15 @@ class DeltaLog {
   /// current view serving; the error is returned so callers can log it.
   util::StatusOr<PollResult> Poll();
 
-  /// The merged library at the current chain position.
+  /// The merged library at the current chain position: the library of
+  /// snapshot(), folded at most once per chain position.
   const ImplementationLibrary& library() const { return view_->library(); }
+  /// The merged library as a shared snapshot, tagged with dir(). The
+  /// serving layer publishes this object itself; it is a new snapshot only
+  /// after a poll or append moved the chain.
+  std::shared_ptr<const LibrarySnapshot> snapshot() const {
+    return view_->snapshot();
+  }
   const MergedLibraryView& view() const { return *view_; }
 
   const std::string& dir() const { return dir_; }

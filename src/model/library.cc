@@ -1,10 +1,12 @@
 #include "model/library.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "util/logging.h"
 #include "util/set_ops.h"
+#include "util/thread_pool.h"
 
 namespace goalrec::model {
 
@@ -80,7 +82,7 @@ void LibraryRowWriter::AppendRow(GoalId goal,
   impl_goals_.push_back(goal);
 }
 
-ImplementationLibrary LibraryRowWriter::Finish() && {
+ImplementationLibrary LibraryRowWriter::Finish(size_t blocks) && {
   ImplementationLibrary lib;
   lib.actions_ = std::move(actions_);
   lib.goals_ = std::move(goals_);
@@ -91,59 +93,95 @@ ImplementationLibrary LibraryRowWriter::Finish() && {
   lib.impl_offsets_ = std::move(impl_offsets_);
   lib.impl_actions_ = std::move(impl_actions_);
   lib.impl_goals_ = std::move(impl_goals_);
-  lib.BuildDerivedIndexes();
+  lib.BuildDerivedIndexes(blocks);
   return lib;
 }
 
-void ImplementationLibrary::BuildDerivedIndexes() {
+size_t LibraryPassBlocks(size_t postings) {
+  if (postings < kParallelMinPostings) return 1;
+  const size_t cores = std::thread::hardware_concurrency();
+  return cores == 0 ? 1 : cores;
+}
+
+void ImplementationLibrary::BuildDerivedIndexes(size_t blocks) {
   const size_t num_impls = impl_goals_.size();
   const size_t num_actions = actions_.size();
   const size_t num_goals = goals_.size();
-  const size_t total_postings = impl_actions_.size();
+  if (blocks == 0) blocks = LibraryPassBlocks(impl_actions_.size());
+  blocks = std::max<size_t>(1, std::min(blocks, num_impls));
+  // Block b owns implementations [first(b), first(b + 1)).
+  auto first = [&](size_t b) { return num_impls * b / blocks; };
 
-  // A-GI-idx / G-GI-idx: classic two-pass CSR build — count degrees, prefix
-  // sum, then fill with a moving cursor. Postings come out ascending because
-  // implementations are visited in id order.
-  action_offsets_.assign(num_actions + 1, 0);
-  goal_offsets_.assign(num_goals + 1, 0);
-  for (size_t p = 0; p < num_impls; ++p) {
-    ++goal_offsets_[impl_goals_[p] + 1];
-    for (uint32_t at = impl_offsets_[p]; at < impl_offsets_[p + 1]; ++at) {
-      ++action_offsets_[impl_actions_[at] + 1];
+  // A-GI-idx / G-GI-idx: a blocked counting sort. Each block counts the
+  // postings of its own rows per action and per goal; a prefix sum over
+  // (row, block) turns the counts into each block's start in every row; then
+  // each block scatters its rows through its own cursors. Blocks cover
+  // ascending id ranges and visit their rows in id order, so every row comes
+  // out ascending, byte for byte what one serial pass writes.
+  std::vector<std::vector<uint32_t>> action_cursor(
+      blocks, std::vector<uint32_t>(num_actions, 0));
+  std::vector<std::vector<uint32_t>> goal_cursor(
+      blocks, std::vector<uint32_t>(num_goals, 0));
+  std::vector<uint32_t> block_max(blocks, 0);
+  impl_size_d_.resize(num_impls);
+  util::ParallelFor(
+      blocks,
+      [&](size_t b) {
+        std::vector<uint32_t>& actions = action_cursor[b];
+        std::vector<uint32_t>& goals = goal_cursor[b];
+        uint32_t max_size = 0;
+        for (size_t p = first(b), end = first(b + 1); p < end; ++p) {
+          ++goals[impl_goals_[p]];
+          for (uint32_t at = impl_offsets_[p]; at < impl_offsets_[p + 1];
+               ++at) {
+            ++actions[impl_actions_[at]];
+          }
+          // Kernel precomputation: |A| as an exact double (the int->double
+          // conversion done once here, so kernels reading it stay
+          // bit-identical to code that converts inline).
+          const uint32_t size = impl_offsets_[p + 1] - impl_offsets_[p];
+          max_size = std::max(max_size, size);
+          impl_size_d_[p] = static_cast<double>(size);
+        }
+        block_max[b] = max_size;
+      },
+      blocks);
+  auto prefix = [blocks](std::vector<std::vector<uint32_t>>& cursor,
+                         std::vector<uint32_t>& offsets, size_t rows) {
+    offsets.resize(rows + 1);
+    uint32_t at = 0;
+    for (size_t row = 0; row < rows; ++row) {
+      offsets[row] = at;
+      for (size_t b = 0; b < blocks; ++b) {
+        const uint32_t count = cursor[b][row];
+        cursor[b][row] = at;
+        at += count;
+      }
     }
-  }
-  for (size_t a = 0; a < num_actions; ++a) {
-    action_offsets_[a + 1] += action_offsets_[a];
-  }
-  for (size_t g = 0; g < num_goals; ++g) {
-    goal_offsets_[g + 1] += goal_offsets_[g];
-  }
-  action_postings_.resize(total_postings);
+    offsets[rows] = at;
+  };
+  prefix(action_cursor, action_offsets_, num_actions);
+  prefix(goal_cursor, goal_offsets_, num_goals);
+  action_postings_.resize(impl_actions_.size());
   goal_postings_.resize(num_impls);
-  std::vector<uint32_t> action_cursor(action_offsets_.begin(),
-                                      action_offsets_.end() - 1);
-  std::vector<uint32_t> goal_cursor(goal_offsets_.begin(),
-                                    goal_offsets_.end() - 1);
-  for (size_t p = 0; p < num_impls; ++p) {
-    goal_postings_[goal_cursor[impl_goals_[p]]++] = static_cast<ImplId>(p);
-    for (uint32_t at = impl_offsets_[p]; at < impl_offsets_[p + 1]; ++at) {
-      action_postings_[action_cursor[impl_actions_[at]]++] =
-          static_cast<ImplId>(p);
-    }
-  }
+  util::ParallelFor(
+      blocks,
+      [&](size_t b) {
+        std::vector<uint32_t>& actions = action_cursor[b];
+        std::vector<uint32_t>& goals = goal_cursor[b];
+        for (size_t p = first(b), end = first(b + 1); p < end; ++p) {
+          goal_postings_[goals[impl_goals_[p]]++] = static_cast<ImplId>(p);
+          for (uint32_t at = impl_offsets_[p]; at < impl_offsets_[p + 1];
+               ++at) {
+            action_postings_[actions[impl_actions_[at]]++] =
+                static_cast<ImplId>(p);
+          }
+        }
+      },
+      blocks);
 
-  // Kernel precomputation: |A| per implementation as a double and the 1/r
-  // reciprocal table. Both are exact IEEE values (int→double conversion and
-  // division computed once here), so the kernels that read them stay
-  // bit-identical to code that computes them inline.
-  impl_size_d_.clear();
-  impl_size_d_.reserve(num_impls);
-  max_impl_size_ = 0;
-  for (size_t p = 0; p < num_impls; ++p) {
-    uint32_t size = impl_offsets_[p + 1] - impl_offsets_[p];
-    max_impl_size_ = std::max(max_impl_size_, size);
-    impl_size_d_.push_back(static_cast<double>(size));
-  }
+  // The 1/r reciprocal table, each entry the exact IEEE quotient.
+  max_impl_size_ = *std::max_element(block_max.begin(), block_max.end());
   reciprocal_.assign(static_cast<size_t>(max_impl_size_) + 1, 0.0);
   for (uint32_t r = 1; r <= max_impl_size_; ++r) {
     reciprocal_[r] = 1.0 / static_cast<double>(r);

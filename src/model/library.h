@@ -1,6 +1,7 @@
 #ifndef GOALREC_MODEL_LIBRARY_H_
 #define GOALREC_MODEL_LIBRARY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -8,6 +9,7 @@
 
 #include "model/types.h"
 #include "model/vocabulary.h"
+#include "util/default_init_allocator.h"
 
 // The association-based goal model of the paper (§4): a goal implementation
 // library L = { p = (g, A) } viewed as a hypergraph whose hyperedges are the
@@ -51,6 +53,18 @@ struct ImplementationView {
 
 class ImplementationLibrary;
 
+/// Whole-library passes (the A-GI/G-GI transpose, the shard split,
+/// ValidateLibrary) over fewer postings than this run on the calling thread;
+/// larger ones split their work into one block per core and run the blocks
+/// through util::ParallelFor. The crossover measured on a 4-vCPU x86 VM
+/// (docs/data_plane.md, "Publish cost"): the transpose, the last of the three
+/// passes to gain from blocks, breaks even at 120k–150k postings.
+inline constexpr size_t kParallelMinPostings = 1 << 17;
+
+/// Blocks a whole-library pass over `postings` postings uses: 1 below
+/// kParallelMinPostings, else the hardware concurrency.
+size_t LibraryPassBlocks(size_t postings);
+
 /// Array-level assembly of an ImplementationLibrary from rows that are
 /// already valid: action spans strictly ascending, every id in range of the
 /// vocabularies handed in. The one row-copy path shared by
@@ -68,8 +82,10 @@ class LibraryRowWriter {
   /// Appends implementation (goal, actions) with the next id.
   void AppendRow(GoalId goal, std::span<const ActionId> actions);
 
-  /// Builds the derived indexes and returns the library.
-  ImplementationLibrary Finish() &&;
+  /// Builds the derived indexes and returns the library. `blocks` is the
+  /// transpose's block count (and thread count); 0 picks LibraryPassBlocks.
+  /// Callers that already fan out pass 1.
+  ImplementationLibrary Finish(size_t blocks = 0) &&;
 
  private:
   Vocabulary actions_;
@@ -153,6 +169,8 @@ class ImplementationLibrary {
   uint32_t num_implementations() const {
     return static_cast<uint32_t>(impl_goals_.size());
   }
+  /// Total postings, Σ|A_p| over all implementations.
+  size_t num_postings() const { return impl_actions_.size(); }
 
   /// GI-A-idx + GI-G-idx: a view of the implementation record for `id`.
   ImplementationView implementation(ImplId id) const {
@@ -250,23 +268,26 @@ class ImplementationLibrary {
   std::vector<GoalId> impl_goals_;
   // A-GI-idx: postings of action a live at
   // action_postings_[action_offsets_[a] .. action_offsets_[a + 1]).
+  // The transpose's blocks fill the postings and impl_size_d_ whole, so
+  // resizing them writes nothing (util/default_init_allocator.h).
   std::vector<uint32_t> action_offsets_;
-  std::vector<ImplId> action_postings_;
+  std::vector<ImplId, util::DefaultInitAllocator<ImplId>> action_postings_;
   // G-GI-idx: postings of goal g live at
   // goal_postings_[goal_offsets_[g] .. goal_offsets_[g + 1]).
   std::vector<uint32_t> goal_offsets_;
-  std::vector<ImplId> goal_postings_;
+  std::vector<ImplId, util::DefaultInitAllocator<ImplId>> goal_postings_;
   // Build-time precomputation for the scoring kernels (docs/model.md,
   // "Scoring kernels"): per-implementation |A| as a double, the largest
   // |A|, and a 1/r reciprocal table covering r ∈ [0, max_impl_size_].
-  std::vector<double> impl_size_d_;
+  std::vector<double, util::DefaultInitAllocator<double>> impl_size_d_;
   std::vector<double> reciprocal_;
   uint32_t max_impl_size_ = 0;
 
   /// Builds the A-GI/G-GI inverted indexes and the kernel precomputation
   /// from the already-filled GI arenas (impl_offsets_/impl_actions_/
-  /// impl_goals_) and vocabularies. Called once, by LibraryRowWriter.
-  void BuildDerivedIndexes();
+  /// impl_goals_) and vocabularies, in `blocks` implementation ranges (0
+  /// picks LibraryPassBlocks). Called once, by LibraryRowWriter.
+  void BuildDerivedIndexes(size_t blocks);
 };
 
 }  // namespace goalrec::model

@@ -12,14 +12,15 @@
 namespace goalrec::model {
 
 MergedLibraryView::MergedLibraryView(ImplementationLibrary base,
-                                     uint32_t base_crc32c)
-    : base_(std::move(base)),
-      base_crc32c_(base_crc32c),
-      goals_vocab_(base_.goals()) {
-  const uint32_t n = base_.num_implementations();
+                                     uint32_t base_crc32c, std::string source)
+    : base_crc32c_(base_crc32c),
+      goals_vocab_(base.goals()) {
+  const uint32_t n = base.num_implementations();
   alive_.assign(n, 1);
   goal_of_.reserve(n);
-  for (ImplId p = 0; p < n; ++p) goal_of_.push_back(base_.GoalOf(p));
+  for (ImplId p = 0; p < n; ++p) goal_of_.push_back(base.GoalOf(p));
+  base_ = MakeSnapshot(std::move(base), source);
+  source_ = std::move(source);
   stats_.live_implementations = n;
 }
 
@@ -82,7 +83,8 @@ util::Status MergedLibraryView::ApplySegment(const DeltaSegment& segment,
 
   // Appends first: they extend the logical id space this segment's own
   // tombstones may reference.
-  const uint32_t base_count = base_.num_implementations();
+  const ImplementationLibrary& base = base_->library;
+  const uint32_t base_count = base.num_implementations();
   for (const DeltaImplementation& impl : segment.ops.appended) {
     appended_.push_back(impl);
     alive_.push_back(1);
@@ -93,8 +95,8 @@ util::Status MergedLibraryView::ApplySegment(const DeltaSegment& segment,
   // Goal tombstones kill every live row of the goal, appended ones included.
   for (const std::string& goal : segment.ops.tombstoned_goals) {
     GoalId gid = *goals_vocab_.Find(goal);
-    if (gid < base_.num_goals()) {
-      for (ImplId p : base_.ImplsOfGoal(gid)) alive_[p] = 0;
+    if (gid < base.num_goals()) {
+      for (ImplId p : base.ImplsOfGoal(gid)) alive_[p] = 0;
     }
     for (size_t i = 0; i < appended_.size(); ++i) {
       if (goal_of_[base_count + i] == gid) alive_[base_count + i] = 0;
@@ -117,25 +119,33 @@ util::Status MergedLibraryView::ApplySegment(const DeltaSegment& segment,
   return util::Status::Ok();
 }
 
-const ImplementationLibrary& MergedLibraryView::library() const {
+std::shared_ptr<const LibrarySnapshot> MergedLibraryView::snapshot() const {
   if (fold_pending_) Fold();
   return segments_applied_ == 0 ? base_ : merged_;
 }
 
 ImplementationLibrary MergedLibraryView::TakeLibrary() && {
-  if (fold_pending_) Fold();
-  return segments_applied_ == 0 ? std::move(base_) : std::move(merged_);
+  std::shared_ptr<const LibrarySnapshot> current = snapshot();
+  base_.reset();
+  merged_.reset();
+  if (current.use_count() > 1) return current->library;
+  // Nobody else holds the snapshot (a writer's view never publishes its
+  // fold), so its arenas move out. MakeSnapshot created the object
+  // non-const; only the handle is const.
+  return std::move(const_cast<LibrarySnapshot&>(*current).library);
 }
 
 void MergedLibraryView::Fold() const {
   const auto fold_start = std::chrono::steady_clock::now();
-  // The previous fold is stale; free it before building the next.
-  merged_ = ImplementationLibrary();
+  // The previous fold is stale; free it before building the next (a
+  // serving layer that published it keeps its own reference).
+  merged_.reset();
+  const ImplementationLibrary& base = base_->library;
 
   // Base vocabularies are copied, never re-interned: ids 0..N-1 preserved.
   // The copies share the base's names and own only what the chain adds.
-  Vocabulary actions = base_.actions();
-  Vocabulary goals = base_.goals();
+  Vocabulary actions = base.actions();
+  Vocabulary goals = base.goals();
 
   // Intern every appended record's names in record order — dead records
   // included, because the logical id space (and so any segment already
@@ -162,7 +172,7 @@ void MergedLibraryView::Fold() const {
 
   // Survivors, renumbered densely in logical-id order. Base rows copy
   // straight out of the base arenas (already sorted action spans).
-  const uint32_t base_count = base_.num_implementations();
+  const uint32_t base_count = base.num_implementations();
   const size_t logical = alive_.size();
   size_t num_impls = 0;
   size_t total_postings = 0;
@@ -170,7 +180,7 @@ void MergedLibraryView::Fold() const {
     if (!alive_[p]) continue;
     ++num_impls;
     total_postings += p < base_count
-                          ? base_.ImplActionCount(static_cast<ImplId>(p))
+                          ? base.ImplActionCount(static_cast<ImplId>(p))
                           : appended_ids[p - base_count].actions.size();
   }
 
@@ -180,13 +190,13 @@ void MergedLibraryView::Fold() const {
     if (!alive_[p]) continue;
     if (p < base_count) {
       const ImplId id = static_cast<ImplId>(p);
-      writer.AppendRow(base_.GoalOf(id), base_.ActionsOf(id));
+      writer.AppendRow(base.GoalOf(id), base.ActionsOf(id));
     } else {
       const AppendedIds& ids = appended_ids[p - base_count];
       writer.AppendRow(ids.goal, ids.actions);
     }
   }
-  merged_ = std::move(writer).Finish();
+  merged_ = MakeSnapshot(std::move(writer).Finish(), source_);
   fold_pending_ = false;
 
   ++stats_.folds;

@@ -2,11 +2,13 @@
 #define GOALREC_MODEL_MERGED_VIEW_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "model/delta.h"
 #include "model/library.h"
+#include "model/snapshot.h"
 #include "util/status.h"
 
 // The merged view of an immutable base library plus an applied chain of
@@ -45,7 +47,13 @@
 // serving layer builds on. Chain position, liveness and the goal vocabulary
 // update eagerly; only the CSR rebuild waits for the read.
 //
+// The fold lands straight in a shared LibrarySnapshot (model/snapshot.h):
+// snapshot() hands that object to the serving layer, which publishes it
+// without a copy, and library() reads the same object. Before the first
+// segment the base itself is the snapshot.
+//
 // Not thread-safe, including library(): a read may run the pending fold.
+// The snapshots it hands out are immutable and may be read from any thread.
 
 namespace goalrec::model {
 
@@ -53,8 +61,9 @@ class MergedLibraryView {
  public:
   /// Anchors a view at `base`. `base_crc32c` is the CRC32C of the base
   /// snapshot's encoded bytes — the chain identity every applied segment
-  /// must carry.
-  MergedLibraryView(ImplementationLibrary base, uint32_t base_crc32c);
+  /// must carry. `source` tags every snapshot the view hands out.
+  MergedLibraryView(ImplementationLibrary base, uint32_t base_crc32c,
+                    std::string source = "delta");
 
   /// Chain position the next segment must occupy.
   uint32_t base_crc32c() const { return base_crc32c_; }
@@ -83,15 +92,21 @@ class MergedLibraryView {
 
   /// The merged library: base plus applied segments, tombstones masked,
   /// survivors densely renumbered. Folds first when segments were applied
-  /// since the last fold. Valid until the next ApplySegment.
-  const ImplementationLibrary& library() const;
+  /// since the last fold. Valid until the next fold; snapshot() keeps it
+  /// alive longer.
+  const ImplementationLibrary& library() const { return snapshot()->library; }
 
-  /// Moves the merged library out, folding first when a fold is pending.
+  /// The snapshot library() reads, folding first when a fold is pending.
+  /// One snapshot per fold: reads between two folds return the same object.
+  std::shared_ptr<const LibrarySnapshot> snapshot() const;
+
+  /// Moves the merged library out, folding first when a fold is pending;
+  /// copies it instead while a snapshot() of it is still held elsewhere.
   /// The view is left unusable; Compact re-anchors a new view on the result.
   ImplementationLibrary TakeLibrary() &&;
 
   /// The base library the chain is anchored at.
-  const ImplementationLibrary& base() const { return base_; }
+  const ImplementationLibrary& base() const { return base_->library; }
 
   struct Stats {
     uint64_t segments_applied = 0;
@@ -113,10 +128,11 @@ class MergedLibraryView {
  private:
   void Fold() const;
 
-  ImplementationLibrary base_;
+  std::shared_ptr<const LibrarySnapshot> base_;
   // The last fold. Before the first segment the merged library IS base_, so
-  // library() returns base_ and no copy is held.
-  mutable ImplementationLibrary merged_;
+  // snapshot() returns base_ and no copy is held.
+  mutable std::shared_ptr<const LibrarySnapshot> merged_;
+  std::string source_;
   mutable bool fold_pending_ = false;
   uint32_t base_crc32c_ = 0;
   uint32_t prev_segment_crc32c_ = 0;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace goalrec::model {
 namespace {
@@ -80,16 +81,28 @@ std::shared_ptr<const ShardedSnapshot> BuildShardedSnapshot(
   // translation, and a shard can embed candidates it has never seen in its
   // own implementations (Best Match phase B). The copies share the base's
   // names (model/vocabulary.h). Rows copy straight out of the base arenas.
+  // Above the size cut-off the shards build concurrently, each transposing
+  // on its own thread (one shard alone keeps the blocked transpose); they
+  // are wrapped in shard order, so versions stay ascending by shard.
+  const size_t workers = LibraryPassBlocks(base.num_postings());
+  const size_t shard_blocks = num_shards == 1 ? 0 : 1;
+  std::vector<ImplementationLibrary> built(num_shards);
+  util::ParallelFor(
+      num_shards,
+      [&](size_t s) {
+        const std::vector<uint32_t>& logical = out->local_to_logical[s];
+        LibraryRowWriter writer(base.actions(), base.goals(), logical.size(),
+                                shard_postings[s]);
+        for (ImplId p : logical) {
+          writer.AppendRow(base.GoalOf(p), base.ActionsOf(p));
+        }
+        built[s] = std::move(writer).Finish(shard_blocks);
+      },
+      workers);
   out->shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    const std::vector<uint32_t>& logical = out->local_to_logical[s];
-    LibraryRowWriter writer(base.actions(), base.goals(), logical.size(),
-                            shard_postings[s]);
-    for (ImplId p : logical) {
-      writer.AppendRow(base.GoalOf(p), base.ActionsOf(p));
-    }
     out->shards.push_back(
-        MakeSnapshot(std::move(writer).Finish(), "shard:" + std::to_string(s)));
+        MakeSnapshot(std::move(built[s]), "shard:" + std::to_string(s)));
   }
   return out;
 }

@@ -13,6 +13,34 @@
 
 namespace goalrec::serve {
 
+/// Times a reload's stages back to back: each Lap observes the time since
+/// the previous lap (or the start) under its stage, so the stages tile the
+/// window TotalUs() reports.
+class SnapshotManager::StageClock {
+ public:
+  explicit StageClock(obs::Histogram* const* stage_us)
+      : stage_us_(stage_us), start_(Clock::now()), last_(start_) {}
+
+  void Lap(ReloadStage stage) {
+    const Clock::time_point now = Clock::now();
+    stage_us_[static_cast<size_t>(stage)]->Observe(Us(now - last_));
+    last_ = now;
+  }
+
+  /// From the start to the last lap.
+  double TotalUs() const { return Us(last_ - start_); }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  static double Us(Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  }
+
+  obs::Histogram* const* stage_us_;
+  Clock::time_point start_;
+  Clock::time_point last_;
+};
+
 SnapshotManager::SnapshotManager(
     std::shared_ptr<const model::LibrarySnapshot> initial,
     LadderFactory factory, ReloadGuardOptions guard,
@@ -30,7 +58,16 @@ SnapshotManager::SnapshotManager(
                                       "Library reload attempts, by result");
   reload_latency_us_ = registry.GetHistogram(
       "goalrec_library_reload_latency_us", obs::DefaultLatencyBucketsUs(), {},
-      "Reload latency: load + ladder build + swap (microseconds)");
+      "Reload latency: (delta poll + fold +) ladder build + guard + swap "
+      "(microseconds)");
+  static constexpr const char* kStageNames[kReloadStages] = {
+      "poll", "fold", "snapshot", "ladder", "validate", "canary", "swap"};
+  for (size_t stage = 0; stage < kReloadStages; ++stage) {
+    stage_us_[stage] = registry.GetHistogram(
+        "goalrec_reload_stage_us", obs::DefaultLatencyBucketsUs(),
+        {{"stage", kStageNames[stage]}},
+        "Reload latency by stage, back to back on one clock (microseconds)");
+  }
   library_version_ =
       registry.GetGauge("goalrec_library_version", {},
                         "Version of the currently served library snapshot");
@@ -139,16 +176,21 @@ SnapshotManager::BuildServing(
 }
 
 util::Status SnapshotManager::RunGuard(const ServingSnapshot& built,
+                                       StageClock& clock,
                                        obs::Counter** reason) const {
-  if (guard_.validate) {
-    util::Status valid = model::ValidateLibrary(built.library->library);
-    if (!valid.ok()) {
-      *reason = failure_validate_;
-      return util::Status(valid.code(),
-                          "candidate failed validation: " + valid.message());
-    }
+  util::Status valid = guard_.validate
+                           ? model::ValidateLibrary(built.library->library)
+                           : util::Status::Ok();
+  clock.Lap(ReloadStage::kValidate);
+  if (!valid.ok()) {
+    *reason = failure_validate_;
+    return util::Status(valid.code(),
+                        "candidate failed validation: " + valid.message());
   }
-  if (guard_.canary_probes.empty()) return util::Status::Ok();
+  if (guard_.canary_probes.empty()) {
+    clock.Lap(ReloadStage::kCanary);
+    return util::Status::Ok();
+  }
 
   const model::ImplementationLibrary& library = built.library->library;
   const core::Recommender& top = *built.rungs.front().recommender;
@@ -173,6 +215,7 @@ util::Status SnapshotManager::RunGuard(const ServingSnapshot& built,
       first_failed = i;
     }
   }
+  clock.Lap(ReloadStage::kCanary);
   size_t need =
       std::min(guard_.min_canary_passes, guard_.canary_probes.size());
   if (passes < need) {
@@ -199,20 +242,24 @@ util::Status SnapshotManager::CountFailure(obs::Counter* reason_counter,
 util::Status SnapshotManager::Reload(
     std::shared_ptr<const model::LibrarySnapshot> snapshot) {
   std::lock_guard<std::mutex> lock(reload_mu_);
-  auto start = std::chrono::steady_clock::now();
+  StageClock clock(stage_us_);
+  return ReloadTimed(std::move(snapshot), clock);
+}
+
+util::Status SnapshotManager::ReloadTimed(
+    std::shared_ptr<const model::LibrarySnapshot> snapshot,
+    StageClock& clock) {
   auto serving = BuildServing(std::move(snapshot));
-  obs::Counter* guard_reason = failure_validate_;
-  util::Status guard_status = serving.ok()
-                                  ? RunGuard(*serving.value(), &guard_reason)
-                                  : serving.status();
-  double elapsed_us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  reload_latency_us_->Observe(elapsed_us);
+  clock.Lap(ReloadStage::kLadder);
   if (!serving.ok()) {
+    reload_latency_us_->Observe(clock.TotalUs());
     return CountFailure(failure_ladder_, serving.status());
   }
+  obs::Counter* guard_reason = failure_validate_;
+  util::Status guard_status =
+      RunGuard(*serving.value(), clock, &guard_reason);
   if (!guard_status.ok()) {
+    reload_latency_us_->Observe(clock.TotalUs());
     return CountFailure(guard_reason, guard_status);
   }
   const ServingSnapshot& built = *serving.value();
@@ -220,7 +267,8 @@ util::Status SnapshotManager::Reload(
   size_t impls = built.library->library.num_implementations();
   // The swap: in-flight queries keep the snapshot they acquired; new
   // queries see the replacement from the next Acquire() on.
-  current_.store(std::move(serving).value(), std::memory_order_release);
+  std::shared_ptr<const ServingSnapshot> previous = current_.exchange(
+      std::move(serving).value(), std::memory_order_acq_rel);
   last_swap_ns_.store(obs::FlightRecorder::NowNs(), std::memory_order_relaxed);
   reloads_.fetch_add(1, std::memory_order_relaxed);
   consecutive_failures_.store(0, std::memory_order_relaxed);
@@ -230,6 +278,11 @@ util::Status SnapshotManager::Reload(
   snapshot_age_seconds_->Set(0);
   obs::FlightRecorder::Default().Record(obs::RecorderEventType::kSnapshotSwap,
                                         0, 0, version);
+  // Frees the old snapshot here unless a query still holds it; then its
+  // last query frees it.
+  previous.reset();
+  clock.Lap(ReloadStage::kSwap);
+  reload_latency_us_->Observe(clock.TotalUs());
   GOALREC_LOG(INFO) << "library reloaded" << util::Kv("version", version)
                     << util::Kv("implementations", impls);
   return util::Status::Ok();
@@ -250,6 +303,8 @@ util::StatusOr<uint64_t> SnapshotManager::ReloadFromFile(
 
 util::StatusOr<uint64_t> SnapshotManager::ReloadFromDeltaLog(
     model::DeltaLog& log) {
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  StageClock clock(stage_us_);
   std::vector<model::QuarantinedSegment> before = log.quarantined();
   util::StatusOr<model::DeltaLog::PollResult> poll = log.Poll();
   if (!poll.ok()) {
@@ -287,9 +342,16 @@ util::StatusOr<uint64_t> SnapshotManager::ReloadFromDeltaLog(
   if (poll.value().segments_applied == 0 && !poll.value().reopened_base) {
     return current_version();  // no-op poll: nothing new to publish
   }
-  auto snapshot = model::MakeSnapshot(log.library(), log.dir());
+  clock.Lap(ReloadStage::kPoll);
+  // The view folds on read; the candidate is then the fold's own snapshot,
+  // published without a copy.
+  (void)log.library();
+  clock.Lap(ReloadStage::kFold);
+  std::shared_ptr<const model::LibrarySnapshot> snapshot = log.snapshot();
+  clock.Lap(ReloadStage::kSnapshot);
   uint64_t version = snapshot->version;
-  if (util::Status status = Reload(std::move(snapshot)); !status.ok()) {
+  if (util::Status status = ReloadTimed(std::move(snapshot), clock);
+      !status.ok()) {
     return status;
   }
   return version;

@@ -42,6 +42,12 @@
 // goalrec_reload_failure_total{reason} (reason ∈ load|ladder|validate|
 // canary). docs/data_plane.md describes the full reload state machine.
 //
+// Stage clock. Every reload times its stages back to back on one clock
+// into goalrec_reload_stage_us{stage}: poll, fold and snapshot (delta
+// reloads only), then ladder, validate, canary and swap (which includes
+// releasing the old snapshot). The stages tile the window that
+// goalrec_library_reload_latency_us times, so they account for all of it.
+//
 // See docs/serving.md ("Library hot reload") for the operational story.
 
 namespace goalrec::model {
@@ -149,6 +155,9 @@ class SnapshotManager {
   ///     the valid prefix still publishes;
   ///   * guard rejection of the merged candidate counts under its own
   ///     reason (validate/canary/ladder) as for any reload.
+  /// The candidate is the log's own snapshot (model::DeltaLog::snapshot()),
+  /// published without a copy. The reload latency of a delta publish runs
+  /// from the poll to the swap.
   /// Returns the served library version (unchanged when the poll was a
   /// no-op). Not thread-safe with respect to `log` — callers own the poll
   /// loop thread.
@@ -197,13 +206,33 @@ class SnapshotManager {
   }
 
  private:
+  /// The stages of goalrec_reload_stage_us, in the order a reload runs them.
+  enum class ReloadStage {
+    kPoll,
+    kFold,
+    kSnapshot,
+    kLadder,
+    kValidate,
+    kCanary,
+    kSwap,
+  };
+  static constexpr size_t kReloadStages = 7;
+  class StageClock;
+
   util::StatusOr<std::shared_ptr<const ServingSnapshot>> BuildServing(
       std::shared_ptr<const model::LibrarySnapshot> snapshot) const;
 
-  /// Runs validation + canaries against a built candidate. On failure,
-  /// `*reason` names the goalrec_reload_failure_total counter to bump.
-  util::Status RunGuard(const ServingSnapshot& built,
+  /// Runs validation + canaries against a built candidate, lapping
+  /// `clock` after each. On failure, `*reason` names the
+  /// goalrec_reload_failure_total counter to bump.
+  util::Status RunGuard(const ServingSnapshot& built, StageClock& clock,
                         obs::Counter** reason) const;
+
+  /// Reload's body: ladder, guard and swap, timed on `clock` (already
+  /// running when a delta publish polled and folded first).
+  util::Status ReloadTimed(
+      std::shared_ptr<const model::LibrarySnapshot> snapshot,
+      StageClock& clock);
 
   /// Counts one failed reload attempt under `reason_counter`.
   util::Status CountFailure(obs::Counter* reason_counter, util::Status status);
@@ -227,6 +256,8 @@ class SnapshotManager {
   obs::Counter* reload_ok_ = nullptr;
   obs::Counter* reload_error_ = nullptr;
   obs::Histogram* reload_latency_us_ = nullptr;
+  // goalrec_reload_stage_us{stage}, indexed by ReloadStage.
+  obs::Histogram* stage_us_[kReloadStages] = {};
   obs::Gauge* library_version_ = nullptr;
   obs::Gauge* library_impls_ = nullptr;
   obs::Gauge* snapshot_age_seconds_ = nullptr;

@@ -120,7 +120,7 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
     std::ostringstream out;
     out << "length mismatch: optimized " << optimized.size() << " items, "
         << "reference " << reference.size();
-    return DiffOutcome{false, out.str()};
+    return DiffOutcome{false, out.str(), ""};
   }
   // Scores must agree position by position in both modes: the ranked score
   // sequence is part of the contract.
@@ -132,7 +132,7 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
           << RenderItem(optimized[i].action, optimized[i].score)
           << " vs reference "
           << RenderItem(reference[i].action, reference[i].score);
-      return DiffOutcome{false, out.str()};
+      return DiffOutcome{false, out.str(), ""};
     }
   }
   if (options.strict_order) {
@@ -143,7 +143,7 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
             << RenderItem(optimized[i].action, optimized[i].score)
             << " vs reference "
             << RenderItem(reference[i].action, reference[i].score);
-        return DiffOutcome{false, out.str()};
+        return DiffOutcome{false, out.str(), ""};
       }
     }
     return outcome;
@@ -168,7 +168,7 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
       out << " } vs reference {";
       for (model::ActionId a : want) out << " " << a;
       out << " }";
-      return DiffOutcome{false, out.str()};
+      return DiffOutcome{false, out.str(), ""};
     }
     i = j;
   }
@@ -244,13 +244,23 @@ DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
                          OracleStrategy strategy,
                          const model::Activity& activity, size_t k,
                          const DiffOptions& options,
-                         const core::BestMatchOptions& best_match) {
+                         const core::BestMatchOptions& best_match,
+                         core::QueryWorkspace* workspace) {
+  const ReferenceList reference =
+      RunReference(library, strategy, activity, k, best_match);
   DiffOutcome outcome = CompareLists(
-      RunOptimized(library, strategy, activity, k, best_match),
-      RunReference(library, strategy, activity, k, best_match), options);
+      RunOptimized(library, strategy, activity, k, best_match), reference,
+      options);
+  outcome.entry_point = "Recommend";
+  if (outcome.match && workspace != nullptr) {
+    outcome = CompareLists(RunOptimizedPooled(library, strategy, activity, k,
+                                              *workspace, best_match),
+                           reference, options);
+    outcome.entry_point = "RecommendPooled";
+  }
   if (!outcome.match) {
-    outcome.detail =
-        OracleVariantName(strategy, best_match) + ": " + outcome.detail;
+    outcome.detail = OracleVariantName(strategy, best_match) + " via " +
+                     outcome.entry_point + ": " + outcome.detail;
   }
   return outcome;
 }

@@ -76,10 +76,12 @@ struct DiffOptions {
 };
 
 /// Outcome of one comparison. `detail` is a human-readable description of
-/// the first divergence (empty on match).
+/// the first divergence (empty on match); `entry_point` names the optimized
+/// call that diverged ("Recommend" or "RecommendPooled").
 struct DiffOutcome {
   bool match = true;
   std::string detail;
+  std::string entry_point;
 };
 
 /// Compares an optimized list against the reference list.
@@ -111,12 +113,16 @@ ReferenceList RunReference(const model::ImplementationLibrary& library,
                            const core::BestMatchOptions& best_match = {});
 
 /// Optimized-vs-reference on one case; the workhorse of the oracle tests,
-/// the fuzz loop and the shrinker's failure predicate.
+/// the fuzz loop and the shrinker's failure predicate. Diffs the allocating
+/// Recommend, then, when `workspace` is given, RecommendPooled on it: the
+/// kernel serving and evaluation run. Callers pass one workspace for a whole
+/// case sequence, so state a kernel leaves stale in it shows up too.
 DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
                          OracleStrategy strategy,
                          const model::Activity& activity, size_t k,
                          const DiffOptions& options = {},
-                         const core::BestMatchOptions& best_match = {});
+                         const core::BestMatchOptions& best_match = {},
+                         core::QueryWorkspace* workspace = nullptr);
 
 }  // namespace goalrec::testing
 

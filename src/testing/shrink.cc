@@ -132,7 +132,8 @@ OracleCase ShrinkFailure(const OracleCase& failing,
 }
 
 util::Status WriteRepro(const OracleCase& c, const std::string& strategy_name,
-                        uint64_t seed, const std::string& path) {
+                        uint64_t seed, const std::string& path,
+                        const std::string& entry_point) {
   const model::ImplementationLibrary& lib = c.library;
   // Only what the case references, in ascending original id order: a
   // monotone relabel on reload, which preserves scores and tie-breaks.
@@ -157,6 +158,7 @@ util::Status WriteRepro(const OracleCase& c, const std::string& strategy_name,
   out << kTextHeader << "\n";
   out << "# goalrec-fuzz repro; replay: " << ReproCommandLine(path) << "\n";
   out << "#!strategy: " << strategy_name << "\n";
+  if (!entry_point.empty()) out << "#!entry_point: " << entry_point << "\n";
   out << "#!k: " << c.k << "\n";
   out << "#!seed: " << seed << "\n";
   out << "#!actions: " << util::Join(action_names, ",") << "\n";
@@ -196,6 +198,8 @@ util::StatusOr<ReproCase> LoadRepro(const std::string& path) {
     if (line[0] == '#') {
       if (auto v = directive("strategy")) {
         repro.strategy = *v;
+      } else if (auto v = directive("entry_point")) {
+        repro.entry_point = *v;
       } else if (auto v = directive("k")) {
         std::optional<uint64_t> k = ParseUint(*v);
         if (!k) {
@@ -254,6 +258,7 @@ std::string ReproCommandLine(const std::string& path) {
 std::string DescribeRepro(const ReproCase& repro) {
   std::string out =
       repro.strategy.empty() ? "all strategies" : repro.strategy;
+  if (!repro.entry_point.empty()) out += " via " + repro.entry_point;
   out += ": " +
          std::to_string(repro.oracle_case.library.num_implementations()) +
          " implementations, |H| = " +

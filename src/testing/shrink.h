@@ -56,6 +56,7 @@ OracleCase ShrinkFailure(const OracleCase& failing,
 //
 //   # goalrec-library v1
 //   #!strategy: Breadth
+//   #!entry_point: RecommendPooled
 //   #!k: 5
 //   #!seed: 1234
 //   #!actions: act2,act7,act9
@@ -72,21 +73,26 @@ struct ReproCase {
   OracleCase oracle_case;
   /// OracleStrategyName of the diverging strategy; empty = check all.
   std::string strategy;
+  /// The optimized call that diverged ("Recommend" or "RecommendPooled");
+  /// empty when unknown. A replay diffs both either way.
+  std::string entry_point;
   /// Seed of the generated case the shrink started from (0 if unknown).
   uint64_t seed = 0;
 };
 
 /// Writes `c` as a repro file at `path`. Only actions/goals referenced by a
-/// kept implementation or the activity are serialised.
+/// kept implementation or the activity are serialised. `entry_point`, when
+/// not empty, names the optimized call that diverged.
 util::Status WriteRepro(const OracleCase& c, const std::string& strategy_name,
-                        uint64_t seed, const std::string& path);
+                        uint64_t seed, const std::string& path,
+                        const std::string& entry_point = "");
 
 /// Parses a repro file written by WriteRepro.
 util::StatusOr<ReproCase> LoadRepro(const std::string& path);
 
 /// One-line human description of a loaded repro — leads with the strategy
-/// that diverged ("all strategies" when the repro does not pin one), then
-/// the case dimensions and seed. The fuzz driver's replay header prints
+/// that diverged ("all strategies" when the repro does not pin one) and the
+/// entry point when the repro names one, then the case dimensions and seed. The fuzz driver's replay header prints
 /// this, so the strategy under suspicion is visible before any shrinking or
 /// re-checking output.
 std::string DescribeRepro(const ReproCase& repro);

@@ -951,8 +951,7 @@ int CmdServe(const FlagParser& flags) {
       return 1;
     }
     delta_log.emplace(std::move(opened).value());
-    initial =
-        goalrec::model::MakeSnapshot(delta_log->library(), library_path);
+    initial = delta_log->snapshot();
   } else {
     goalrec::model::LoadReport report;
     initial = goalrec::model::LoadLibrarySnapshot(

@@ -26,6 +26,7 @@
 #include "core/best_match.h"
 #include "core/breadth.h"
 #include "core/focus.h"
+#include "core/query_workspace.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
@@ -153,10 +154,11 @@ int Replay(const FuzzConfig& config) {
               testing::DescribeRepro(repro).c_str());
   bool mismatch = false;
   for (const testing::OracleVariant& variant : variants) {
+    core::QueryWorkspace workspace;
     testing::DiffOutcome outcome = testing::DiffStrategy(
         repro.oracle_case.library, variant.strategy,
         repro.oracle_case.activity, repro.oracle_case.k, config.diff,
-        variant.best_match);
+        variant.best_match, &workspace);
     if (outcome.match) {
       std::printf("  %s: match\n",
                   testing::OracleVariantName(variant.strategy,
@@ -178,6 +180,8 @@ int Fuzz(const FuzzConfig& config) {
       AllVariants(config.strategies);
   util::Rng seed_sequence(config.seed, /*stream=*/21);
   int64_t checks = 0;
+  // One workspace for every round, as a serving thread keeps one.
+  core::QueryWorkspace workspace;
   for (int64_t round = 0; round < config.rounds; ++round) {
     uint64_t case_seed = seed_sequence.NextUint64();
     const testing::CaseShape& shape =
@@ -188,8 +192,9 @@ int Fuzz(const FuzzConfig& config) {
       const core::BestMatchOptions best_match = variant.best_match;
       const std::string name =
           testing::OracleVariantName(strategy, best_match);
-      testing::DiffOutcome outcome = testing::DiffStrategy(
-          c.library, strategy, c.activity, c.k, config.diff, best_match);
+      testing::DiffOutcome outcome =
+          testing::DiffStrategy(c.library, strategy, c.activity, c.k,
+                                config.diff, best_match, &workspace);
       ++checks;
       if (outcome.match) continue;
 
@@ -200,18 +205,29 @@ int Fuzz(const FuzzConfig& config) {
       std::printf("shrinking from %u implementations, |H| = %zu ...\n",
                   c.library.num_implementations(), c.activity.size());
       testing::DiffOptions diff = config.diff;
+      // The shrinker re-checks both entry points, each candidate on a fresh
+      // workspace.
       auto still_fails = [strategy, diff,
                           best_match](const testing::OracleCase& cand) {
+        core::QueryWorkspace fresh;
         return !testing::DiffStrategy(cand.library, strategy, cand.activity,
-                                      cand.k, diff, best_match)
+                                      cand.k, diff, best_match, &fresh)
                     .match;
       };
       testing::ShrinkStats stats;
-      testing::OracleCase shrunk = testing::ShrinkFailure(c, still_fails,
-                                                          &stats);
-      testing::DiffOutcome shrunk_outcome =
-          testing::DiffStrategy(shrunk.library, strategy, shrunk.activity,
-                                shrunk.k, config.diff, best_match);
+      testing::OracleCase shrunk = c;
+      testing::DiffOutcome shrunk_outcome = outcome;
+      if (still_fails(c)) {
+        shrunk = testing::ShrinkFailure(c, still_fails, &stats);
+        core::QueryWorkspace fresh;
+        shrunk_outcome =
+            testing::DiffStrategy(shrunk.library, strategy, shrunk.activity,
+                                  shrunk.k, config.diff, best_match, &fresh);
+      } else {
+        // Only the workspace the earlier rounds left behind diverges.
+        std::printf("no divergence on a fresh workspace: stale workspace "
+                    "state; the case is written unshrunk\n");
+      }
       std::printf(
           "shrunk to %u implementations, |H| = %zu "
           "(%zu predicate calls, %zu passes)\n",
@@ -223,8 +239,8 @@ int Fuzz(const FuzzConfig& config) {
       std::replace(file_name.begin(), file_name.end(), '/', '_');
       std::string path = config.out_dir + "/fuzz_repro_" + file_name + "_" +
                          std::to_string(case_seed) + ".tsv";
-      util::Status written =
-          testing::WriteRepro(shrunk, name, case_seed, path);
+      util::Status written = testing::WriteRepro(
+          shrunk, name, case_seed, path, shrunk_outcome.entry_point);
       if (written.ok()) {
         std::printf("repro written: %s\nreplay with: %s\n", path.c_str(),
                     testing::ReproCommandLine(path).c_str());

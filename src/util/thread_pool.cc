@@ -176,30 +176,34 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& body,
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
   std::mutex failure_mutex;
   std::exception_ptr first_failure;
-  // Workers re-activate the caller's trace; the caller outlives them (it
-  // joins below), so the raw pointer is safe.
-  obs::Trace* trace = obs::CurrentTrace();
   // Indices go out one at a time from a shared counter, so a worker that
   // drew a few slow indices does not leave the others idle at the end.
   std::atomic<size_t> next{0};
-  for (size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([n, &next, &body, &failure_mutex, &first_failure,
-                          trace] {
-      obs::ScopedTraceActivation activation(trace);
-      for (size_t i = next++; i < n; i = next++) {
-        try {
-          body(i);
-        } catch (...) {
-          std::unique_lock<std::mutex> lock(failure_mutex);
-          if (first_failure == nullptr) first_failure = std::current_exception();
-        }
+  auto work = [n, &next, &body, &failure_mutex, &first_failure] {
+    for (size_t i = next++; i < n; i = next++) {
+      try {
+        body(i);
+      } catch (...) {
+        std::unique_lock<std::mutex> lock(failure_mutex);
+        if (first_failure == nullptr) first_failure = std::current_exception();
       }
+    }
+  };
+  // Workers re-activate the caller's trace; the caller outlives them (it
+  // joins below), so the raw pointer is safe.
+  obs::Trace* trace = obs::CurrentTrace();
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (size_t w = 1; w < workers; ++w) {
+    threads.emplace_back([&work, trace] {
+      obs::ScopedTraceActivation activation(trace);
+      work();
     });
   }
+  // The calling thread is the first worker.
+  work();
   for (std::thread& t : threads) t.join();
   if (first_failure != nullptr) std::rethrow_exception(first_failure);
 }

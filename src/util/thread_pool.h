@@ -67,7 +67,8 @@ class ThreadPool {
 };
 
 /// Runs body(i) for i in [0, n) on `num_threads` workers (0 = hardware
-/// concurrency), each taking the next unclaimed index until none is left,
+/// concurrency), the calling thread being one of them, each taking the next
+/// unclaimed index until none is left,
 /// so indices of uneven cost balance across the workers. Blocks until all
 /// complete. `body` must be safe to invoke concurrently for distinct i. If
 /// any invocation throws, every other index still runs and the first

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,9 @@
 #include "model/delta.h"
 #include "model/library.h"
 #include "model/snapshot_io.h"
+#include "obs/metrics.h"
+#include "serve/sharded.h"
+#include "serve/snapshot_manager.h"
 #include "testing/fixtures.h"
 #include "util/status.h"
 
@@ -395,6 +399,55 @@ TEST_F(DeltaLogTest, ReaderCatchingUpSeveralSegmentsFoldsOnce) {
     EXPECT_EQ(EncodeSnapshot(reader.library()), want);
     EXPECT_EQ(reader.stats().view.folds, 1u);
   }
+}
+
+// The reader's fold is the snapshot the serving layer publishes: the served
+// library is the fold's own object, and reading log.library() afterwards
+// (as `goalrec serve` does for its status line) folds nothing again. The
+// base is above kParallelMinPostings, so the fold, the guard and the
+// ladder run their blocked passes.
+TEST_F(DeltaLogTest, PublishServesTheFoldWithoutACopy) {
+  ImplementationLibrary base =
+      testing::RandomLibrary(2000, 3001, 48001, 11, 9);
+  ASSERT_GE(base.num_postings(), kParallelMinPostings);
+  util::StatusOr<DeltaLog> created = DeltaLog::Create(dir_, base);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  DeltaLog writer = std::move(created).value();
+  DeltaLogOptions reader_options;
+  reader_options.remove_stale_segments = false;
+  util::StatusOr<DeltaLog> opened = DeltaLog::Open(dir_, reader_options);
+  ASSERT_TRUE(opened.ok());
+  DeltaLog reader = std::move(opened).value();
+
+  obs::MetricRegistry metrics;
+  serve::ShardedLadderOptions ladder;
+  ladder.metrics = &metrics;
+  serve::SnapshotManager manager(reader.snapshot(),
+                                 serve::MakeShardedLadderFactory(ladder),
+                                 &metrics);
+  EXPECT_EQ(&manager.Acquire()->library->library, &reader.library());
+
+  ASSERT_TRUE(writer.Append(AppendOps(1)).ok());
+  util::StatusOr<uint64_t> version = manager.ReloadFromDeltaLog(reader);
+  ASSERT_TRUE(version.ok()) << version.status().ToString();
+  const uint64_t folds = reader.stats().view.folds;
+  EXPECT_EQ(folds, 1u);
+  std::shared_ptr<const serve::ServingSnapshot> served = manager.Acquire();
+  EXPECT_EQ(served->library, reader.snapshot());
+  EXPECT_EQ(&served->library->library, &reader.library());
+  EXPECT_EQ(served->library->version, version.value());
+  EXPECT_EQ(reader.library().num_implementations(),
+            base.num_implementations() + 1);
+  EXPECT_EQ(reader.stats().view.folds, folds);
+
+  // A compaction re-anchors the reader on the new base, served as is too.
+  ASSERT_TRUE(writer.Compact().ok());
+  ASSERT_TRUE(manager.ReloadFromDeltaLog(reader).ok());
+  EXPECT_EQ(&manager.Acquire()->library->library, &reader.library());
+  EXPECT_EQ(EncodeSnapshot(reader.library()), ReadFile(writer.base_path()));
+  // The snapshot published before the compaction is intact.
+  EXPECT_EQ(served->library->library.num_implementations(),
+            base.num_implementations() + 1);
 }
 
 }  // namespace

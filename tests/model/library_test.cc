@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "testing/fixtures.h"
 #include "util/random.h"
@@ -280,6 +283,111 @@ INSTANTIATE_TEST_SUITE_P(
                       SpaceParams{50, 20, 300, 8, 3},
                       SpaceParams{8, 2, 40, 3, 4},
                       SpaceParams{100, 50, 500, 5, 5}));
+
+// --- The blocked transpose ---------------------------------------------------
+
+// Rows for a library of about `postings` postings over 2,000 actions and 400
+// goals, built by hand so its shape is pinned: the last 5 actions and goals
+// occur nowhere, every 7th implementation is empty, and the implementation
+// count is odd, so no block count above 1 divides it.
+struct TransposeCase {
+  std::vector<GoalId> goals;
+  std::vector<IdSet> actions;
+};
+
+TransposeCase MakeTransposeCase(size_t postings, uint64_t seed) {
+  constexpr uint32_t kActions = 2000;
+  constexpr uint32_t kGoals = 400;
+  util::Rng rng(seed);
+  TransposeCase c;
+  size_t total = 0;
+  while (total < postings || c.goals.size() % 2 == 0) {
+    IdSet actions;
+    if (c.goals.size() % 7 != 6) {
+      const uint32_t size = 1 + rng.UniformUint32(11);
+      for (uint32_t i = 0; i < size; ++i) {
+        actions.push_back(rng.UniformUint32(kActions - 5));
+      }
+      util::Normalize(actions);
+    }
+    total += actions.size();
+    c.goals.push_back(rng.UniformUint32(kGoals - 5));
+    c.actions.push_back(std::move(actions));
+  }
+  return c;
+}
+
+ImplementationLibrary BuildTransposeCase(const TransposeCase& c,
+                                         size_t blocks) {
+  Vocabulary actions;
+  Vocabulary goals;
+  for (uint32_t a = 0; a < 2000; ++a) actions.Intern("a" + std::to_string(a));
+  for (uint32_t g = 0; g < 400; ++g) goals.Intern("g" + std::to_string(g));
+  LibraryRowWriter writer(std::move(actions), std::move(goals),
+                          c.goals.size(), 0);
+  for (size_t p = 0; p < c.goals.size(); ++p) {
+    writer.AppendRow(c.goals[p], c.actions[p]);
+  }
+  return std::move(writer).Finish(blocks);
+}
+
+// A-GI and G-GI of `lib` equal a naive transpose of its rows, row by row,
+// and the precomputed sizes match the rows.
+void ExpectNaiveTranspose(const ImplementationLibrary& lib) {
+  std::vector<IdSet> by_action(lib.num_actions());
+  std::vector<IdSet> by_goal(lib.num_goals());
+  uint32_t max_size = 0;
+  for (ImplId p = 0; p < lib.num_implementations(); ++p) {
+    by_goal[lib.GoalOf(p)].push_back(p);
+    for (ActionId a : lib.ActionsOf(p)) by_action[a].push_back(p);
+    ASSERT_EQ(lib.ImplActionCountD(p),
+              static_cast<double>(lib.ActionsOf(p).size()));
+    max_size = std::max<uint32_t>(max_size, lib.ImplActionCount(p));
+  }
+  for (ActionId a = 0; a < lib.num_actions(); ++a) {
+    ASSERT_EQ(Ids(lib.ImplsOfAction(a)), by_action[a]) << "action " << a;
+  }
+  for (GoalId g = 0; g < lib.num_goals(); ++g) {
+    ASSERT_EQ(Ids(lib.ImplsOfGoal(g)), by_goal[g]) << "goal " << g;
+  }
+  EXPECT_EQ(lib.max_implementation_size(), max_size);
+}
+
+TEST(LibraryTransposeTest, LibrariesStraddlingTheCutOffMatchANaiveTranspose) {
+  for (size_t postings : {kParallelMinPostings - 100,
+                          kParallelMinPostings + 100,
+                          2 * kParallelMinPostings + 100}) {
+    SCOPED_TRACE(postings);
+    TransposeCase c = MakeTransposeCase(postings, postings);
+    ImplementationLibrary lib = BuildTransposeCase(c, /*blocks=*/0);
+    EXPECT_EQ(lib.num_postings() >= kParallelMinPostings,
+              postings > kParallelMinPostings);
+    EXPECT_TRUE(lib.ImplsOfAction(1999).empty());
+    EXPECT_TRUE(lib.ImplsOfGoal(399).empty());
+    ExpectNaiveTranspose(lib);
+  }
+}
+
+TEST(LibraryTransposeTest, EveryBlockCountBuildsTheSameLibrary) {
+  TransposeCase c = MakeTransposeCase(20000, 11);
+  ImplementationLibrary serial = BuildTransposeCase(c, /*blocks=*/1);
+  ExpectNaiveTranspose(serial);
+  for (size_t blocks : {2u, 3u, 4u, 5u, 7u, 64u}) {
+    SCOPED_TRACE(blocks);
+    ImplementationLibrary lib = BuildTransposeCase(c, blocks);
+    for (ActionId a = 0; a < lib.num_actions(); ++a) {
+      ASSERT_EQ(Ids(lib.ImplsOfAction(a)), Ids(serial.ImplsOfAction(a)));
+    }
+    for (GoalId g = 0; g < lib.num_goals(); ++g) {
+      ASSERT_EQ(Ids(lib.ImplsOfGoal(g)), Ids(serial.ImplsOfGoal(g)));
+    }
+    EXPECT_EQ(lib.max_implementation_size(), serial.max_implementation_size());
+  }
+  // More blocks than implementations, and no implementations at all.
+  TransposeCase tiny = MakeTransposeCase(3, 5);
+  ExpectNaiveTranspose(BuildTransposeCase(tiny, 64));
+  ExpectNaiveTranspose(BuildTransposeCase(TransposeCase{}, 4));
+}
 
 // The CSR accessors must fail loudly on out-of-range ids, and the message
 // must say *which* id and how big the library is — the first question a

@@ -7,6 +7,8 @@
 
 #include "model/merged_view.h"
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 
 #include "model/delta.h"
 #include "model/library.h"
+#include "model/snapshot.h"
 #include "model/snapshot_io.h"
 #include "model/validate.h"
 #include "testing/fixtures.h"
@@ -202,6 +205,71 @@ TEST(MergedViewTest, LibraryBeforeAnySegmentIsTheBase) {
   MergedLibraryView view = ViewOver(base);
   EXPECT_EQ(&view.library(), &view.base());
   EXPECT_EQ(view.stats().folds, 0u);
+}
+
+// The same rows through a single-block transpose.
+ImplementationLibrary SerialRebuild(const ImplementationLibrary& lib) {
+  LibraryRowWriter writer(lib.actions(), lib.goals(),
+                          lib.num_implementations(), lib.num_postings());
+  for (ImplId p = 0; p < lib.num_implementations(); ++p) {
+    writer.AppendRow(lib.GoalOf(p), lib.ActionsOf(p));
+  }
+  return std::move(writer).Finish(/*blocks=*/1);
+}
+
+TEST(MergedViewTest, FoldAboveTheCutOffEqualsTheSerialBuild) {
+  ImplementationLibrary base = testing::RandomLibrary(2000, 3001, 48001, 11, 3);
+  ASSERT_GE(base.num_postings(), kParallelMinPostings);
+  MergedLibraryView view = ViewOver(base);
+  DeltaOps ops;
+  ops.appended.push_back(DeltaImplementation{"goal7", {"act1", "act1999"}});
+  ops.appended.push_back(DeltaImplementation{"new goal", {"new action"}});
+  ops.tombstoned_impls = {0, 24000, 48000};
+  ops.tombstoned_goals = {"goal3000"};
+  Apply(view, ops);
+  const ImplementationLibrary& merged = view.library();
+  ASSERT_TRUE(ValidateLibrary(merged).ok());
+  ImplementationLibrary serial = SerialRebuild(merged);
+  EXPECT_EQ(EncodeSnapshot(merged), EncodeSnapshot(serial));
+  for (ActionId a = 0; a < merged.num_actions(); ++a) {
+    ASSERT_TRUE(std::ranges::equal(merged.ImplsOfAction(a),
+                                   serial.ImplsOfAction(a)))
+        << "action " << a;
+  }
+  for (GoalId g = 0; g < merged.num_goals(); ++g) {
+    ASSERT_TRUE(
+        std::ranges::equal(merged.ImplsOfGoal(g), serial.ImplsOfGoal(g)))
+        << "goal " << g;
+  }
+}
+
+TEST(MergedViewTest, SnapshotIsTheFoldItself) {
+  ImplementationLibrary base = testing::PaperLibrary();
+  MergedLibraryView view(base, util::Crc32c(EncodeSnapshot(base)), "here");
+  std::shared_ptr<const LibrarySnapshot> before = view.snapshot();
+  EXPECT_EQ(&before->library, &view.base());
+  EXPECT_EQ(before->source, "here");
+
+  DeltaOps ops;
+  ops.appended.push_back(DeltaImplementation{"g6", {"a1", "a2"}});
+  Apply(view, ops);
+  std::shared_ptr<const LibrarySnapshot> folded = view.snapshot();
+  EXPECT_NE(folded, before);
+  EXPECT_GT(folded->version, before->version);
+  // Reads between two folds return the fold's own object.
+  EXPECT_EQ(view.snapshot(), folded);
+  EXPECT_EQ(&view.library(), &folded->library);
+  EXPECT_EQ(view.stats().folds, 1u);
+
+  // A held fold outlives the next one, and TakeLibrary copies it.
+  Apply(view, ops);
+  std::shared_ptr<const LibrarySnapshot> held = view.snapshot();
+  const std::string held_bytes = EncodeSnapshot(held->library);
+  ImplementationLibrary taken = std::move(view).TakeLibrary();
+  EXPECT_EQ(EncodeSnapshot(taken), held_bytes);
+  EXPECT_EQ(EncodeSnapshot(held->library), held_bytes);
+  EXPECT_EQ(folded->library.num_implementations(),
+            base.num_implementations() + 1);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include "model/sharding.h"
 #include "model/snapshot.h"
 #include "model/snapshot_io.h"
+#include "model/validate.h"
+#include "testing/fixtures.h"
 #include "testing/generator.h"
 #include "util/random.h"
 
@@ -201,6 +203,30 @@ TEST(ShardingTest, ShardsAreBitIdenticalToABuilderReplay) {
         EXPECT_EQ(sharded->impl_shard, replay.impl_shard);
         EXPECT_EQ(sharded->impl_local, replay.impl_local);
         EXPECT_EQ(sharded->local_to_logical, replay.local_to_logical);
+      }
+    }
+  }
+}
+
+// Above the cut-off the shards build concurrently; they are the same shards,
+// and they are wrapped in shard order.
+TEST(ShardingTest, ConcurrentShardBuildsMatchTheReplay) {
+  ImplementationLibrary library =
+      testing::RandomLibrary(2000, 3001, 48001, 11, 5);
+  ASSERT_GE(library.num_postings(), kParallelMinPostings);
+  for (uint32_t num_shards : {1u, 4u, 7u}) {
+    SCOPED_TRACE(std::to_string(num_shards) + " shards");
+    auto sharded = BuildShardedSnapshot(library, num_shards);
+    CheckPartitionInvariants(library, *sharded);
+    ReplayedSplit replay =
+        ReplaySplit(library, sharded->goal_shard, num_shards);
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      EXPECT_EQ(EncodeSnapshot(sharded->shard_library(s)),
+                replay.shard_bytes[s])
+          << "shard " << s;
+      EXPECT_TRUE(ValidateLibrary(sharded->shard_library(s)).ok());
+      if (s > 0) {
+        EXPECT_LT(sharded->shards[s - 1]->version, sharded->shards[s]->version);
       }
     }
   }

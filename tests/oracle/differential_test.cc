@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/query_workspace.h"
 #include "model/library.h"
 #include "testing/differential.h"
 #include "testing/fixtures.h"
@@ -37,6 +38,8 @@ class OracleDifferentialTest
 TEST_P(OracleDifferentialTest, MatchesReferenceOnSeededGeneratedCases) {
   std::vector<CaseShape> shapes = DefaultCaseShapes();
   util::Rng seeds(kMasterSeed, /*stream=*/3);
+  // One workspace for the whole sequence, as a serving thread keeps one.
+  core::QueryWorkspace workspace;
   for (int i = 0; i < kCasesPerStrategy; ++i) {
     uint64_t case_seed = seeds.NextUint64();
     OracleCase c =
@@ -44,7 +47,8 @@ TEST_P(OracleDifferentialTest, MatchesReferenceOnSeededGeneratedCases) {
                      case_seed);
     for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
       DiffOutcome outcome = DiffStrategy(c.library, GetParam(), c.activity,
-                                         c.k, DiffOptions{}, variant);
+                                         c.k, DiffOptions{}, variant,
+                                         &workspace);
       ASSERT_TRUE(outcome.match)
           << outcome.detail << " (case seed " << case_seed << ", shape "
           << i % shapes.size() << ", |H| = " << c.activity.size()
@@ -63,14 +67,15 @@ TEST_P(OracleDifferentialTest, StrictOrderMatchesOnSeededGeneratedCases) {
   util::Rng seeds(kMasterSeed, /*stream=*/4);
   DiffOptions strict;
   strict.strict_order = true;
+  core::QueryWorkspace workspace;
   for (int i = 0; i < 100; ++i) {
     uint64_t case_seed = seeds.NextUint64();
     OracleCase c =
         GenerateCase(shapes[static_cast<size_t>(i) % shapes.size()],
                      case_seed);
     for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
-      DiffOutcome outcome =
-          DiffStrategy(c.library, GetParam(), c.activity, c.k, strict, variant);
+      DiffOutcome outcome = DiffStrategy(c.library, GetParam(), c.activity,
+                                         c.k, strict, variant, &workspace);
       ASSERT_TRUE(outcome.match)
           << outcome.detail << " (case seed " << case_seed << ")";
     }
@@ -79,6 +84,7 @@ TEST_P(OracleDifferentialTest, StrictOrderMatchesOnSeededGeneratedCases) {
 
 TEST_P(OracleDifferentialTest, MatchesReferenceOnThePaperExample) {
   model::ImplementationLibrary library = PaperLibrary();
+  core::QueryWorkspace workspace;
   for (model::Activity h :
        {model::Activity{}, model::Activity{A(1)}, model::Activity{A(2)},
         model::Activity{A(1), A(2)}, model::Activity{A(1), A(2), A(3)},
@@ -86,8 +92,8 @@ TEST_P(OracleDifferentialTest, MatchesReferenceOnThePaperExample) {
     for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
       for (const core::BestMatchOptions& variant :
            OracleVariants(GetParam())) {
-        DiffOutcome outcome =
-            DiffStrategy(library, GetParam(), h, k, DiffOptions{}, variant);
+        DiffOutcome outcome = DiffStrategy(library, GetParam(), h, k,
+                                           DiffOptions{}, variant, &workspace);
         EXPECT_TRUE(outcome.match) << outcome.detail << " |H| = " << h.size()
                                    << ", k = " << k;
       }

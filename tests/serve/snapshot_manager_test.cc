@@ -429,6 +429,50 @@ TEST_F(SnapshotManagerDeltaTest, PublishesAppendsAndSkipsNoOpPolls) {
   EXPECT_EQ(GaugeValue(metrics, "goalrec_delta_segments_active"), 1);
 }
 
+// goalrec_reload_stage_us: every publish through ReloadFromDeltaLog times
+// poll, fold, snapshot, ladder, validate, canary and swap back to back, so
+// the stages add up to goalrec_library_reload_latency_us; a plain Reload
+// times the last four.
+TEST_F(SnapshotManagerDeltaTest, StageClockTilesTheReloadLatency) {
+  obs::MetricRegistry metrics;
+  ReloadGuardOptions guard;
+  guard.canary_probes = {{"a1"}};
+  SnapshotManager manager(reader_->snapshot(), TwoRungLadder, guard,
+                          &metrics);
+  auto histogram = [&metrics](const std::string& stage) {
+    return (stage.empty()
+                ? metrics.GetHistogram("goalrec_library_reload_latency_us",
+                                       obs::DefaultLatencyBucketsUs())
+                : metrics.GetHistogram("goalrec_reload_stage_us",
+                                       obs::DefaultLatencyBucketsUs(),
+                                       {{"stage", stage}}))
+        ->Snapshot();
+  };
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(writer_->Append(AppendOps(i)).ok());
+    ASSERT_TRUE(manager.ReloadFromDeltaLog(*reader_).ok());
+  }
+  ASSERT_TRUE(writer_->Compact().ok());
+  ASSERT_TRUE(manager.ReloadFromDeltaLog(*reader_).ok());
+  ASSERT_TRUE(manager.ReloadFromDeltaLog(*reader_).ok());  // no-op poll
+  ASSERT_TRUE(manager.Reload(model::MakeSnapshot(PaperLibrary())).ok());
+
+  double stages_us = 0;
+  for (const char* stage : {"poll", "fold", "snapshot"}) {
+    EXPECT_EQ(histogram(stage).count, 4) << stage;
+    stages_us += histogram(stage).sum;
+  }
+  for (const char* stage : {"ladder", "validate", "canary", "swap"}) {
+    EXPECT_EQ(histogram(stage).count, 5) << stage;
+    stages_us += histogram(stage).sum;
+  }
+  const obs::HistogramSnapshot latency = histogram("");
+  EXPECT_EQ(latency.count, 5);
+  EXPECT_GT(latency.sum, 0);
+  EXPECT_GE(stages_us, 0.95 * latency.sum);
+  EXPECT_LE(stages_us, 1.001 * latency.sum);
+}
+
 TEST_F(SnapshotManagerDeltaTest, QuarantineCountsDeltaFailureServesPrefix) {
   obs::MetricRegistry metrics;
   SnapshotManager manager(model::MakeSnapshot(reader_->library(), dir_),
