@@ -92,9 +92,9 @@ util::StatusOr<ReproCase> LoadRepro(const std::string& path);
 
 /// One-line human description of a loaded repro — leads with the strategy
 /// that diverged ("all strategies" when the repro does not pin one) and the
-/// entry point when the repro names one, then the case dimensions and seed. The fuzz driver's replay header prints
-/// this, so the strategy under suspicion is visible before any shrinking or
-/// re-checking output.
+/// entry point when the repro names one, then the case dimensions and seed.
+/// The fuzz driver's replay header prints this, so the strategy under
+/// suspicion is visible before any shrinking or re-checking output.
 std::string DescribeRepro(const ReproCase& repro);
 
 /// The command line that replays `path` through the fuzz driver.

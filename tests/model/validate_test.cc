@@ -180,7 +180,8 @@ GoalId GoalWithRow(const Victim& v, size_t min_size) {
   for (GoalId i = 0; i < n; ++i) {
     const GoalId g = v.large ? n - 1 - i : i;
     std::span<const ImplId> row = v.lib.ImplsOfGoal(g);
-    if (row.size() >= min_size && row.back() + 1 < v.lib.num_implementations()) {
+    if (row.size() >= min_size &&
+        row.back() + 1 < v.lib.num_implementations()) {
       return g;
     }
   }
