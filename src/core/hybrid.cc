@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "util/dense_vector.h"
 #include "util/logging.h"
@@ -61,9 +62,12 @@ RecommendationList HybridRecommender::Recommend(
     const model::Activity& activity, size_t k) const {
   RecommendationList list;
   if (k == 0) return list;
-  size_t pool_size = std::max(
-      k, static_cast<size_t>(std::ceil(options_.pool_factor *
-                                       static_cast<double>(k))));
+  // pool_factor · k exceeds SIZE_MAX for k near it, and converting such a
+  // double to size_t is undefined: saturate instead.
+  double pool_wanted = std::ceil(options_.pool_factor * static_cast<double>(k));
+  size_t pool_size = pool_wanted < static_cast<double>(SIZE_MAX)
+                         ? std::max(k, static_cast<size_t>(pool_wanted))
+                         : SIZE_MAX;
   RecommendationList pool = goal_strategy_->Recommend(activity, pool_size);
   if (pool.empty()) return list;
 

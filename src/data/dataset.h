@@ -21,9 +21,9 @@ struct UserRecord {
   /// user performed across all pursued goals).
   model::Activity full_activity;
   /// The same actions in the order they were performed (cart insertion
-  /// order; goal-by-goal implementation order for 43T). Used only by
-  /// sequence-aware baselines (e.g. Markov); empty for datasets loaded from
-  /// unordered sources.
+  /// order; goal-by-goal implementation order for 43T). perfbench's
+  /// session_foodmart walks each cart step by step in this order; empty for
+  /// datasets loaded from unordered sources.
   std::vector<model::ActionId> ordered_activity;
   /// The goals this user truly pursues; empty when unknown (FoodMart).
   model::IdSet true_goals;

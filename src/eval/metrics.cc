@@ -155,41 +155,4 @@ void AddImplSetFrequencies(const model::ImplementationLibrary& library,
   }
 }
 
-double CatalogCoverage(const std::vector<core::RecommendationList>& lists,
-                       uint32_t num_actions) {
-  if (num_actions == 0) return 0.0;
-  model::IdSet recommended;
-  for (const core::RecommendationList& list : lists) {
-    for (const core::ScoredAction& entry : list) {
-      recommended.push_back(entry.action);
-    }
-  }
-  util::Normalize(recommended);
-  return static_cast<double>(recommended.size()) /
-         static_cast<double>(num_actions);
-}
-
-double RecommendationGini(const std::vector<core::RecommendationList>& lists,
-                          uint32_t num_actions) {
-  if (num_actions == 0) return 0.0;
-  std::vector<double> counts(num_actions, 0.0);
-  double total = 0.0;
-  for (const core::RecommendationList& list : lists) {
-    for (const core::ScoredAction& entry : list) {
-      if (entry.action >= num_actions) continue;
-      counts[entry.action] += 1.0;
-      total += 1.0;
-    }
-  }
-  if (total == 0.0) return 0.0;
-  // Gini = (Σ_i (2i - n - 1) x_(i)) / (n Σ x) with x sorted ascending.
-  std::sort(counts.begin(), counts.end());
-  double weighted = 0.0;
-  double n = static_cast<double>(num_actions);
-  for (uint32_t i = 0; i < num_actions; ++i) {
-    weighted += (2.0 * (static_cast<double>(i) + 1.0) - n - 1.0) * counts[i];
-  }
-  return weighted / (n * total);
-}
-
 }  // namespace goalrec::eval

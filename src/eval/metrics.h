@@ -72,21 +72,6 @@ void AddImplSetFrequencies(const model::ImplementationLibrary& library,
                            const std::vector<core::RecommendationList>& lists,
                            util::Histogram& histogram);
 
-// --- supplementary diversity metrics (not in the paper, but standard
-// recommender-systems measurements that sharpen the Figure 5 analysis) -------
-
-/// Catalogue coverage: fraction of the `num_actions` catalogue recommended
-/// to at least one user. Low coverage = the method funnels everyone to the
-/// same items.
-double CatalogCoverage(const std::vector<core::RecommendationList>& lists,
-                       uint32_t num_actions);
-
-/// Gini index of the distribution of recommendation counts over the
-/// catalogue, in [0, 1]: 0 = perfectly even exposure, ->1 = a few actions
-/// monopolise the lists. Actions never recommended count as zero exposure.
-double RecommendationGini(const std::vector<core::RecommendationList>& lists,
-                          uint32_t num_actions);
-
 }  // namespace goalrec::eval
 
 #endif  // GOALREC_EVAL_METRICS_H_

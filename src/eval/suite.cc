@@ -1,12 +1,9 @@
 #include "eval/suite.h"
 
-#include "baselines/association_rules.h"
 #include "baselines/content_based.h"
-#include "baselines/item_knn.h"
 #include "baselines/popularity.h"
 #include "core/best_match.h"
 #include "core/breadth.h"
-#include "core/diversity.h"
 #include "core/focus.h"
 #include "core/hybrid.h"
 #include "util/logging.h"
@@ -29,10 +26,7 @@ Suite::Suite(std::shared_ptr<const model::LibrarySnapshot> snapshot,
     : snapshot_(std::move(snapshot)) {
   GOALREC_CHECK(snapshot_ != nullptr);
   library_ = &snapshot_->library;
-  // No dataset: nothing can carry a feature table.
-  options.include_content = false;
-  options.include_hybrid = false;
-  options.include_mmr = false;
+  // No dataset_, so Init skips the methods that need a feature table.
   Init(std::move(training_activities), options);
 }
 
@@ -41,9 +35,7 @@ void Suite::Init(std::vector<model::Activity> training_activities,
   const model::ImplementationLibrary& library = *library_;
 
   bool needs_interactions = options.include_cf_knn || options.include_cf_mf ||
-                            options.include_popularity ||
-                            options.include_association_rules ||
-                            options.include_cf_item_knn;
+                            options.include_popularity;
   if (needs_interactions) {
     interactions_ = std::make_unique<baselines::InteractionData>(
         std::move(training_activities), library.num_actions());
@@ -67,8 +59,8 @@ void Suite::Init(std::vector<model::Activity> training_activities,
     recommenders_.push_back(std::make_unique<baselines::AlsRecommender>(
         interactions_.get(), options.als));
   }
-  if (options.include_content && dataset_ != nullptr &&
-      !dataset_->features.empty()) {
+  bool has_features = dataset_ != nullptr && !dataset_->features.empty();
+  if (options.include_content && has_features) {
     recommenders_.push_back(std::make_unique<baselines::ContentRecommender>(
         &dataset_->features));
   }
@@ -76,30 +68,12 @@ void Suite::Init(std::vector<model::Activity> training_activities,
     recommenders_.push_back(std::make_unique<baselines::PopularityRecommender>(
         interactions_.get()));
   }
-  if (options.include_association_rules) {
-    recommenders_.push_back(
-        std::make_unique<baselines::AssociationRuleRecommender>(
-            interactions_.get()));
-  }
-  if (options.include_cf_item_knn) {
-    recommenders_.push_back(std::make_unique<baselines::ItemKnnRecommender>(
-        interactions_.get()));
-  }
-  bool has_features = dataset_ != nullptr && !dataset_->features.empty();
-  if ((options.include_hybrid || options.include_mmr) && has_features) {
+  if (options.include_hybrid && has_features) {
     wrapper_base_ = std::make_unique<core::BreadthRecommender>(&library);
-    if (options.include_hybrid) {
-      core::HybridOptions hybrid_options;
-      hybrid_options.alpha = options.hybrid_alpha;
-      recommenders_.push_back(std::make_unique<core::HybridRecommender>(
-          wrapper_base_.get(), &dataset_->features, hybrid_options));
-    }
-    if (options.include_mmr) {
-      core::DiversityOptions mmr_options;
-      mmr_options.lambda = options.mmr_lambda;
-      recommenders_.push_back(std::make_unique<core::DiversityReranker>(
-          wrapper_base_.get(), &dataset_->features, mmr_options));
-    }
+    core::HybridOptions hybrid_options;
+    hybrid_options.alpha = options.hybrid_alpha;
+    recommenders_.push_back(std::make_unique<core::HybridRecommender>(
+        wrapper_base_.get(), &dataset_->features, hybrid_options));
   }
 }
 

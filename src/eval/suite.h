@@ -13,11 +13,12 @@
 #include "model/snapshot.h"
 #include "model/types.h"
 
-// Assembles the full roster of recommenders the paper compares (§6): the
-// four goal-based strategies, CF kNN, CF matrix factorisation, content-based
-// filtering (when the dataset has domain features), and the optional
-// popularity / association-rule anchors. Handles baseline training on the
-// visible user activities and owns everything the recommenders borrow.
+// Assembles the roster of recommenders the paper compares (§6): the four
+// goal-based strategies, CF kNN, CF matrix factorisation and content-based
+// filtering (when the dataset has domain features), plus two optional
+// extras: the popularity anchor of Table 3 and Hybrid(Breadth). Handles
+// baseline training on the visible user activities and owns everything the
+// recommenders borrow.
 
 namespace goalrec::eval {
 
@@ -28,17 +29,11 @@ struct SuiteOptions {
   /// Skipped automatically when the dataset has no feature table (43T).
   bool include_content = true;
   bool include_popularity = false;
-  bool include_association_rules = false;
-  /// Item-based CF (extension; off to keep the paper's roster by default).
-  bool include_cf_item_knn = false;
   /// Hybrid(Breadth) — requires a feature table; skipped without one.
   bool include_hybrid = false;
-  /// MMR(Breadth) diversity re-ranker — requires a feature table.
-  bool include_mmr = false;
   baselines::KnnOptions knn;
   baselines::AlsOptions als;
   double hybrid_alpha = 0.3;
-  double mmr_lambda = 0.7;
 };
 
 /// One run output: the method name and one list per evaluation user.
@@ -58,8 +53,8 @@ class Suite {
 
   /// Snapshot-pinned suite: co-owns `snapshot` for its whole lifetime, so a
   /// run keeps evaluating one immutable library even while reloads publish
-  /// newer versions elsewhere. Feature-dependent methods (content, hybrid,
-  /// MMR) are skipped — a bare snapshot carries no feature table.
+  /// newer versions elsewhere. Feature-dependent methods (content, hybrid)
+  /// are skipped — a bare snapshot carries no feature table.
   Suite(std::shared_ptr<const model::LibrarySnapshot> snapshot,
         std::vector<model::Activity> training_activities,
         SuiteOptions options = {});
@@ -99,8 +94,8 @@ class Suite {
   /// The workspaces RunAll leases, one per cart in flight.
   mutable core::QueryWorkspacePool workspace_pool_;
   std::unique_ptr<baselines::InteractionData> interactions_;
-  /// Base strategy borrowed by the hybrid/MMR wrappers (kept out of the
-  /// roster vector so its address is stable).
+  /// Base strategy borrowed by the hybrid wrapper (kept out of the roster
+  /// vector so its address is stable).
   std::unique_ptr<core::Recommender> wrapper_base_;
   std::vector<std::unique_ptr<core::Recommender>> recommenders_;
 };

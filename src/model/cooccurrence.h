@@ -9,11 +9,11 @@
 
 // Co-occurrence analytics over the implementation library: which actions
 // appear together in implementations, and how much more often than chance.
-// This is the *library-side* counterpart of the behaviour-side association
-// rules (baselines/association_rules.h) — §2's point is precisely that these
-// two disagree, and this module makes the library side queryable: "related
-// actions" boxes, diagnostics for generator structure, and the raw material
-// for the goal-family statistics the 43Things analysis leans on.
+// This is the *library-side* counterpart of the association rules §2 mines
+// from user behaviour — §2's point is precisely that these two disagree,
+// and this module makes the library side queryable: "related actions"
+// boxes, diagnostics for generator structure, and the raw material for the
+// goal-family statistics the 43Things analysis leans on.
 
 namespace goalrec::model {
 

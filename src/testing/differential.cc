@@ -32,6 +32,34 @@ size_t ScoreRunEnd(const core::RecommendationList& list, size_t i) {
   return j;
 }
 
+// RecommendPooled on `workspace`; null means the kernel's fresh local one.
+core::RecommendationList RunPooled(const model::ImplementationLibrary& library,
+                                   OracleStrategy strategy,
+                                   const model::Activity& activity, size_t k,
+                                   core::QueryWorkspace* workspace,
+                                   const core::BestMatchOptions& best_match) {
+  core::RecommendationList out;
+  switch (strategy) {
+    case OracleStrategy::kFocusCompleteness:
+      core::FocusRecommender(&library, core::FocusVariant::kCompleteness)
+          .RecommendPooled(activity, k, nullptr, workspace, out);
+      break;
+    case OracleStrategy::kFocusCloseness:
+      core::FocusRecommender(&library, core::FocusVariant::kCloseness)
+          .RecommendPooled(activity, k, nullptr, workspace, out);
+      break;
+    case OracleStrategy::kBreadth:
+      core::BreadthRecommender(&library).RecommendPooled(activity, k, nullptr,
+                                                         workspace, out);
+      break;
+    case OracleStrategy::kBestMatch:
+      core::BestMatchRecommender(&library, best_match)
+          .RecommendPooled(activity, k, nullptr, workspace, out);
+      break;
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<OracleStrategy> AllOracleStrategies() {
@@ -199,26 +227,7 @@ core::RecommendationList RunOptimizedPooled(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
     const model::Activity& activity, size_t k, core::QueryWorkspace& workspace,
     const core::BestMatchOptions& best_match) {
-  core::RecommendationList out;
-  switch (strategy) {
-    case OracleStrategy::kFocusCompleteness:
-      core::FocusRecommender(&library, core::FocusVariant::kCompleteness)
-          .RecommendPooled(activity, k, nullptr, &workspace, out);
-      break;
-    case OracleStrategy::kFocusCloseness:
-      core::FocusRecommender(&library, core::FocusVariant::kCloseness)
-          .RecommendPooled(activity, k, nullptr, &workspace, out);
-      break;
-    case OracleStrategy::kBreadth:
-      core::BreadthRecommender(&library).RecommendPooled(activity, k, nullptr,
-                                                         &workspace, out);
-      break;
-    case OracleStrategy::kBestMatch:
-      core::BestMatchRecommender(&library, best_match)
-          .RecommendPooled(activity, k, nullptr, &workspace, out);
-      break;
-  }
-  return out;
+  return RunPooled(library, strategy, activity, k, &workspace, best_match);
 }
 
 ReferenceList RunReference(const model::ImplementationLibrary& library,
@@ -253,10 +262,16 @@ DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
       options);
   outcome.entry_point = "Recommend";
   if (outcome.match && workspace != nullptr) {
-    outcome = CompareLists(RunOptimizedPooled(library, strategy, activity, k,
-                                              *workspace, best_match),
-                           reference, options);
+    outcome = CompareLists(
+        RunPooled(library, strategy, activity, k, workspace, best_match),
+        reference, options);
     outcome.entry_point = "RecommendPooled";
+  }
+  if (outcome.match) {
+    outcome = CompareLists(
+        RunPooled(library, strategy, activity, k, nullptr, best_match),
+        reference, options);
+    outcome.entry_point = "RecommendPooled(null)";
   }
   if (!outcome.match) {
     outcome.detail = OracleVariantName(strategy, best_match) + " via " +

@@ -77,7 +77,8 @@ struct DiffOptions {
 
 /// Outcome of one comparison. `detail` is a human-readable description of
 /// the first divergence (empty on match); `entry_point` names the optimized
-/// call that diverged ("Recommend" or "RecommendPooled").
+/// call that diverged: "Recommend", "RecommendPooled" (on the caller's
+/// workspace) or "RecommendPooled(null)" (on a null workspace).
 struct DiffOutcome {
   bool match = true;
   std::string detail;
@@ -116,7 +117,8 @@ ReferenceList RunReference(const model::ImplementationLibrary& library,
 /// the fuzz loop and the shrinker's failure predicate. Diffs the allocating
 /// Recommend, then, when `workspace` is given, RecommendPooled on it: the
 /// kernel serving and evaluation run. Callers pass one workspace for a whole
-/// case sequence, so state a kernel leaves stale in it shows up too.
+/// case sequence, so state a kernel leaves stale in it shows up too. Last,
+/// RecommendPooled with a null workspace (a fresh local one per call).
 DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
                          OracleStrategy strategy,
                          const model::Activity& activity, size_t k,

@@ -73,8 +73,9 @@ struct ReproCase {
   OracleCase oracle_case;
   /// OracleStrategyName of the diverging strategy; empty = check all.
   std::string strategy;
-  /// The optimized call that diverged ("Recommend" or "RecommendPooled");
-  /// empty when unknown. A replay diffs both either way.
+  /// The optimized call that diverged (DiffOutcome::entry_point, e.g.
+  /// "RecommendPooled(null)"); empty when unknown. A replay diffs every
+  /// entry point either way.
   std::string entry_point;
   /// Seed of the generated case the shrink started from (0 if unknown).
   uint64_t seed = 0;

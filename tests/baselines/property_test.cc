@@ -10,11 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "baselines/als.h"
-#include "baselines/association_rules.h"
 #include "baselines/content_based.h"
-#include "baselines/item_knn.h"
 #include "baselines/knn.h"
-#include "baselines/markov.h"
 #include "baselines/popularity.h"
 #include "testing/fixtures.h"
 #include "util/random.h"
@@ -38,13 +35,9 @@ class BaselinePropertyTest : public ::testing::TestWithParam<BaselineParams> {
     const BaselineParams& p = GetParam();
     util::Rng rng(p.seed);
     std::vector<model::Activity> activities;
-    std::vector<std::vector<model::ActionId>> sequences;
     for (uint32_t u = 0; u < p.num_users; ++u) {
-      model::Activity activity =
-          RandomActivity(p.num_actions, 1 + rng.UniformUint32(p.max_activity),
-                         rng);
-      sequences.emplace_back(activity.begin(), activity.end());
-      activities.push_back(std::move(activity));
+      activities.push_back(RandomActivity(
+          p.num_actions, 1 + rng.UniformUint32(p.max_activity), rng));
     }
     data_ = std::make_unique<InteractionData>(activities, p.num_actions);
 
@@ -57,22 +50,13 @@ class BaselinePropertyTest : public ::testing::TestWithParam<BaselineParams> {
     AlsOptions als;
     als.num_factors = 4;
     als.num_iterations = 2;
-    AssociationRuleOptions rules;
-    rules.min_support_count = 1;
-    rules.min_confidence = 0.0;
     recommenders_.push_back(std::make_unique<KnnRecommender>(data_.get()));
-    recommenders_.push_back(
-        std::make_unique<ItemKnnRecommender>(data_.get()));
     recommenders_.push_back(
         std::make_unique<AlsRecommender>(data_.get(), als));
     recommenders_.push_back(
         std::make_unique<ContentRecommender>(&features_));
     recommenders_.push_back(
         std::make_unique<PopularityRecommender>(data_.get()));
-    recommenders_.push_back(std::make_unique<AssociationRuleRecommender>(
-        data_.get(), rules));
-    recommenders_.push_back(
-        std::make_unique<MarkovRecommender>(std::move(sequences)));
   }
 
   std::unique_ptr<InteractionData> data_;

@@ -1,13 +1,13 @@
-// Invariants of the wrapper layers — Hybrid, MMR and RecommendationSession —
-// on random libraries: they must inherit the base guarantees (no performed
+// Invariants of the wrapper layers — Hybrid and RecommendationSession — on
+// random libraries: they must inherit the base guarantees (no performed
 // actions, no duplicates, determinism, k-respect) whatever the data.
 
 #include <algorithm>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "core/breadth.h"
-#include "core/diversity.h"
 #include "core/hybrid.h"
 #include "core/session.h"
 #include "testing/fixtures.h"
@@ -43,17 +43,12 @@ class WrapperPropertyTest : public ::testing::TestWithParam<WrapperParams> {
     hybrid_options.alpha = 0.4;
     hybrid_ = std::make_unique<HybridRecommender>(breadth_.get(), &features_,
                                                   hybrid_options);
-    DiversityOptions mmr_options;
-    mmr_options.lambda = 0.5;
-    mmr_ = std::make_unique<DiversityReranker>(breadth_.get(), &features_,
-                                               mmr_options);
   }
 
   model::ImplementationLibrary library_;
   model::ActionFeatureTable features_;
   std::unique_ptr<BreadthRecommender> breadth_;
   std::unique_ptr<HybridRecommender> hybrid_;
-  std::unique_ptr<DiversityReranker> mmr_;
 };
 
 TEST_P(WrapperPropertyTest, WrappersNeverRecommendPerformedActions) {
@@ -61,11 +56,8 @@ TEST_P(WrapperPropertyTest, WrappersNeverRecommendPerformedActions) {
   for (int trial = 0; trial < 15; ++trial) {
     model::Activity h = RandomActivity(GetParam().num_actions,
                                        1 + rng.UniformUint32(6), rng);
-    for (Recommender* rec :
-         std::initializer_list<Recommender*>{hybrid_.get(), mmr_.get()}) {
-      for (const ScoredAction& entry : rec->Recommend(h, 10)) {
-        EXPECT_FALSE(util::Contains(h, entry.action)) << rec->name();
-      }
+    for (const ScoredAction& entry : hybrid_->Recommend(h, 10)) {
+      EXPECT_FALSE(util::Contains(h, entry.action));
     }
   }
 }
@@ -75,15 +67,11 @@ TEST_P(WrapperPropertyTest, WrappersProduceNoDuplicates) {
   for (int trial = 0; trial < 15; ++trial) {
     model::Activity h = RandomActivity(GetParam().num_actions,
                                        1 + rng.UniformUint32(6), rng);
-    for (Recommender* rec :
-         std::initializer_list<Recommender*>{hybrid_.get(), mmr_.get()}) {
-      std::vector<model::ActionId> actions =
-          ActionsOf(rec->Recommend(h, 15));
-      std::sort(actions.begin(), actions.end());
-      EXPECT_TRUE(std::adjacent_find(actions.begin(), actions.end()) ==
-                  actions.end())
-          << rec->name();
-    }
+    std::vector<model::ActionId> actions =
+        ActionsOf(hybrid_->Recommend(h, 15));
+    std::sort(actions.begin(), actions.end());
+    EXPECT_TRUE(std::adjacent_find(actions.begin(), actions.end()) ==
+                actions.end());
   }
 }
 
@@ -92,10 +80,7 @@ TEST_P(WrapperPropertyTest, WrappersAreDeterministic) {
   for (int trial = 0; trial < 10; ++trial) {
     model::Activity h = RandomActivity(GetParam().num_actions,
                                        1 + rng.UniformUint32(6), rng);
-    for (Recommender* rec :
-         std::initializer_list<Recommender*>{hybrid_.get(), mmr_.get()}) {
-      EXPECT_EQ(rec->Recommend(h, 10), rec->Recommend(h, 10)) << rec->name();
-    }
+    EXPECT_EQ(hybrid_->Recommend(h, 10), hybrid_->Recommend(h, 10));
   }
 }
 
@@ -104,19 +89,30 @@ TEST_P(WrapperPropertyTest, WrappersDrawFromBasePool) {
   for (int trial = 0; trial < 10; ++trial) {
     model::Activity h = RandomActivity(GetParam().num_actions,
                                        1 + rng.UniformUint32(6), rng);
-    // The pool requested by the wrappers (pool_factor 3) bounds their
-    // output universe.
+    // The pool requested by the wrapper (pool_factor 3) bounds its output
+    // universe.
     std::vector<model::ActionId> pool =
         ActionsOf(breadth_->Recommend(h, 30));
     std::sort(pool.begin(), pool.end());
-    for (Recommender* rec :
-         std::initializer_list<Recommender*>{hybrid_.get(), mmr_.get()}) {
-      for (const ScoredAction& entry : rec->Recommend(h, 10)) {
-        EXPECT_TRUE(std::binary_search(pool.begin(), pool.end(),
-                                       entry.action))
-            << rec->name();
-      }
+    for (const ScoredAction& entry : hybrid_->Recommend(h, 10)) {
+      EXPECT_TRUE(std::binary_search(pool.begin(), pool.end(), entry.action));
     }
+  }
+}
+
+// k = SIZE_MAX makes the pool request pool_factor · k exceed SIZE_MAX; it
+// must saturate (converting that double to size_t is undefined) and answer
+// like any k above the candidate count, through both entry points.
+TEST_P(WrapperPropertyTest, HugeKSaturatesThePool) {
+  util::Rng rng(GetParam().seed + 7);
+  for (int trial = 0; trial < 5; ++trial) {
+    model::Activity h = RandomActivity(GetParam().num_actions,
+                                       1 + rng.UniformUint32(6), rng);
+    RecommendationList want = hybrid_->Recommend(h, GetParam().num_actions);
+    EXPECT_EQ(hybrid_->Recommend(h, SIZE_MAX), want);
+    RecommendationList pooled;
+    hybrid_->RecommendPooled(h, SIZE_MAX, nullptr, nullptr, pooled);
+    EXPECT_EQ(pooled, want);
   }
 }
 

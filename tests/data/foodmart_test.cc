@@ -1,5 +1,6 @@
 #include "data/foodmart.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -70,6 +71,16 @@ TEST_F(FoodmartTest, CartSizesWithinBounds) {
     EXPECT_GE(user.full_activity.size(), options.min_cart_size);
     EXPECT_LE(user.full_activity.size(), options.max_cart_size);
     EXPECT_TRUE(util::IsSortedSet(user.full_activity));
+  }
+}
+
+// ordered_activity is the same actions in the order performed (perfbench's
+// session_foodmart walks carts in it): sorted, it is full_activity.
+TEST_F(FoodmartTest, OrderedActivityIsAPermutationOfTheFullActivity) {
+  for (const UserRecord& user : dataset_->users) {
+    std::vector<model::ActionId> sorted = user.ordered_activity;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, user.full_activity);
   }
 }
 

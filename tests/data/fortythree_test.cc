@@ -1,5 +1,8 @@
 #include "data/fortythree.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "model/statistics.h"
@@ -75,6 +78,16 @@ TEST_F(FortyThreeTest, UserActivityCoversOneImplementationPerTrueGoal) {
       }
       EXPECT_TRUE(covered) << "goal " << g << " has no covered impl";
     }
+  }
+}
+
+// ordered_activity is the same actions in the order performed: sorted, it
+// is full_activity.
+TEST_F(FortyThreeTest, OrderedActivityIsAPermutationOfTheFullActivity) {
+  for (const UserRecord& user : dataset_->users) {
+    std::vector<model::ActionId> sorted = user.ordered_activity;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, user.full_activity);
   }
 }
 

@@ -150,43 +150,6 @@ TEST(ImplSetFrequencyTest, UsesLibraryPostings) {
   EXPECT_EQ(histogram.bucket_count(1), 1u);  // 0.2
 }
 
-TEST(CatalogCoverageTest, CountsDistinctRecommendedActions) {
-  std::vector<core::RecommendationList> lists = {MakeList({0, 1}),
-                                                 MakeList({1, 2})};
-  EXPECT_DOUBLE_EQ(CatalogCoverage(lists, 10), 0.3);  // {0, 1, 2} of 10
-  EXPECT_DOUBLE_EQ(CatalogCoverage({}, 10), 0.0);
-  EXPECT_DOUBLE_EQ(CatalogCoverage(lists, 0), 0.0);
-}
-
-TEST(RecommendationGiniTest, UniformExposureOverFullCatalog) {
-  // Every catalogue action recommended exactly once: perfectly even.
-  std::vector<core::RecommendationList> lists = {MakeList({0, 1}),
-                                                 MakeList({2, 3})};
-  EXPECT_NEAR(RecommendationGini(lists, 4), 0.0, 1e-12);
-}
-
-TEST(RecommendationGiniTest, MonopolyApproachesOne) {
-  // One action takes every slot of a large catalogue.
-  std::vector<core::RecommendationList> lists;
-  for (int i = 0; i < 50; ++i) lists.push_back(MakeList({7}));
-  double gini = RecommendationGini(lists, 100);
-  EXPECT_GT(gini, 0.95);
-  EXPECT_LE(gini, 1.0);
-}
-
-TEST(RecommendationGiniTest, SkewedBeatsEven) {
-  std::vector<core::RecommendationList> even = {MakeList({0}), MakeList({1}),
-                                                MakeList({2})};
-  std::vector<core::RecommendationList> skewed = {
-      MakeList({0}), MakeList({0}), MakeList({2})};
-  EXPECT_GT(RecommendationGini(skewed, 3), RecommendationGini(even, 3));
-}
-
-TEST(RecommendationGiniTest, EmptyInputsGiveZero) {
-  EXPECT_DOUBLE_EQ(RecommendationGini({}, 5), 0.0);
-  EXPECT_DOUBLE_EQ(RecommendationGini({MakeList({})}, 5), 0.0);
-}
-
 TEST(ImplSetFrequencyTest, DistinctActionsCountedOnce) {
   model::ImplementationLibrary lib = PaperLibrary();
   util::Histogram histogram(5);

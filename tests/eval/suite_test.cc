@@ -57,27 +57,20 @@ TEST(SuiteTest, OptionalAnchorsCanBeEnabled) {
   data::Dataset dataset = TinyFoodmart();
   SuiteOptions options = FastSuiteOptions();
   options.include_popularity = true;
-  options.include_association_rules = true;
   std::vector<data::EvalUser> users = data::SplitDataset(dataset, 0.5, 1);
   Suite suite(&dataset, VisibleActivities(users), options);
   std::vector<std::string> names = suite.names();
   EXPECT_NE(std::find(names.begin(), names.end(), "Popularity"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "AssocRules"), names.end());
 }
 
 TEST(SuiteTest, ExtensionRosterMembers) {
   data::Dataset dataset = TinyFoodmart();
   SuiteOptions options = FastSuiteOptions();
-  options.include_cf_item_knn = true;
   options.include_hybrid = true;
-  options.include_mmr = true;
   std::vector<data::EvalUser> users = data::SplitDataset(dataset, 0.5, 9);
   Suite suite(&dataset, VisibleActivities(users), options);
   std::vector<std::string> names = suite.names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "CF_itemKNN"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "Hybrid(Breadth)"),
-            names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "MMR(Breadth)"),
             names.end());
 }
 
@@ -86,12 +79,10 @@ TEST(SuiteTest, WrappersSkippedWithoutFeatures) {
       data::GenerateFortyThree(data::SmallFortyThreeOptions());
   SuiteOptions options = FastSuiteOptions();
   options.include_hybrid = true;
-  options.include_mmr = true;
   std::vector<data::EvalUser> users = data::SplitDataset(dataset, 0.3, 9);
   Suite suite(&dataset, VisibleActivities(users), options);
   for (const std::string& name : suite.names()) {
     EXPECT_EQ(name.find("Hybrid"), std::string::npos);
-    EXPECT_EQ(name.find("MMR"), std::string::npos);
   }
 }
 
@@ -147,10 +138,7 @@ TEST(SuiteTest, RunAllMatchesEachRecommendersOwnAnswer) {
   std::vector<model::Activity> inputs = VisibleActivities(users);
   SuiteOptions options = FastSuiteOptions();
   options.include_popularity = true;
-  options.include_association_rules = true;
-  options.include_cf_item_knn = true;
   options.include_hybrid = true;
-  options.include_mmr = true;
   Suite suite(&dataset, inputs, options);
   inputs.insert(inputs.begin() + 1, model::Activity{});  // an empty cart
   // k = 0, the usual list length, and more than any method has candidates.
@@ -189,7 +177,6 @@ TEST(SuiteTest, SnapshotPinnedSuiteMatchesDatasetSuite) {
   SuiteOptions wants_features = options;
   wants_features.include_content = true;
   wants_features.include_hybrid = true;
-  wants_features.include_mmr = true;
   Suite pinned(model::MakeSnapshot(dataset.library, "suite"), inputs,
                wants_features);
   EXPECT_EQ(pinned.names(), from_dataset.names());

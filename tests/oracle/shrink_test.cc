@@ -130,12 +130,14 @@ TEST(ShrinkTest, ShrinksAGeneratedBreadthDivergenceToAtMostThreeImpls) {
 TEST(ShrinkReproTest, RoundTripPreservesMetadataAndTheFailure) {
   OracleCase shrunk = ShrinkFailure(NoisyNameBasedCase(), NameBasedFailure);
   std::string path = ::testing::TempDir() + "/oracle_shrink_repro.tsv";
-  util::Status written = WriteRepro(shrunk, "Breadth", /*seed=*/987654, path);
+  util::Status written = WriteRepro(shrunk, "Breadth", /*seed=*/987654, path,
+                                    "RecommendPooled(null)");
   ASSERT_TRUE(written.ok()) << written.ToString();
 
   util::StatusOr<ReproCase> loaded = LoadRepro(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->strategy, "Breadth");
+  EXPECT_EQ(loaded->entry_point, "RecommendPooled(null)");
   EXPECT_EQ(loaded->seed, 987654u);
   EXPECT_EQ(loaded->oracle_case.k, shrunk.k);
   EXPECT_EQ(loaded->oracle_case.library.num_implementations(),
