@@ -1,19 +1,15 @@
-// Extensions tour: goal priorities, the incremental recommendation session,
-// sub-library scoping, the hybrid goal+content blend and per-recommendation
-// explanations — everything beyond the paper's §5 strategies in one
-// walkthrough of an online-learning scenario.
+// Extensions tour: per-recommendation explanations, sub-library scoping and
+// the incremental recommendation session — everything beyond the paper's §5
+// strategies in one walkthrough of an online-learning scenario.
 //
-//   $ ./goal_priorities
+//   $ ./extensions_tour
 
 #include <algorithm>
 #include <cstdio>
 
-#include "core/best_match.h"
 #include "core/breadth.h"
 #include "core/explanation.h"
 #include "core/focus.h"
-#include "core/goal_weights.h"
-#include "core/hybrid.h"
 #include "core/session.h"
 #include "model/library.h"
 #include "model/subset.h"
@@ -50,26 +46,18 @@ int main() {
                                    *library.actions().Find("statistics")};
   std::sort(done.begin(), done.end());
 
-  // 1. Uniform priorities: the data-science cert dominates (2/3 done).
+  // 1. Focus: the data-science cert dominates (2/3 done).
   goalrec::core::FocusRecommender focus(
       &library, goalrec::core::FocusVariant::kCompleteness);
-  PrintList(library, "Focus (uniform priorities)", focus.Recommend(done, 3));
+  PrintList(library, "Focus", focus.Recommend(done, 3));
 
-  // 2. The student declares the cloud cert their priority.
-  goalrec::core::GoalWeights weights;
-  weights.Set(*library.goals().Find("cloud cert"), 5.0);
-  goalrec::core::FocusRecommender prioritized(
-      &library, goalrec::core::FocusVariant::kCompleteness, &weights);
-  PrintList(library, "Focus (cloud cert boosted)",
-            prioritized.Recommend(done, 3));
-
-  // 3. Why is docker recommended? Ask for the explanation.
+  // 2. Why is docker recommended? Ask for the explanation.
   goalrec::core::Explanation explanation = goalrec::core::ExplainAction(
       library, done, *library.actions().Find("docker"));
   std::printf("\n%s\n",
               goalrec::core::FormatExplanation(library, explanation).c_str());
 
-  // 4. Scope recommendations to data-only certificates via a sub-library.
+  // 3. Scope recommendations to data-only certificates via a sub-library.
   ImplementationLibrary data_only = goalrec::model::FilterByGoal(
       library, [](goalrec::model::GoalId, const std::string& name) {
         return name.find("data") != std::string::npos ||
@@ -86,7 +74,7 @@ int main() {
   PrintList(data_only, "Breadth (data certs only)",
             scoped.Recommend(scoped_done, 3));
 
-  // 5. An interactive session: each completed course updates the state
+  // 4. An interactive session: each completed course updates the state
   //    incrementally.
   goalrec::core::BreadthRecommender breadth(&library);
   goalrec::core::RecommendationSession session(&library, &breadth);

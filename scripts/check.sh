@@ -37,6 +37,17 @@ run_fuzz_smoke() {
       --out="$build_dir"
 }
 
+run_runall_hashes() {
+  local build_dir=$1
+  # Answer fingerprint (bench/runall_hashes.cc): one hash per eval::Suite
+  # roster method and per allocating goal-based Recommend over fixed
+  # FoodMart carts. Exits non-zero when RunAll at 4 threads answers
+  # differently from RunAll at 1 thread. Diff its output across two
+  # commits to show a refactor left every answer bit-identical.
+  echo "=== RunAll hashes ($build_dir) ==="
+  "$build_dir/bench/runall_hashes"
+}
+
 run_shard_smoke() {
   local build_dir=$1
   # Open-loop duration per sweep point in ms. Sanitized trees pass a longer
@@ -164,6 +175,7 @@ if [[ "$PLAIN" == 1 ]]; then
   echo "=== plain build + ctest (build/) ==="
   run_suite build
   run_fuzz_smoke build
+  run_runall_hashes build
   run_shard_smoke build
   run_snapshot_smoke build
   run_query_smoke build

@@ -23,14 +23,13 @@ int64_t GoalIndex(std::span<const model::GoalId> goal_space,
   return it - goal_space.begin();
 }
 
-// Unweighted goal-space vectors hold small non-negative integers, and
-// doubles add, subtract and multiply integers exactly while every
-// intermediate stays below 2^53 — under that bound the dense strict-order
-// accumulation and the goal-major partial sums compute the *same real
-// number*, hence the same double, and the kernel is bit-identical to the
-// reference walk. `dims` is the goal-space size and `cap` bounds every
-// vector entry; the 8·n margin generously covers the worst intermediate
-// (≈ 3·n·cap²).
+// Goal-space vectors hold small non-negative integers, and doubles add,
+// subtract and multiply integers exactly while every intermediate stays
+// below 2^53 — under that bound the dense strict-order accumulation and the
+// goal-major partial sums compute the *same real number*, hence the same
+// double, and the kernel is bit-identical to the reference walk. `dims` is
+// the goal-space size and `cap` bounds every vector entry; the 8·n margin
+// generously covers the worst intermediate (≈ 3·n·cap²).
 bool SparseDistanceIsExact(size_t dims, double cap) {
   return (8.0 * static_cast<double>(dims) + 8.0) * cap * cap < 9.0e15;
 }
@@ -228,11 +227,6 @@ void BestMatchRecommender::ActionVectorInto(
       out[static_cast<size_t>(idx)] += 1.0;
     }
   }
-  if (options_.goal_weights != nullptr) {
-    for (size_t i = 0; i < goal_space.size(); ++i) {
-      out[i] *= options_.goal_weights->WeightOf(goal_space[i]);
-    }
-  }
 }
 
 util::DenseVector BestMatchRecommender::ActionVector(
@@ -242,24 +236,16 @@ util::DenseVector BestMatchRecommender::ActionVector(
   return vec;
 }
 
-void BestMatchRecommender::ProfileInto(util::IdSpan activity,
-                                       std::span<const model::GoalId> goal_space,
-                                       util::DenseVector& out,
-                                       util::DenseVector& scratch) const {
-  // Eq. 9: H⃗ = Σ_{a ∈ H} a⃗. Identical to Algorithm 3's single map-building
-  // pass when the representation is kImplementationCount.
-  out.assign(goal_space.size(), 0.0);
-  for (model::ActionId a : activity) {
-    ActionVectorInto(a, goal_space, scratch);
-    util::AddInPlace(out, scratch);
-  }
-}
-
 util::DenseVector BestMatchRecommender::Profile(
     const model::Activity& activity, const model::IdSet& goal_space) const {
-  util::DenseVector profile;
-  util::DenseVector scratch;
-  ProfileInto(activity, goal_space, profile, scratch);
+  // Eq. 9: H⃗ = Σ_{a ∈ H} a⃗. Identical to Algorithm 3's single map-building
+  // pass when the representation is kImplementationCount.
+  util::DenseVector profile(goal_space.size(), 0.0);
+  util::DenseVector vec;
+  for (model::ActionId a : activity) {
+    ActionVectorInto(a, goal_space, vec);
+    util::AddInPlace(profile, vec);
+  }
   return profile;
 }
 
@@ -305,18 +291,6 @@ void BestMatchRecommender::DeriveSpaces(util::IdSpan activity,
     if (ws.TestAndMarkGoal(g)) ws.goal_space.push_back(g);
   }
   std::sort(ws.goal_space.begin(), ws.goal_space.end());
-}
-
-// AS(H) − H from the scatter, by its own walk of IS(H): the goal-weighted
-// path, which never runs the scan that collects candidates on the way.
-void BestMatchRecommender::CollectCandidates(QueryWorkspace& ws) const {
-  ws.BeginActionPass(library_->num_actions());
-  ws.candidates.clear();
-  for (model::ImplId p : ws.touched_impls()) {
-    for (model::ActionId a : library_->ActionsOf(p)) {
-      if (!ws.InH(a) && ws.TestAndMark(a)) ws.candidates.push_back(a);
-    }
-  }
 }
 
 void BestMatchRecommender::RankCandidates(
@@ -375,8 +349,6 @@ void BestMatchRecommender::RankCandidates(
   });
 }
 
-// Goal weights scale dimensions by arbitrary doubles, which breaks the
-// exact-integer argument, so the weighted path keeps the dense evaluation.
 void BestMatchRecommender::RecommendOver(bool collect, size_t k,
                                          const util::StopToken* stop,
                                          QueryWorkspace& ws,
@@ -387,23 +359,8 @@ void BestMatchRecommender::RecommendOver(bool collect, size_t k,
   if (k == 0) return;
   if (ws.goal_space.empty()) return;
 
-  if (options_.goal_weights != nullptr) {
-    if (collect) CollectCandidates(ws);
-    span.Annotate("candidates", ws.candidates.size());
-    ProfileInto(ws.activity, ws.goal_space, ws.profile, ws.action_vec);
-    ws.top_k.Reset(k);
-    for (model::ActionId a : ws.candidates) {
-      if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
-      ActionVectorInto(a, ws.goal_space, ws.action_vec);
-      ws.top_k.Push(-util::Distance(ws.profile, ws.action_vec,
-                                    options_.metric),
-                    a);
-    }
-    ws.top_k.TakeInto([&out](double score, uint32_t id) {
-      out.push_back(ScoredAction{id, score});
-    });
-  } else if (ScanGoals(*library_, options_, ws.activity, ws.goal_space, stop,
-                       collect ? &ws.candidates : nullptr, ws)) {
+  if (ScanGoals(*library_, options_, ws.activity, ws.goal_space, stop,
+                collect ? &ws.candidates : nullptr, ws)) {
     span.Annotate("candidates", ws.candidates.size());
     obs::FlightRecorder::Default().Record(
         obs::RecorderEventType::kStageStamp,
@@ -434,9 +391,6 @@ void BestMatchRecommender::ScanShard(util::IdSpan activity,
                                      const util::StopToken* stop,
                                      QueryWorkspace& ws,
                                      BestMatchShardProfile& out) const {
-  // Weights scale dimensions by arbitrary doubles, which breaks the
-  // exact-integer partial-sum argument the root merge rests on.
-  GOALREC_CHECK(options_.goal_weights == nullptr);
   DeriveSpaces(activity, ws);
   ScanGoals(*library_, options_, activity, ws.goal_space, stop,
             &out.candidates, ws);

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "core/goal_weights.h"
 #include "core/recommender.h"
 #include "core/shard_types.h"
 #include "model/library.h"
@@ -32,10 +31,6 @@ struct BestMatchOptions {
   GoalVectorRepresentation representation =
       GoalVectorRepresentation::kImplementationCount;
   util::DistanceMetric metric = util::DistanceMetric::kEuclidean;
-  /// Optional goal priorities (must outlive the recommender): dimension i of
-  /// every goal-space vector is scaled by the weight of goal_space[i],
-  /// making mismatches on prioritised goals cost more.
-  const GoalWeights* goal_weights = nullptr;
 };
 
 class BestMatchRecommender : public Recommender {
@@ -76,8 +71,7 @@ class BestMatchRecommender : public Recommender {
   /// that the slice's implementations touch. Goal-colocated partitioning
   /// makes the slices disjoint, so the root rebuilds every global quantity
   /// by exact-integer sums. A scan stopped by `stop` leaves `out`
-  /// half-summed. `activity` must be normalised. Unweighted recommenders
-  /// only.
+  /// half-summed. `activity` must be normalised.
   void ScanShard(util::IdSpan activity, const util::StopToken* stop,
                  QueryWorkspace& ws, BestMatchShardProfile& out) const;
 
@@ -96,18 +90,12 @@ class BestMatchRecommender : public Recommender {
   void ActionVectorInto(model::ActionId action,
                         std::span<const model::GoalId> goal_space,
                         util::DenseVector& out) const;
-  void ProfileInto(util::IdSpan activity,
-                   std::span<const model::GoalId> goal_space,
-                   util::DenseVector& out, util::DenseVector& scratch) const;
   /// Sorted GS(H) into ws.goal_space, from one scatter over H's postings
   /// that leaves IS(H) counted and H marked in `ws` for the scan.
   void DeriveSpaces(util::IdSpan activity, QueryWorkspace& ws) const;
-  /// AS(H) − H into ws.candidates by a walk of the scatter's IS(H): the
-  /// goal-weighted path's candidates, which no scan collects.
-  void CollectCandidates(QueryWorkspace& ws) const;
   /// Ranks over ws.activity and ws.goal_space. With `collect`, ws holds
-  /// DeriveSpaces' scatter and the candidates are gathered from it; without,
-  /// ws.candidates already holds AS(H) − H.
+  /// DeriveSpaces' scatter and the scan gathers the candidates from it;
+  /// without, ws.candidates already holds AS(H) − H.
   void RecommendOver(bool collect, size_t k, const util::StopToken* stop,
                      QueryWorkspace& ws, RecommendationList& out) const;
 

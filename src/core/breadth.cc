@@ -1,6 +1,5 @@
 #include "core/breadth.h"
 
-#include <algorithm>
 #include <atomic>
 #include <optional>
 
@@ -28,9 +27,8 @@ double SetBreadthDenseCreditMultiplier(double multiplier) {
 }
 
 BreadthRecommender::BreadthRecommender(
-    const model::ImplementationLibrary* library,
-    const GoalWeights* goal_weights)
-    : library_(library), goal_weights_(goal_weights) {
+    const model::ImplementationLibrary* library)
+    : library_(library) {
   GOALREC_CHECK(library_ != nullptr);
 }
 
@@ -40,11 +38,7 @@ double BreadthRecommender::Score(model::ActionId action,
   for (model::ImplId p : library_->ImplsOfAction(action)) {
     size_t common =
         util::IntersectionSize(library_->ActionsOf(p), activity);
-    if (common == 0) continue;
-    double weight = goal_weights_ == nullptr
-                        ? 1.0
-                        : goal_weights_->WeightOf(library_->GoalOf(p));
-    score += weight * static_cast<double>(common);
+    score += static_cast<double>(common);
   }
   return score;
 }
@@ -65,18 +59,15 @@ RecommendationList BreadthRecommender::Recommend(
 //
 //   * sparse (default): the epoch-stamped score array — O(1) reset, only
 //     touched actions visited afterwards;
-//   * dense: a plain array reset by assign() when the unweighted credit
-//     mass Σ|A_p| exceeds the configured multiple of num_actions — at that
-//     density every action slot is hit several times anyway, and the
-//     unconditional `+=` beats the sparse path's per-credit epoch branch.
+//   * dense: a plain array reset by assign() when the credit mass Σ|A_p|
+//     exceeds the configured multiple of num_actions — at that density
+//     every action slot is hit several times anyway, and the unconditional
+//     `+=` beats the sparse path's per-credit epoch branch.
 //
-// Bit-identity: unweighted scores are sums of small non-negative integers
-// held in doubles — every partial sum is an exact integer, so the result is
+// Bit-identity: scores are sums of small non-negative integers held in
+// doubles — every partial sum is an exact integer, so the result is
 // independent of accumulation order *and* of which accumulator ran; the
-// differential wall pins both against the reference. With goal weights the
-// terms are arbitrary doubles and addition order matters, so that path
-// sorts the touched list to restore ascending implementation-id order and
-// never takes the dense accumulator.
+// differential wall pins both against the reference.
 bool BreadthRecommender::AccumulateScores(util::IdSpan activity,
                                           const util::StopToken* stop,
                                           QueryWorkspace& ws) const {
@@ -93,45 +84,34 @@ bool BreadthRecommender::AccumulateScores(util::IdSpan activity,
       static_cast<uint16_t>(obs::KernelStage::kScatter),
       static_cast<uint32_t>(activity.size()));
 
-  if (goal_weights_ == nullptr) {
-    uint64_t credits = 0;
+  uint64_t credits = 0;
+  for (model::ImplId p : ws.touched_impls()) {
+    credits += library_->ImplActionCount(p);
+  }
+  const double threshold =
+      g_dense_credit_multiplier.load(std::memory_order_relaxed) *
+      static_cast<double>(num_actions);
+  if (static_cast<double>(credits) > threshold) {
+    ++ws.kernel_stats.dense_resets;
+    ws.dense_score.assign(num_actions, 0.0);
     for (model::ImplId p : ws.touched_impls()) {
-      credits += library_->ImplActionCount(p);
-    }
-    const double threshold =
-        g_dense_credit_multiplier.load(std::memory_order_relaxed) *
-        static_cast<double>(num_actions);
-    if (static_cast<double>(credits) > threshold) {
-      ++ws.kernel_stats.dense_resets;
-      ws.dense_score.assign(num_actions, 0.0);
-      for (model::ImplId p : ws.touched_impls()) {
-        if (stop != nullptr && stop->ShouldStop()) break;  // partial
-        const double common = static_cast<double>(ws.ImplCountOf(p));
-        for (model::ActionId a : library_->ActionsOf(p)) {
-          ws.dense_score[a] += common;
-        }
+      if (stop != nullptr && stop->ShouldStop()) break;  // partial
+      const double common = static_cast<double>(ws.ImplCountOf(p));
+      for (model::ActionId a : library_->ActionsOf(p)) {
+        ws.dense_score[a] += common;
       }
-      obs::FlightRecorder::Default().Record(
-          obs::RecorderEventType::kStageStamp,
-          static_cast<uint16_t>(obs::KernelStage::kRank),
-          static_cast<uint32_t>(num_actions));
-      return true;
     }
+    obs::FlightRecorder::Default().Record(
+        obs::RecorderEventType::kStageStamp,
+        static_cast<uint16_t>(obs::KernelStage::kRank),
+        static_cast<uint32_t>(num_actions));
+    return true;
   }
 
   ws.BeginActionPass(num_actions);
-  std::span<const model::ImplId> impls = ws.touched_impls();
-  if (goal_weights_ != nullptr) {
-    ws.scratch.assign(impls.begin(), impls.end());
-    std::sort(ws.scratch.begin(), ws.scratch.end());
-    impls = ws.scratch;
-  }
-  for (model::ImplId p : impls) {
+  for (model::ImplId p : ws.touched_impls()) {
     if (stop != nullptr && stop->ShouldStop()) break;  // best-effort partial
-    double common = static_cast<double>(ws.ImplCountOf(p));
-    if (goal_weights_ != nullptr) {
-      common *= goal_weights_->WeightOf(library_->GoalOf(p));
-    }
+    const double common = static_cast<double>(ws.ImplCountOf(p));
     for (model::ActionId a : library_->ActionsOf(p)) ws.AddScore(a, common);
   }
   obs::FlightRecorder::Default().Record(
@@ -170,9 +150,7 @@ void BreadthRecommender::RecommendPooled(util::IdSpan activity, size_t k,
   } else {
     for (model::ActionId a : ws.touched()) {
       if (ws.InH(a)) continue;  // already performed
-      double score = ws.ScoreOf(a);
-      if (score <= 0.0) continue;  // only weight-0 goals contributed
-      ws.top_k.Push(score, a);
+      ws.top_k.Push(ws.ScoreOf(a), a);
     }
   }
   ws.top_k.TakeInto([&out](double score, uint32_t id) {
@@ -193,10 +171,6 @@ void BreadthRecommender::RecommendPooled(util::IdSpan activity, size_t k,
 void BreadthRecommender::AccumulateShard(
     util::IdSpan activity, const util::StopToken* stop, QueryWorkspace& ws,
     std::vector<ShardActionScore>& out) const {
-  // Weighted partials are arbitrary doubles whose addition order matters;
-  // the sharded merge sums partials shard-by-shard, which is only exact —
-  // hence only bit-identical — for the unweighted integer scores.
-  GOALREC_CHECK(goal_weights_ == nullptr);
   out.clear();
   const bool dense = AccumulateScores(activity, stop, ws);
   if (dense) {

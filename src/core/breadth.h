@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "core/goal_weights.h"
 #include "core/recommender.h"
 #include "core/shard_types.h"
 #include "model/library.h"
@@ -39,11 +38,8 @@ double SetBreadthDenseCreditMultiplier(double multiplier);
 
 class BreadthRecommender : public Recommender {
  public:
-  /// The library (and `goal_weights`, when given) must outlive the
-  /// recommender. With weights, each implementation's |A ∩ H| contribution
-  /// is multiplied by the weight of its goal.
-  explicit BreadthRecommender(const model::ImplementationLibrary* library,
-                              const GoalWeights* goal_weights = nullptr);
+  /// The library must outlive the recommender.
+  explicit BreadthRecommender(const model::ImplementationLibrary* library);
 
   std::string name() const override { return "Breadth"; }
   RecommendationList Recommend(const model::Activity& activity,
@@ -66,8 +62,7 @@ class BreadthRecommender : public Recommender {
   /// an (action, partial score) record — the shard's exact-integer
   /// contribution to the action's global Eq. 6 score. Actions in H are
   /// excluded here (H is shard-independent). `activity` must be
-  /// normalised. Unweighted recommenders only (weighted partials are not
-  /// order-free).
+  /// normalised.
   void AccumulateShard(util::IdSpan activity, const util::StopToken* stop,
                        QueryWorkspace& workspace,
                        std::vector<ShardActionScore>& out) const;
@@ -82,7 +77,6 @@ class BreadthRecommender : public Recommender {
                         QueryWorkspace& ws) const;
 
   const model::ImplementationLibrary* library_;
-  const GoalWeights* goal_weights_;
 };
 
 }  // namespace goalrec::core

@@ -26,9 +26,8 @@ double Closeness(util::IdSpan impl_actions, util::IdSpan activity) {
 }
 
 FocusRecommender::FocusRecommender(
-    const model::ImplementationLibrary* library, FocusVariant variant,
-    const GoalWeights* goal_weights)
-    : library_(library), variant_(variant), goal_weights_(goal_weights) {
+    const model::ImplementationLibrary* library, FocusVariant variant)
+    : library_(library), variant_(variant) {
   GOALREC_CHECK(library_ != nullptr);
   trace_label_ = "strategy/" + name();
 }
@@ -98,10 +97,6 @@ void FocusRecommender::RankUnsortedInto(
                        ? static_cast<double>(common) /
                              library_->ImplActionCountD(p)
                        : library_->Reciprocal(size - common);
-    if (goal_weights_ != nullptr) {
-      score *= goal_weights_->WeightOf(library_->GoalOf(p));
-      if (score <= 0.0) continue;  // weight-0 goals are excluded
-    }
     out.push_back(RankedImplementation{p, score});
   }
 }
@@ -146,9 +141,6 @@ void FocusRecommender::EmitShardForMerge(
     util::IdSpan activity, size_t k, util::IdSpan local_to_logical,
     const util::StopToken* stop, QueryWorkspace& ws,
     std::vector<ShardEmission>& out) const {
-  // Weighted scores multiply by arbitrary doubles per goal; the sharded
-  // wall only covers the exact unweighted arithmetic.
-  GOALREC_CHECK(goal_weights_ == nullptr);
   out.clear();
   if (k == 0) return;
   RankUnsortedInto(activity, stop, ws, ws.ranked);

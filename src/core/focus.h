@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "core/goal_weights.h"
 #include "core/recommender.h"
 #include "core/shard_types.h"
 #include "model/library.h"
@@ -36,12 +35,9 @@ double Closeness(util::IdSpan impl_actions, util::IdSpan activity);
 
 class FocusRecommender : public Recommender {
  public:
-  /// The library (and `goal_weights`, when given) must outlive the
-  /// recommender. With weights, an implementation's score is multiplied by
-  /// the weight of its goal; weight-0 goals are never pursued.
+  /// The library must outlive the recommender.
   FocusRecommender(const model::ImplementationLibrary* library,
-                   FocusVariant variant,
-                   const GoalWeights* goal_weights = nullptr);
+                   FocusVariant variant);
 
   std::string name() const override;
   RecommendationList Recommend(const model::Activity& activity,
@@ -69,8 +65,7 @@ class FocusRecommender : public Recommender {
   /// the root merge accepts is preceded in its own shard's stream only by
   /// records the root processed first, so its local distinct-action rank is
   /// ≤ k. `local_to_logical` maps this shard's implementation ids to
-  /// logical (base) ids; `activity` must be normalised. Unweighted
-  /// recommenders only.
+  /// logical (base) ids; `activity` must be normalised.
   void EmitShardForMerge(util::IdSpan activity, size_t k,
                          util::IdSpan local_to_logical,
                          const util::StopToken* stop, QueryWorkspace& ws,
@@ -99,7 +94,6 @@ class FocusRecommender : public Recommender {
 
   const model::ImplementationLibrary* library_;
   FocusVariant variant_;
-  const GoalWeights* goal_weights_;
   /// "strategy/<name>", built once: the per-query trace span label must not
   /// cost an allocation on the pooled path.
   std::string trace_label_;

@@ -21,7 +21,7 @@
 // (tests/oracle/sharded_test.cc): all partials are exact integers in
 // doubles, so recombining them in any order reproduces the single-scan
 // arithmetic digit for digit, and every comparator involved is a total
-// order. Unweighted strategies only — the shard entry points enforce this.
+// order.
 //
 // All functions run on the caller's root workspace (markers, top-k heap,
 // profile buffers) and perform no steady-state allocations.

@@ -101,10 +101,6 @@ ShardedRecommender::ShardedRecommender(
       merge_latency_us_(merge_latency_us) {
   GOALREC_CHECK(sharded_ != nullptr);
   GOALREC_CHECK(sharded_->base != nullptr);
-  // The bit-identical merge rests on exact-integer partials; goal weights
-  // scale by arbitrary doubles and are rejected at construction, not per
-  // query.
-  GOALREC_CHECK(best_match_options.goal_weights == nullptr);
   const uint32_t n = sharded_->num_shards;
   kernels_.reserve(n + 1);
   for (uint32_t s = 0; s < n; ++s) {

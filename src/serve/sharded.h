@@ -62,9 +62,7 @@ class ShardedRecommender : public core::Recommender {
   /// `pool`, shard kernels run as pool tasks with the calling thread taking
   /// shard 0 inline; without one the fan-out degenerates to a sequential
   /// loop (same results — the merge is order-free by construction).
-  /// `best_match_options` must not carry goal weights (sharding is exact
-  /// only for the unweighted integer arithmetic; checked). Root merge time
-  /// is observed into `merge_latency_us` when given.
+  /// Root merge time is observed into `merge_latency_us` when given.
   ShardedRecommender(std::shared_ptr<const model::ShardedSnapshot> sharded,
                      ShardedStrategy strategy,
                      util::ThreadPool* pool = nullptr,

@@ -20,9 +20,9 @@
 //
 // Comparison semantics. Both sides promise a deterministic total order
 // (score descending, ties by ascending action id — for Focus, by the
-// Algorithm 1 emission order), and without goal weights their arithmetic is
-// bit-identical (see reference.h), so the default comparison demands exact
-// positional equality of (action, score) pairs. The tie-break-aware mode
+// Algorithm 1 emission order), and their arithmetic is bit-identical (see
+// reference.h), so the default comparison demands exact positional
+// equality of (action, score) pairs. The tie-break-aware mode
 // relaxes only the order *within* runs of equal scores — the relaxation to
 // use when a refactor legitimately reorders tied actions (the contract pins
 // scores, membership and score runs, not intra-tie order).
@@ -46,8 +46,8 @@ const char* OracleStrategyName(OracleStrategy strategy);
 /// Inverse of OracleStrategyName; nullopt for unknown names.
 std::optional<OracleStrategy> OracleStrategyFromName(std::string_view name);
 
-/// The Best Match variants `strategy` runs under: for kBestMatch all six
-/// unweighted ones, {counts, boolean} × {euclidean, manhattan, cosine},
+/// The Best Match variants `strategy` runs under: for kBestMatch all six,
+/// {counts, boolean} × {euclidean, manhattan, cosine},
 /// the paper default (counts, euclidean) first; for the others only the
 /// default, which they ignore.
 std::vector<core::BestMatchOptions> OracleVariants(OracleStrategy strategy);
@@ -71,7 +71,7 @@ struct DiffOptions {
   /// false (default) tied actions may appear in any order within their run.
   bool strict_order = false;
   /// Absolute score tolerance. 0 (default) demands bitwise-equal scores,
-  /// which the goal-weight-free strategies satisfy by construction.
+  /// which the strategies satisfy by construction.
   double score_tolerance = 0.0;
 };
 
@@ -90,9 +90,9 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
                          const ReferenceList& reference,
                          const DiffOptions& options = {});
 
-/// Runs the optimized src/core/ strategy, without goal weights. Best Match
-/// runs as `best_match` says (paper default unless given); the other
-/// strategies ignore it, here and below.
+/// Runs the optimized src/core/ strategy. Best Match runs as `best_match`
+/// says (paper default unless given); the other strategies ignore it, here
+/// and below.
 core::RecommendationList RunOptimized(
     const model::ImplementationLibrary& library, OracleStrategy strategy,
     const model::Activity& activity, size_t k,

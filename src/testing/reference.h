@@ -30,13 +30,13 @@
 //     implementations best-first with impl id breaking score ties, missing
 //     actions of each in ascending id order).
 //
-// Arithmetic note: without goal weights every strategy's score is either a
-// single IEEE division (Focus) or a sum of small integers (Breadth, Best
-// Match vector entries), so the reference reproduces the optimized scores
-// bit-for-bit and the differential comparison can demand exact equality.
-// The reference covers all six unweighted Best Match variants
-// (representation × metric); it takes core::BestMatchOptions only as the
-// name of the variant, never calling into src/core/.
+// Arithmetic note: every strategy's score is either a single IEEE division
+// (Focus) or a sum of small integers (Breadth, Best Match vector entries),
+// so the reference reproduces the optimized scores bit-for-bit and the
+// differential comparison can demand exact equality. The reference covers
+// all six Best Match variants (representation × metric); it takes
+// core::BestMatchOptions only as the name of the variant, never calling
+// into src/core/.
 
 namespace goalrec::testing {
 
@@ -128,7 +128,7 @@ ReferenceList ReferenceBreadth(const model::ImplementationLibrary& library,
 /// between the profile and their goal vectors — Eq. 8 implementation
 /// counts or Eq. 7 booleans, Euclidean, Manhattan or cosine distance as
 /// `options` says (paper defaults: counts, Euclidean); score is the negated
-/// distance. `options.goal_weights` must be null. Up to `k` items.
+/// distance. Up to `k` items.
 ReferenceList ReferenceBestMatch(const model::ImplementationLibrary& library,
                                  const model::Activity& activity, size_t k,
                                  const core::BestMatchOptions& options = {});

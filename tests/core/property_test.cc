@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <type_traits>
 
 #include "core/best_match.h"
 #include "core/breadth.h"
@@ -25,6 +26,10 @@ namespace {
 using goalrec::testing::RandomActivity;
 using goalrec::testing::RandomLibrary;
 
+// gtest prints a parameter that has no PrintTo as its object bytes, and
+// ctest names each instance by that dump, so the struct must have no
+// padding: indeterminate padding bytes name the same test differently in
+// every build tree.
 struct PropertyParams {
   uint32_t num_actions;
   uint32_t num_goals;
@@ -32,6 +37,7 @@ struct PropertyParams {
   uint32_t max_size;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<PropertyParams>);
 
 class StrategyPropertyTest : public ::testing::TestWithParam<PropertyParams> {
  protected:

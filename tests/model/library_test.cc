@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "testing/fixtures.h"
@@ -208,6 +209,10 @@ TEST(LibraryStatsTest, AvgImplementationLength) {
 
 // --- property tests over random libraries -----------------------------------
 
+// gtest prints a parameter that has no PrintTo as its object bytes, and
+// ctest names each instance by that dump, so the struct must have no
+// padding: indeterminate padding bytes name the same test differently in
+// every build tree.
 struct SpaceParams {
   uint32_t num_actions;
   uint32_t num_goals;
@@ -215,6 +220,7 @@ struct SpaceParams {
   uint32_t max_size;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<SpaceParams>);
 
 class LibraryPropertyTest : public ::testing::TestWithParam<SpaceParams> {};
 
