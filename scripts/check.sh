@@ -3,7 +3,8 @@
 # (-DGOALREC_SANITIZE=ON), then the concurrency-relevant tests (src/obs/
 # sharded metrics, trace propagation, engine serving path, thread pool)
 # under ThreadSanitizer (-DGOALREC_TSAN=ON). Pass --plain to also run the
-# normal (non-sanitized) build first. See CONTRIBUTING.md.
+# normal (non-sanitized) build and the benchmark driver build first. See
+# CONTRIBUTING.md.
 #
 #   scripts/check.sh [--plain] [extra ctest args...]
 set -euo pipefail
@@ -24,6 +25,15 @@ run_suite() {
   cmake -B "$build_dir" -S . "${generator_args[@]}" "$@" >/dev/null
   cmake --build "$build_dir" -j "$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "${CTEST_ARGS[@]}"
+}
+
+run_perfbench_build() {
+  # The benchmark driver (perfbench/) compiles src/ as its own CMake package,
+  # so no other step builds it: an API change that breaks it would show only
+  # when the benchmark runs. Build only; the benchmark is perfbench/run.py.
+  echo "=== benchmark driver build (build-perfbench/) ==="
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-perfbench --target goalrec_bench -j "$(nproc)"
 }
 
 run_fuzz_smoke() {
@@ -174,6 +184,7 @@ done
 if [[ "$PLAIN" == 1 ]]; then
   echo "=== plain build + ctest (build/) ==="
   run_suite build
+  run_perfbench_build
   run_fuzz_smoke build
   run_runall_hashes build
   run_shard_smoke build

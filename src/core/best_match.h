@@ -5,6 +5,7 @@
 
 #include "core/recommender.h"
 #include "core/shard_types.h"
+#include "core/strategy.h"
 #include "model/library.h"
 #include "util/dense_vector.h"
 
@@ -39,7 +40,9 @@ class BestMatchRecommender : public Recommender {
   explicit BestMatchRecommender(const model::ImplementationLibrary* library,
                                 BestMatchOptions options = {});
 
-  std::string name() const override { return "BestMatch"; }
+  std::string name() const override {
+    return std::string(StrategyName(Strategy::kBestMatch));
+  }
 
   /// Ranked ascending by distance to the profile. ScoredAction::score is the
   /// *negated* distance so that, as everywhere else, higher score = better.

@@ -5,6 +5,7 @@
 
 #include "core/recommender.h"
 #include "core/shard_types.h"
+#include "core/strategy.h"
 #include "model/library.h"
 
 // The Breadth strategy (paper §5.2, Algorithm 2): evaluate every candidate
@@ -41,7 +42,9 @@ class BreadthRecommender : public Recommender {
   /// The library must outlive the recommender.
   explicit BreadthRecommender(const model::ImplementationLibrary* library);
 
-  std::string name() const override { return "Breadth"; }
+  std::string name() const override {
+    return std::string(StrategyName(Strategy::kBreadth));
+  }
   RecommendationList Recommend(const model::Activity& activity,
                                size_t k) const override;
 

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "core/query_workspace.h"
+#include "core/strategy.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
@@ -33,7 +34,9 @@ FocusRecommender::FocusRecommender(
 }
 
 std::string FocusRecommender::name() const {
-  return variant_ == FocusVariant::kCompleteness ? "Focus_cmp" : "Focus_cl";
+  return std::string(StrategyName(variant_ == FocusVariant::kCompleteness
+                                      ? Strategy::kFocusCompleteness
+                                      : Strategy::kFocusCloseness));
 }
 
 std::vector<RankedImplementation> FocusRecommender::RankImplementations(

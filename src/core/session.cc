@@ -18,10 +18,6 @@ bool RecommendationSession::Perform(model::ActionId action) {
   if (util::Contains(activity_, action)) return false;
   activity_.push_back(action);
   std::sort(activity_.begin(), activity_.end());
-  if (impl_space_valid_ && action < library_->num_actions()) {
-    // Incremental merge of the new action's postings into the cached space.
-    impl_space_ = util::Union(impl_space_, library_->ImplsOfAction(action));
-  }
   return true;
 }
 
@@ -29,25 +25,15 @@ bool RecommendationSession::Undo(model::ActionId action) {
   auto it = std::lower_bound(activity_.begin(), activity_.end(), action);
   if (it == activity_.end() || *it != action) return false;
   activity_.erase(it);
-  impl_space_valid_ = false;  // other actions may still cover its postings
   return true;
 }
 
-const model::IdSet& RecommendationSession::ImplementationSpace() const {
-  if (!impl_space_valid_) {
-    impl_space_ = library_->ImplementationSpace(activity_);
-    impl_space_valid_ = true;
-  }
-  return impl_space_;
+model::IdSet RecommendationSession::ImplementationSpace() const {
+  return library_->ImplementationSpace(activity_);
 }
 
 model::IdSet RecommendationSession::GoalSpace() const {
-  model::IdSet goals;
-  for (model::ImplId p : ImplementationSpace()) {
-    goals.push_back(library_->GoalOf(p));
-  }
-  util::Normalize(goals);
-  return goals;
+  return library_->GoalSpace(activity_);
 }
 
 RecommendationSession::ClosestGoal RecommendationSession::FindClosestGoal()

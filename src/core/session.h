@@ -6,11 +6,9 @@
 
 // Online recommendation session: the serving-side counterpart of the batch
 // Recommender interface. A session tracks one user's growing activity (a
-// shopper adding items to the cart, a learner completing courses) and keeps
-// the expensive derived state — the implementation space IS(H) — incremental:
-// performing one action merges just that action's A-GI postings instead of
-// recomputing the space from scratch, turning the per-event cost from
-// O(|H| · connectivity) into O(connectivity) (amortised).
+// shopper adding items to the cart, a learner completing courses) and asks
+// its strategy for recommendations over it. It keeps no derived state: the
+// spaces are computed from the library when asked for.
 
 namespace goalrec::core {
 
@@ -28,17 +26,16 @@ class RecommendationSession {
   bool Perform(model::ActionId action);
 
   /// Forgets a performed action (an item removed from the cart). Returns
-  /// true if it was present. The implementation space is rebuilt on the next
-  /// query (removal cannot be done by merging).
+  /// true if it was present.
   bool Undo(model::ActionId action);
 
   /// The activity accumulated so far (sorted).
   const model::Activity& activity() const { return activity_; }
 
-  /// IS(H) for the current activity (cached; rebuilt lazily after Undo).
-  const model::IdSet& ImplementationSpace() const;
+  /// IS(H) for the current activity.
+  model::IdSet ImplementationSpace() const;
 
-  /// GS(H) for the current activity (derived from the cached IS(H)).
+  /// GS(H) for the current activity.
   model::IdSet GoalSpace() const;
 
   /// Completeness of the single goal closest to fulfilment, with its id;
@@ -56,8 +53,6 @@ class RecommendationSession {
   const model::ImplementationLibrary* library_;
   const Recommender* strategy_;
   model::Activity activity_;
-  mutable model::IdSet impl_space_;
-  mutable bool impl_space_valid_ = true;  // empty activity -> empty space
 };
 
 }  // namespace goalrec::core

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "core/best_match.h"
-#include "core/breadth.h"
-#include "core/focus.h"
+#include "core/strategy.h"
 #include "eval/table.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -85,13 +83,9 @@ std::vector<ScalingRow> RunScaling(const ScalingOptions& options) {
     row.measured_connectivity = library.ActionConnectivity();
 
     std::vector<std::unique_ptr<core::Recommender>> strategies;
-    strategies.push_back(std::make_unique<core::FocusRecommender>(
-        &library, core::FocusVariant::kCompleteness));
-    strategies.push_back(std::make_unique<core::FocusRecommender>(
-        &library, core::FocusVariant::kCloseness));
-    strategies.push_back(std::make_unique<core::BreadthRecommender>(&library));
-    strategies.push_back(
-        std::make_unique<core::BestMatchRecommender>(&library));
+    for (const core::StrategyInfo& info : core::kStrategies) {
+      strategies.push_back(core::MakeStrategy(library, info.strategy));
+    }
 
     // Shared query activities so every strategy sees identical inputs.
     util::Rng rng(options.seed ^ 0x9e3779b97f4a7c15ULL);

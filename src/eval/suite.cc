@@ -2,10 +2,8 @@
 
 #include "baselines/content_based.h"
 #include "baselines/popularity.h"
-#include "core/best_match.h"
-#include "core/breadth.h"
-#include "core/focus.h"
 #include "core/hybrid.h"
+#include "core/strategy.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -42,14 +40,9 @@ void Suite::Init(std::vector<model::Activity> training_activities,
   }
 
   if (options.include_goal_based) {
-    recommenders_.push_back(std::make_unique<core::FocusRecommender>(
-        &library, core::FocusVariant::kCompleteness));
-    recommenders_.push_back(std::make_unique<core::FocusRecommender>(
-        &library, core::FocusVariant::kCloseness));
-    recommenders_.push_back(
-        std::make_unique<core::BreadthRecommender>(&library));
-    recommenders_.push_back(
-        std::make_unique<core::BestMatchRecommender>(&library));
+    for (const core::StrategyInfo& info : core::kStrategies) {
+      recommenders_.push_back(core::MakeStrategy(library, info.strategy));
+    }
   }
   if (options.include_cf_knn) {
     recommenders_.push_back(std::make_unique<baselines::KnnRecommender>(
@@ -69,7 +62,7 @@ void Suite::Init(std::vector<model::Activity> training_activities,
         interactions_.get()));
   }
   if (options.include_hybrid && has_features) {
-    wrapper_base_ = std::make_unique<core::BreadthRecommender>(&library);
+    wrapper_base_ = core::MakeStrategy(library, core::Strategy::kBreadth);
     core::HybridOptions hybrid_options;
     hybrid_options.alpha = options.hybrid_alpha;
     recommenders_.push_back(std::make_unique<core::HybridRecommender>(

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace goalrec::model {
@@ -21,19 +20,9 @@ uint64_t Mix64(uint64_t x) {
 
 }  // namespace
 
-const char* PartitionPolicyName(PartitionPolicy policy) {
-  switch (policy) {
-    case PartitionPolicy::kHashByGoal:
-      return "hash_goal";
-    case PartitionPolicy::kModuloGoal:
-      return "modulo_goal";
-  }
-  return "?";
-}
-
 std::shared_ptr<const ShardedSnapshot> BuildShardedSnapshot(
     const ImplementationLibrary& base, uint32_t num_shards,
-    const ShardingOptions& options, uint64_t base_version) {
+    uint64_t base_version) {
   if (num_shards == 0) num_shards = 1;
   auto out = std::make_shared<ShardedSnapshot>();
   out->base = &base;
@@ -43,20 +32,8 @@ std::shared_ptr<const ShardedSnapshot> BuildShardedSnapshot(
   // Materialise the goal → shard assignment once.
   const uint32_t num_goals = base.num_goals();
   out->goal_shard.resize(num_goals);
-  if (options.custom) {
-    out->policy_name = options.custom_name;
-    for (GoalId g = 0; g < num_goals; ++g) {
-      uint32_t shard = options.custom(g, base, num_shards);
-      GOALREC_CHECK(shard < num_shards);
-      out->goal_shard[g] = shard;
-    }
-  } else {
-    out->policy_name = PartitionPolicyName(options.policy);
-    for (GoalId g = 0; g < num_goals; ++g) {
-      out->goal_shard[g] = options.policy == PartitionPolicy::kModuloGoal
-                               ? g % num_shards
-                               : static_cast<uint32_t>(Mix64(g) % num_shards);
-    }
+  for (GoalId g = 0; g < num_goals; ++g) {
+    out->goal_shard[g] = static_cast<uint32_t>(Mix64(g) % num_shards);
   }
 
   // Walk implementations in ascending logical id order so shard-local ids

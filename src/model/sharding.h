@@ -2,9 +2,7 @@
 #define GOALREC_MODEL_SHARDING_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "model/library.h"
@@ -40,31 +38,6 @@
 
 namespace goalrec::model {
 
-/// Built-in goal→shard assignment policies.
-enum class PartitionPolicy {
-  /// Default: splitmix64 hash of the goal id, modulo shard count. Balanced
-  /// for adversarially clustered goal ids.
-  kHashByGoal,
-  /// goal id modulo shard count. Deterministically striped; useful in tests
-  /// that want to pin which shard a goal lands on.
-  kModuloGoal,
-};
-
-const char* PartitionPolicyName(PartitionPolicy policy);
-
-struct ShardingOptions {
-  PartitionPolicy policy = PartitionPolicy::kHashByGoal;
-  /// Overrides `policy` when set: full custom goal→shard assignment. Must
-  /// return a value < num_shards for every goal id < num_goals. The library
-  /// reference allows name-based policies (goal ids renumber across
-  /// reloads; names are the stable vocabulary).
-  std::function<uint32_t(GoalId, const ImplementationLibrary&,
-                         uint32_t num_shards)>
-      custom;
-  /// Label reported on statusz for a custom policy.
-  std::string custom_name = "custom";
-};
-
 /// One library, partitioned by goal into `num_shards` immutable per-shard
 /// libraries. Shard libraries carry copies of the base vocabularies, so
 /// action and goal ids are base ids everywhere; only implementation ids are
@@ -88,12 +61,11 @@ struct ShardedSnapshot {
   /// Per-shard inverse: local implementation id → logical id. Strictly
   /// increasing per shard (locals are assigned in ascending logical order).
   std::vector<std::vector<uint32_t>> local_to_logical;
-  /// Goal id → owning shard (the materialised partition policy).
+  /// Goal id → owning shard: a splitmix64 hash of the goal id, modulo the
+  /// shard count, which stays balanced for clustered goal ids.
   std::vector<uint32_t> goal_shard;
 
   uint32_t num_shards = 0;
-  /// Display name of the policy that produced goal_shard.
-  std::string policy_name;
   /// Version of the base snapshot this partition was derived from (0 when
   /// built from a bare library).
   uint64_t base_version = 0;
@@ -113,7 +85,7 @@ struct ShardedSnapshot {
 /// `base_version` stamps ShardedSnapshot::base_version for audit trails.
 std::shared_ptr<const ShardedSnapshot> BuildShardedSnapshot(
     const ImplementationLibrary& base, uint32_t num_shards,
-    const ShardingOptions& options = {}, uint64_t base_version = 0);
+    uint64_t base_version = 0);
 
 }  // namespace goalrec::model
 

@@ -5,6 +5,8 @@
 #include <optional>
 #include <utility>
 
+#include "core/breadth.h"
+#include "core/focus.h"
 #include "core/shard_merge.h"
 #include "serve/popularity_floor.h"
 #include "util/logging.h"
@@ -67,33 +69,9 @@ class ShardedRecommender::ScratchLease {
   std::unique_ptr<FanoutScratch> scratch_;
 };
 
-namespace {
-
-/// The unsharded kernel serving `strategy` over `library`.
-std::unique_ptr<const core::Recommender> MakeKernel(
-    const model::ImplementationLibrary& library, ShardedStrategy strategy,
-    const core::BestMatchOptions& best_match_options) {
-  switch (strategy) {
-    case ShardedStrategy::kFocusCompleteness:
-      return std::make_unique<core::FocusRecommender>(
-          &library, core::FocusVariant::kCompleteness);
-    case ShardedStrategy::kFocusCloseness:
-      return std::make_unique<core::FocusRecommender>(
-          &library, core::FocusVariant::kCloseness);
-    case ShardedStrategy::kBreadth:
-      return std::make_unique<core::BreadthRecommender>(&library);
-    case ShardedStrategy::kBestMatch:
-      break;
-  }
-  return std::make_unique<core::BestMatchRecommender>(&library,
-                                                      best_match_options);
-}
-
-}  // namespace
-
 ShardedRecommender::ShardedRecommender(
     std::shared_ptr<const model::ShardedSnapshot> sharded,
-    ShardedStrategy strategy, util::ThreadPool* pool,
+    core::Strategy strategy, util::ThreadPool* pool,
     core::BestMatchOptions best_match_options, obs::Histogram* merge_latency_us)
     : sharded_(std::move(sharded)),
       strategy_(strategy),
@@ -104,13 +82,13 @@ ShardedRecommender::ShardedRecommender(
   const uint32_t n = sharded_->num_shards;
   kernels_.reserve(n + 1);
   for (uint32_t s = 0; s < n; ++s) {
-    kernels_.push_back(
-        MakeKernel(sharded_->shard_library(s), strategy_, best_match_options));
+    kernels_.push_back(core::MakeStrategy(sharded_->shard_library(s),
+                                          strategy_, best_match_options));
   }
   // Best Match ranks the merged partials at the root over the base library.
-  if (strategy_ == ShardedStrategy::kBestMatch) {
+  if (strategy_ == core::Strategy::kBestMatch) {
     kernels_.push_back(
-        MakeKernel(*sharded_->base, strategy_, best_match_options));
+        core::MakeStrategy(*sharded_->base, strategy_, best_match_options));
   }
 }
 
@@ -199,8 +177,8 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
   std::chrono::steady_clock::time_point merge_start;
 
   switch (strategy_) {
-    case ShardedStrategy::kFocusCompleteness:
-    case ShardedStrategy::kFocusCloseness: {
+    case core::Strategy::kFocusCompleteness:
+    case core::Strategy::kFocusCloseness: {
       std::function<void(size_t)> body = [&](size_t s) {
         kernel<core::FocusRecommender>(s).EmitShardForMerge(
             normalized, k, sharded_->local_to_logical[s], shard_stop(s),
@@ -214,7 +192,7 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
           num_actions, k, root_ws, out);
       break;
     }
-    case ShardedStrategy::kBreadth: {
+    case core::Strategy::kBreadth: {
       std::function<void(size_t)> body = [&](size_t s) {
         kernel<core::BreadthRecommender>(s).AccumulateShard(
             normalized, shard_stop(s), *scratch.shard_ws[s],
@@ -228,7 +206,7 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
           num_actions, k, root_ws, out);
       break;
     }
-    case ShardedStrategy::kBestMatch: {
+    case core::Strategy::kBestMatch: {
       std::function<void(size_t)> body = [&](size_t s) {
         kernel<core::BestMatchRecommender>(s).ScanShard(
             normalized, shard_stop(s), *scratch.shard_ws[s],
@@ -301,17 +279,18 @@ LadderFactory MakeShardedLadderFactory(ShardedLadderOptions options) {
                                   ServingSnapshot& out) {
     if (options.num_shards > 1) {
       uint64_t version = out.library != nullptr ? out.library->version : 0;
-      out.sharded = model::BuildShardedSnapshot(library, options.num_shards,
-                                                options.sharding, version);
+      out.sharded =
+          model::BuildShardedSnapshot(library, options.num_shards, version);
     }
-    for (const auto& [name, strategy] : options.rungs) {
+    for (core::Strategy strategy : options.rungs) {
       std::unique_ptr<const core::Recommender> rung =
           out.sharded != nullptr
               ? std::make_unique<ShardedRecommender>(
                     out.sharded, strategy, options.pool,
                     core::BestMatchOptions{}, merge_latency)
-              : MakeKernel(library, strategy, core::BestMatchOptions{});
-      out.rungs.push_back(ServingEngine::Rung{name, rung.get()});
+              : core::MakeStrategy(library, strategy);
+      out.rungs.push_back(ServingEngine::Rung{
+          std::string(core::StrategyKey(strategy)), rung.get()});
       out.owned.push_back(std::move(rung));
     }
     auto floor = std::make_unique<LibraryPopularityRecommender>(&library);

@@ -10,10 +10,9 @@
 #include <vector>
 
 #include "core/best_match.h"
-#include "core/breadth.h"
-#include "core/focus.h"
 #include "core/query_workspace.h"
 #include "core/recommender.h"
+#include "core/strategy.h"
 #include "model/sharding.h"
 #include "obs/metrics.h"
 #include "serve/snapshot_manager.h"
@@ -46,14 +45,9 @@
 
 namespace goalrec::serve {
 
-/// The four paper strategies, shard-served. Matches testing::OracleStrategy
-/// case-for-case (serve/ cannot depend on testing/).
-enum class ShardedStrategy {
-  kFocusCompleteness,
-  kFocusCloseness,
-  kBreadth,
-  kBestMatch,
-};
+/// The benchmark driver (perfbench/goalrec_bench.cc) still spells the
+/// strategy type by this name; everything else uses core::Strategy.
+using ShardedStrategy = core::Strategy;
 
 class ShardedRecommender : public core::Recommender {
  public:
@@ -64,7 +58,7 @@ class ShardedRecommender : public core::Recommender {
   /// loop (same results — the merge is order-free by construction).
   /// Root merge time is observed into `merge_latency_us` when given.
   ShardedRecommender(std::shared_ptr<const model::ShardedSnapshot> sharded,
-                     ShardedStrategy strategy,
+                     core::Strategy strategy,
                      util::ThreadPool* pool = nullptr,
                      core::BestMatchOptions best_match_options = {},
                      obs::Histogram* merge_latency_us = nullptr);
@@ -89,7 +83,7 @@ class ShardedRecommender : public core::Recommender {
                        core::RecommendationList& out) const override;
 
   const model::ShardedSnapshot& sharded() const { return *sharded_; }
-  ShardedStrategy strategy() const { return strategy_; }
+  core::Strategy strategy() const { return strategy_; }
 
  private:
   struct FanoutScratch;
@@ -112,7 +106,7 @@ class ShardedRecommender : public core::Recommender {
   }
 
   std::shared_ptr<const model::ShardedSnapshot> sharded_;
-  ShardedStrategy strategy_;
+  core::Strategy strategy_;
   util::ThreadPool* pool_;
   obs::Histogram* merge_latency_us_;
   /// One strategy kernel per shard library. Best Match holds one more, over
@@ -130,18 +124,16 @@ struct ShardedLadderOptions {
   /// 1 (the default) serves the plain strategy kernels over the library;
   /// more partitions it and fans every query out.
   uint32_t num_shards = 1;
-  model::ShardingOptions sharding;
   /// Shard fan-out pool; null serves each shard sequentially on the query
   /// thread. Unused at one shard.
   util::ThreadPool* pool = nullptr;
   /// Registry for goalrec_shard_merge_latency_us (registered only when
   /// num_shards > 1); default registry if null.
   obs::MetricRegistry* metrics = nullptr;
-  /// Strategy rungs, best first, as (rung name, strategy). The unsharded
-  /// popularity floor is always appended underneath.
-  std::vector<std::pair<std::string, ShardedStrategy>> rungs = {
-      {"best_match", ShardedStrategy::kBestMatch},
-      {"breadth", ShardedStrategy::kBreadth}};
+  /// Strategy rungs, best first, each named by its key ("best_match"). The
+  /// unsharded popularity floor is always appended underneath.
+  std::vector<core::Strategy> rungs = {core::Strategy::kBestMatch,
+                                       core::Strategy::kBreadth};
 };
 
 /// The serving LadderFactory for SnapshotManager: the standard ladder —

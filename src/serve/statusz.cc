@@ -210,8 +210,7 @@ std::string RenderStatusz(const StatuszSources& sources) {
         sources.snapshots->Acquire();
     if (serving->sharded != nullptr) {
       const model::ShardedSnapshot& sharded = *serving->sharded;
-      out << "\n[shards] " << sharded.num_shards << " (policy "
-          << sharded.policy_name << ")\n";
+      out << "\n[shards] " << sharded.num_shards << "\n";
       for (uint32_t s = 0; s < sharded.num_shards; ++s) {
         out << "  shard " << s << ": impls="
             << sharded.shard_library(s).num_implementations() << "\n";

@@ -45,7 +45,7 @@ struct StatuszSources {
   const ServingEngine* engine = nullptr;
   /// Library version / age / reload history. When the serving snapshot
   /// carries a shard partition (serve/sharded.h), also feeds the [shards]
-  /// section: partition policy and per-shard implementation counts.
+  /// section: shard count and per-shard implementation counts.
   const SnapshotManager* snapshots = nullptr;
   /// Registry holding goalrec_shard_merge_latency_us; the [shards] section
   /// reports the merge p99 (bucket-interpolated) from it. Null omits the

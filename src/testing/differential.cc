@@ -4,9 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/best_match.h"
-#include "core/breadth.h"
-#include "core/focus.h"
 #include "core/query_workspace.h"
 
 namespace goalrec::testing {
@@ -34,62 +31,20 @@ size_t ScoreRunEnd(const core::RecommendationList& list, size_t i) {
 
 // RecommendPooled on `workspace`; null means the kernel's fresh local one.
 core::RecommendationList RunPooled(const model::ImplementationLibrary& library,
-                                   OracleStrategy strategy,
+                                   core::Strategy strategy,
                                    const model::Activity& activity, size_t k,
                                    core::QueryWorkspace* workspace,
                                    const core::BestMatchOptions& best_match) {
   core::RecommendationList out;
-  switch (strategy) {
-    case OracleStrategy::kFocusCompleteness:
-      core::FocusRecommender(&library, core::FocusVariant::kCompleteness)
-          .RecommendPooled(activity, k, nullptr, workspace, out);
-      break;
-    case OracleStrategy::kFocusCloseness:
-      core::FocusRecommender(&library, core::FocusVariant::kCloseness)
-          .RecommendPooled(activity, k, nullptr, workspace, out);
-      break;
-    case OracleStrategy::kBreadth:
-      core::BreadthRecommender(&library).RecommendPooled(activity, k, nullptr,
-                                                         workspace, out);
-      break;
-    case OracleStrategy::kBestMatch:
-      core::BestMatchRecommender(&library, best_match)
-          .RecommendPooled(activity, k, nullptr, workspace, out);
-      break;
-  }
+  core::MakeStrategy(library, strategy, best_match)
+      ->RecommendPooled(activity, k, nullptr, workspace, out);
   return out;
 }
 
 }  // namespace
 
-std::vector<OracleStrategy> AllOracleStrategies() {
-  return {OracleStrategy::kFocusCompleteness, OracleStrategy::kFocusCloseness,
-          OracleStrategy::kBreadth, OracleStrategy::kBestMatch};
-}
-
-const char* OracleStrategyName(OracleStrategy strategy) {
-  switch (strategy) {
-    case OracleStrategy::kFocusCompleteness:
-      return "Focus_cmp";
-    case OracleStrategy::kFocusCloseness:
-      return "Focus_cl";
-    case OracleStrategy::kBreadth:
-      return "Breadth";
-    case OracleStrategy::kBestMatch:
-      return "BestMatch";
-  }
-  return "unknown";
-}
-
-std::optional<OracleStrategy> OracleStrategyFromName(std::string_view name) {
-  for (OracleStrategy s : AllOracleStrategies()) {
-    if (name == OracleStrategyName(s)) return s;
-  }
-  return std::nullopt;
-}
-
-std::vector<core::BestMatchOptions> OracleVariants(OracleStrategy strategy) {
-  if (strategy != OracleStrategy::kBestMatch) return {core::BestMatchOptions{}};
+std::vector<core::BestMatchOptions> OracleVariants(core::Strategy strategy) {
+  if (strategy != core::Strategy::kBestMatch) return {core::BestMatchOptions{}};
   std::vector<core::BestMatchOptions> variants;
   for (core::GoalVectorRepresentation representation :
        {core::GoalVectorRepresentation::kImplementationCount,
@@ -106,11 +61,11 @@ std::vector<core::BestMatchOptions> OracleVariants(OracleStrategy strategy) {
   return variants;
 }
 
-std::string OracleVariantName(OracleStrategy strategy,
+std::string OracleVariantName(core::Strategy strategy,
                               const core::BestMatchOptions& best_match) {
-  std::string name = OracleStrategyName(strategy);
+  std::string name(core::StrategyName(strategy));
   const core::BestMatchOptions paper_default;
-  if (strategy != OracleStrategy::kBestMatch ||
+  if (strategy != core::Strategy::kBestMatch ||
       (best_match.representation == paper_default.representation &&
        best_match.metric == paper_default.metric)) {
     return name;
@@ -130,10 +85,11 @@ std::string OracleVariantName(OracleStrategy strategy,
 }
 
 std::optional<OracleVariant> OracleVariantFromName(std::string_view name) {
-  for (OracleStrategy s : AllOracleStrategies()) {
-    for (const core::BestMatchOptions& best_match : OracleVariants(s)) {
-      if (name == OracleVariantName(s, best_match)) {
-        return OracleVariant{s, best_match};
+  for (const core::StrategyInfo& info : core::kStrategies) {
+    for (const core::BestMatchOptions& best_match :
+         OracleVariants(info.strategy)) {
+      if (name == OracleVariantName(info.strategy, best_match)) {
+        return OracleVariant{info.strategy, best_match};
       }
     }
   }
@@ -204,53 +160,41 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
 }
 
 core::RecommendationList RunOptimized(
-    const model::ImplementationLibrary& library, OracleStrategy strategy,
+    const model::ImplementationLibrary& library, core::Strategy strategy,
     const model::Activity& activity, size_t k,
     const core::BestMatchOptions& best_match) {
-  switch (strategy) {
-    case OracleStrategy::kFocusCompleteness:
-      return core::FocusRecommender(&library, core::FocusVariant::kCompleteness)
-          .Recommend(activity, k);
-    case OracleStrategy::kFocusCloseness:
-      return core::FocusRecommender(&library, core::FocusVariant::kCloseness)
-          .Recommend(activity, k);
-    case OracleStrategy::kBreadth:
-      return core::BreadthRecommender(&library).Recommend(activity, k);
-    case OracleStrategy::kBestMatch:
-      return core::BestMatchRecommender(&library, best_match)
-          .Recommend(activity, k);
-  }
-  return {};
+  return core::MakeStrategy(library, strategy, best_match)
+      ->Recommend(activity, k);
 }
 
 core::RecommendationList RunOptimizedPooled(
-    const model::ImplementationLibrary& library, OracleStrategy strategy,
+    const model::ImplementationLibrary& library, core::Strategy strategy,
     const model::Activity& activity, size_t k, core::QueryWorkspace& workspace,
     const core::BestMatchOptions& best_match) {
   return RunPooled(library, strategy, activity, k, &workspace, best_match);
 }
 
 ReferenceList RunReference(const model::ImplementationLibrary& library,
-                           OracleStrategy strategy,
+                           core::Strategy strategy,
                            const model::Activity& activity, size_t k,
                            const core::BestMatchOptions& best_match) {
   switch (strategy) {
-    case OracleStrategy::kFocusCompleteness:
+    case core::Strategy::kFocusCompleteness:
       return ReferenceFocus(library, ReferenceFocusVariant::kCompleteness,
                             activity, k);
-    case OracleStrategy::kFocusCloseness:
+    case core::Strategy::kFocusCloseness:
       return ReferenceFocus(library, ReferenceFocusVariant::kCloseness,
                             activity, k);
-    case OracleStrategy::kBreadth:
+    case core::Strategy::kBreadth:
       return ReferenceBreadth(library, activity, k);
-    case OracleStrategy::kBestMatch:
+    case core::Strategy::kBestMatch:
       return ReferenceBestMatch(library, activity, k, best_match);
   }
   return {};
 }
 
 DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
-                         OracleStrategy strategy,
+                         core::Strategy strategy,
                          const model::Activity& activity, size_t k,
                          const DiffOptions& options,
                          const core::BestMatchOptions& best_match,

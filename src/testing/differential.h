@@ -9,6 +9,7 @@
 
 #include "core/best_match.h"
 #include "core/recommender.h"
+#include "core/strategy.h"
 #include "model/library.h"
 #include "model/types.h"
 #include "testing/reference.h"
@@ -29,37 +30,20 @@
 
 namespace goalrec::testing {
 
-/// The four paper strategies under differential test.
-enum class OracleStrategy {
-  kFocusCompleteness,  // Focus_cmp
-  kFocusCloseness,     // Focus_cl
-  kBreadth,
-  kBestMatch,
-};
-
-/// All four, in a stable order.
-std::vector<OracleStrategy> AllOracleStrategies();
-
-/// Stable display/CLI name: "Focus_cmp", "Focus_cl", "Breadth", "BestMatch".
-const char* OracleStrategyName(OracleStrategy strategy);
-
-/// Inverse of OracleStrategyName; nullopt for unknown names.
-std::optional<OracleStrategy> OracleStrategyFromName(std::string_view name);
-
 /// The Best Match variants `strategy` runs under: for kBestMatch all six,
 /// {counts, boolean} × {euclidean, manhattan, cosine},
 /// the paper default (counts, euclidean) first; for the others only the
 /// default, which they ignore.
-std::vector<core::BestMatchOptions> OracleVariants(OracleStrategy strategy);
+std::vector<core::BestMatchOptions> OracleVariants(core::Strategy strategy);
 
-/// OracleStrategyName, plus "/<representation>/<metric>" for a Best Match
+/// core::StrategyName, plus "/<representation>/<metric>" for a Best Match
 /// variant other than the paper default ("BestMatch/boolean/cosine").
-std::string OracleVariantName(OracleStrategy strategy,
+std::string OracleVariantName(core::Strategy strategy,
                               const core::BestMatchOptions& best_match = {});
 
 /// A strategy with its Best Match variant, as named by OracleVariantName.
 struct OracleVariant {
-  OracleStrategy strategy;
+  core::Strategy strategy;
   core::BestMatchOptions best_match;
 };
 
@@ -94,7 +78,7 @@ DiffOutcome CompareLists(const core::RecommendationList& optimized,
 /// says (paper default unless given); the other strategies ignore it, here
 /// and below.
 core::RecommendationList RunOptimized(
-    const model::ImplementationLibrary& library, OracleStrategy strategy,
+    const model::ImplementationLibrary& library, core::Strategy strategy,
     const model::Activity& activity, size_t k,
     const core::BestMatchOptions& best_match = {});
 
@@ -103,13 +87,13 @@ core::RecommendationList RunOptimized(
 /// zero-allocation route a ServingEngine query takes. Must be bit-identical
 /// to RunOptimized; tests/oracle/snapshot_test.cc holds it to that.
 core::RecommendationList RunOptimizedPooled(
-    const model::ImplementationLibrary& library, OracleStrategy strategy,
+    const model::ImplementationLibrary& library, core::Strategy strategy,
     const model::Activity& activity, size_t k, core::QueryWorkspace& workspace,
     const core::BestMatchOptions& best_match = {});
 
 /// Runs the naive reference for the same configuration.
 ReferenceList RunReference(const model::ImplementationLibrary& library,
-                           OracleStrategy strategy,
+                           core::Strategy strategy,
                            const model::Activity& activity, size_t k,
                            const core::BestMatchOptions& best_match = {});
 
@@ -120,7 +104,7 @@ ReferenceList RunReference(const model::ImplementationLibrary& library,
 /// case sequence, so state a kernel leaves stale in it shows up too. Last,
 /// RecommendPooled with a null workspace (a fresh local one per call).
 DiffOutcome DiffStrategy(const model::ImplementationLibrary& library,
-                         OracleStrategy strategy,
+                         core::Strategy strategy,
                          const model::Activity& activity, size_t k,
                          const DiffOptions& options = {},
                          const core::BestMatchOptions& best_match = {},

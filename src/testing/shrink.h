@@ -71,7 +71,7 @@ OracleCase ShrinkFailure(const OracleCase& failing,
 /// The parsed content of a repro file.
 struct ReproCase {
   OracleCase oracle_case;
-  /// OracleStrategyName of the diverging strategy; empty = check all.
+  /// OracleVariantName of the diverging strategy; empty = check all.
   std::string strategy;
   /// The optimized call that diverged (DiffOutcome::entry_point, e.g.
   /// "RecommendPooled(null)"); empty when unknown. A replay diffs every

@@ -9,11 +9,7 @@
 //                     [--fault_seed=N --fault_error_rate=P
 //                      --fault_latency_ms=N --fault_latency_rate=P
 //                      --fault_latency_burst_ms=N --fault_latency_burst_count=N]
-//                     [--admission --admission_limit=N --admission_adaptive=B
-//                      --admission_queue=N --admission_batch_queue=N
-//                      --priority=interactive|batch]
-//                     [--breaker_failures=N --breaker_cooldown_ms=N
-//                      --breaker_probes=N]
+//                     [--trace_sample_rate=R] [--trace_out=<path|->]
 //       Rank recommendations for the given activity. Strategies: focus_cmp,
 //       focus_cl, breadth, best_match, popularity (structural floor).
 //       --explain prints, per recommendation, the goals it advances.
@@ -21,18 +17,13 @@
 //       resilient serving engine (docs/serving.md): the chain's rungs are
 //       tried best-first under the deadline and the serving rung is
 //       reported. --fault_* inject deterministic faults to exercise the
-//       ladder; --fault_latency_burst_* turn a spike into a sustained burst
-//       (the breaker trip scenario). --admission* put an overload-
-//       protection front door before the ladder (shed with
-//       RESOURCE_EXHAUSTED instead of timing out); --breaker_* give every
-//       non-final rung a circuit breaker. Defaults: chain
-//       "<strategy>,popularity".
+//       ladder; --fault_latency_burst_* turn a spike into a sustained burst.
+//       --trace_sample_rate is the chance the query is traced, and the trace
+//       tree goes to --trace_out (default "-"); --trace_out alone implies a
+//       rate of 1. Any of these flags routes through the engine. Defaults:
+//       chain "<strategy>,popularity".
 //
-// Every command that loads a library or CSV honours --retry_attempts=N,
-// --retry_backoff_ms=N and --retry_seed=N: transient I/O errors are retried
-// with decorrelated-jitter backoff before giving up.
-//
-// Observability flags, honoured by every subcommand (docs/observability.md):
+// Every command also takes these flags (docs/observability.md):
 //   --log_level=info|warn|error   minimum severity emitted by GOALREC_LOG
 //   --vlog=N                      GOALREC_VLOG verbosity (default 0)
 //   --metrics_out=<path|->        write a metrics snapshot when the command
@@ -40,11 +31,11 @@
 //   --metrics_format=prometheus|json
 //   --metrics_every_ms=N          with --metrics_out=<file>, rewrite the
 //                                 snapshot every N ms while the command runs
-//   --trace_sample_rate=R         fraction of engine queries traced (the
-//                                 `recommend` engine path; --trace_out alone
-//                                 implies R=1)
-//   --trace_out=<path|->          where the sampled trace tree is written
-//                                 (default "-")
+//   --retry_attempts=N --retry_backoff_ms=N --retry_seed=N
+//                                 transient I/O errors while loading a
+//                                 library or CSV are retried with
+//                                 decorrelated-jitter backoff
+//   --load_mode=strict|quarantine (see below)
 //
 //   goalrec spaces <library> --actions=a,b,c
 //       Print the activity's implementation/goal/action spaces (Eq. 1–2).
@@ -74,8 +65,8 @@
 //
 //   goalrec serve <library|delta-dir> [--strategy=breadth] [--deadline_ms=N]
 //                 [--shards=1] [--watch_library] [--watch_interval_ms=500]
-//                 [--slo_objective=0.999] [--statusz_out=<path|->]
-//                 [--statusz_every_ms=1000]
+//                 [--canary_probes=3] [--slo_objective=0.999]
+//                 [--statusz_out=<path|->] [--statusz_every_ms=1000]
 //       Interactive serving REPL over a hot-reloadable library snapshot
 //       (docs/serving.md, "Library hot reload"). Queries run through the
 //       resilient engine's <strategy> → popularity ladder against the
@@ -93,11 +84,13 @@
 // CRC-framed snapshot format (docs/data_plane.md); anything else uses the
 // text format. All loading commands accept --load_mode=strict|quarantine:
 // quarantine drops malformed records (reported with file:line provenance)
-// instead of failing the load. A flag whose value does not parse (say
-// --k=abc) exits 2 with a message naming it.
+// instead of failing the load. A flag the command does not take, or whose
+// value does not parse or lies outside its range (say --k=abc or --k=0),
+// exits 2 with a message naming it.
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -111,10 +104,9 @@
 #include <vector>
 
 #include "core/best_match.h"
-#include "core/breadth.h"
 #include "core/explanation.h"
 #include "core/session.h"
-#include "core/focus.h"
+#include "core/strategy.h"
 #include "data/foodmart.h"
 #include "data/fortythree.h"
 #include "data/loaders.h"
@@ -157,7 +149,7 @@ using goalrec::util::StatusOr;
 
 constexpr char kUsage[] =
     "usage: goalrec <stats|evaluate|recommend|spaces|convert|generate|dot|extract|related|delta|serve> ...\n"
-    "run with a subcommand and --help for details; see the header of\n"
+    "a subcommand without arguments prints its usage; see the header of\n"
     "src/tools/goalrec_cli.cc for the full synopsis\n";
 
 // The --retry_* flags, defaulting to a single attempt (no retry).
@@ -170,16 +162,12 @@ goalrec::util::RetryOptions RetryFromFlags(const FlagParser& flags) {
   return retry;
 }
 
-// --load_mode=strict|quarantine (docs/data_plane.md, "Validated loading").
-StatusOr<goalrec::model::LoadOptions> LoadOptionsFromFlags(
-    const FlagParser& flags) {
+// --load_mode=strict|quarantine (docs/data_plane.md, "Validated loading");
+// main() has rejected any other value.
+goalrec::model::LoadOptions LoadOptionsFromFlags(const FlagParser& flags) {
   goalrec::model::LoadOptions options;
-  std::string mode = flags.GetString("load_mode", "strict");
-  if (mode == "quarantine") {
+  if (flags.GetString("load_mode") == "quarantine") {
     options.mode = goalrec::model::ValidationMode::kQuarantine;
-  } else if (mode != "strict") {
-    return goalrec::util::InvalidArgumentError(
-        "--load_mode must be 'strict' or 'quarantine', got '" + mode + "'");
   }
   return options;
 }
@@ -197,18 +185,25 @@ void PrintLoadReport(const goalrec::model::LoadReport& report) {
   }
 }
 
-StatusOr<ImplementationLibrary> LoadLibrary(const FlagParser& flags,
-                                            const std::string& path) {
-  goalrec::util::RetryOptions retry = RetryFromFlags(flags);
-  StatusOr<goalrec::model::LoadOptions> options = LoadOptionsFromFlags(flags);
-  if (!options.ok()) return options.status();
+// Loads `path` under the --retry_* and --load_mode flags and prints what a
+// quarantine-mode load dropped. On failure it logs why and returns nullopt;
+// the command then exits 1.
+std::optional<ImplementationLibrary> LoadLibrary(const FlagParser& flags,
+                                                 const std::string& path) {
+  const goalrec::model::LoadOptions options = LoadOptionsFromFlags(flags);
   goalrec::model::LoadReport report;
   StatusOr<ImplementationLibrary> library =
-      goalrec::util::RetryCall(retry, [&] {
-        return goalrec::model::LoadLibraryFile(path, *options, &report);
+      goalrec::util::RetryCall(RetryFromFlags(flags), [&] {
+        return goalrec::model::LoadLibraryFile(path, options, &report);
       });
   PrintLoadReport(report);
-  return library;
+  if (!library.ok()) {
+    GOALREC_LOG(ERROR) << "library load failed"
+                       << goalrec::util::Kv("status",
+                                            library.status().ToString());
+    return std::nullopt;
+  }
+  return std::move(library).value();
 }
 
 // Resolves a comma-separated action-name list against the library.
@@ -237,13 +232,9 @@ int CmdStats(const FlagParser& flags) {
     std::fprintf(stderr, "usage: goalrec stats <library>\n");
     return 2;
   }
-  StatusOr<ImplementationLibrary> library = LoadLibrary(flags, flags.positional()[1]);
-  if (!library.ok()) {
-    GOALREC_LOG(ERROR) << "library load failed"
-                       << goalrec::util::Kv("status",
-                                            library.status().ToString());
-    return 1;
-  }
+  std::optional<ImplementationLibrary> library =
+      LoadLibrary(flags, flags.positional()[1]);
+  if (!library) return 1;
   std::printf("%s", goalrec::model::StatsToString(
                         goalrec::model::ComputeStats(*library))
                         .c_str());
@@ -256,13 +247,9 @@ int CmdSpaces(const FlagParser& flags) {
                  "usage: goalrec spaces <library> --actions=a,b,c\n");
     return 2;
   }
-  StatusOr<ImplementationLibrary> library = LoadLibrary(flags, flags.positional()[1]);
-  if (!library.ok()) {
-    GOALREC_LOG(ERROR) << "library load failed"
-                       << goalrec::util::Kv("status",
-                                            library.status().ToString());
-    return 1;
-  }
+  std::optional<ImplementationLibrary> library =
+      LoadLibrary(flags, flags.positional()[1]);
+  if (!library) return 1;
   StatusOr<goalrec::model::Activity> activity =
       ParseActivity(*library, flags.GetString("actions"));
   if (!activity.ok()) {
@@ -298,16 +285,14 @@ int CmdRecommend(const FlagParser& flags) {
                  "[--k=10] [--metric=euclidean|manhattan|cosine] "
                  "[--explain] [--deadline_ms=N] [--fallback_chain=s1,s2,...] "
                  "[--fault_seed=N] [--fault_error_rate=P] "
-                 "[--fault_latency_ms=N] [--fault_latency_rate=P]\n");
+                 "[--fault_latency_ms=N] [--fault_latency_rate=P] "
+                 "[--fault_latency_burst_ms=N] [--fault_latency_burst_count=N] "
+                 "[--trace_sample_rate=R] [--trace_out=<path|->]\n");
     return 2;
   }
-  StatusOr<ImplementationLibrary> library = LoadLibrary(flags, flags.positional()[1]);
-  if (!library.ok()) {
-    GOALREC_LOG(ERROR) << "library load failed"
-                       << goalrec::util::Kv("status",
-                                            library.status().ToString());
-    return 1;
-  }
+  std::optional<ImplementationLibrary> library =
+      LoadLibrary(flags, flags.positional()[1]);
+  if (!library) return 1;
   StatusOr<goalrec::model::Activity> activity =
       ParseActivity(*library, flags.GetString("actions"));
   if (!activity.ok()) {
@@ -316,11 +301,7 @@ int CmdRecommend(const FlagParser& flags) {
                                             activity.status().ToString());
     return 1;
   }
-  const int64_t k = flags.Get<int64_t>("k", 10);
-  if (k <= 0) {
-    GOALREC_LOG(ERROR) << "--k must be a positive integer";
-    return 2;
-  }
+  const int64_t k = flags.Get<int64_t>("k", 10, {.min = 1});
   const bool explain = flags.Get<bool>("explain", false);
 
   std::string metric_name = flags.GetString("metric", "euclidean");
@@ -334,22 +315,18 @@ int CmdRecommend(const FlagParser& flags) {
     return 2;
   }
 
-  std::string strategy = flags.GetString("strategy", "focus_cmp");
-  goalrec::core::FocusRecommender focus_cmp(
-      &*library, goalrec::core::FocusVariant::kCompleteness);
-  goalrec::core::FocusRecommender focus_cl(
-      &*library, goalrec::core::FocusVariant::kCloseness);
-  goalrec::core::BreadthRecommender breadth(&*library);
-  goalrec::core::BestMatchRecommender best_match(&*library,
-                                                 best_match_options);
+  // A rung is one of the four strategies, by key, or the popularity floor.
+  const std::string strategy = flags.GetString("strategy", "focus_cmp");
   goalrec::serve::LibraryPopularityRecommender popularity(&*library);
+  std::vector<std::unique_ptr<goalrec::core::Recommender>> kernels;
   auto resolve = [&](const std::string& name) -> goalrec::core::Recommender* {
-    if (name == "focus_cmp") return &focus_cmp;
-    if (name == "focus_cl") return &focus_cl;
-    if (name == "breadth") return &breadth;
-    if (name == "best_match") return &best_match;
     if (name == "popularity") return &popularity;
-    return nullptr;
+    std::optional<goalrec::core::Strategy> found =
+        goalrec::core::FindStrategy(name);
+    if (!found.has_value()) return nullptr;
+    kernels.push_back(
+        goalrec::core::MakeStrategy(*library, *found, best_match_options));
+    return kernels.back().get();
   };
   goalrec::core::Recommender* recommender = resolve(strategy);
   if (recommender == nullptr) {
@@ -358,16 +335,9 @@ int CmdRecommend(const FlagParser& flags) {
   }
 
   goalrec::core::RecommendationList list;
-  bool use_admission =
-      flags.Has("admission") || flags.Has("admission_limit") ||
-      flags.Has("admission_queue") || flags.Has("admission_batch_queue");
-  bool use_breakers = flags.Has("breaker_failures") ||
-                      flags.Has("breaker_cooldown_ms") ||
-                      flags.Has("breaker_probes");
   bool use_engine = flags.Has("deadline_ms") || flags.Has("fallback_chain") ||
                     flags.Has("fault_seed") || flags.Has("trace_sample_rate") ||
-                    flags.Has("trace_out") || use_admission || use_breakers ||
-                    flags.Has("priority");
+                    flags.Has("trace_out");
   if (use_engine) {
     std::string chain = flags.GetString("fallback_chain");
     if (chain.empty()) chain = strategy + ",popularity";
@@ -388,20 +358,14 @@ int CmdRecommend(const FlagParser& flags) {
       return 2;
     }
     goalrec::serve::EngineOptions engine_options;
-    engine_options.deadline_ms = flags.Get<int64_t>("deadline_ms", 0);
-    if (engine_options.deadline_ms < 0) {
-      GOALREC_LOG(ERROR) << "--deadline_ms must be a non-negative integer";
-      return 2;
-    }
+    engine_options.deadline_ms =
+        flags.Get<int64_t>("deadline_ms", 0, {.min = 0});
     // --trace_out alone means "trace this query": the common one-shot
     // debugging call should not need two flags.
-    engine_options.trace_sample_rate = flags.Get<double>(
-        "trace_sample_rate", flags.Has("trace_out") ? 1.0 : 0.0);
-    if (engine_options.trace_sample_rate < 0.0 ||
-        engine_options.trace_sample_rate > 1.0) {
-      GOALREC_LOG(ERROR) << "--trace_sample_rate must be in [0, 1]";
-      return 2;
-    }
+    engine_options.trace_sample_rate =
+        flags.Get<double>("trace_sample_rate",
+                          flags.Has("trace_out") ? 1.0 : 0.0,
+                          {.min = 0.0, .max = 1.0});
     goalrec::serve::FaultInjectionOptions fault_options;
     std::optional<goalrec::serve::FaultInjector> faults;
     if (flags.Has("fault_seed")) {
@@ -418,40 +382,9 @@ int CmdRecommend(const FlagParser& flags) {
       faults.emplace(fault_options);
       engine_options.faults = &*faults;
     }
-    // Overload protection: an admission front door and per-rung breakers.
-    std::optional<goalrec::serve::AdmissionController> admission;
-    if (use_admission) {
-      goalrec::serve::AdmissionOptions admission_options;
-      admission_options.initial_limit = flags.Get<int>("admission_limit", 8);
-      admission_options.adaptive = flags.Get<bool>("admission_adaptive", true);
-      admission_options.max_queue_interactive = static_cast<size_t>(
-          flags.Get<int64_t>("admission_queue", 64));
-      admission_options.max_queue_batch = static_cast<size_t>(
-          flags.Get<int64_t>("admission_batch_queue", 16));
-      admission.emplace(admission_options);
-      engine_options.admission = &*admission;
-    }
-    if (use_breakers) {
-      goalrec::serve::CircuitBreakerOptions breaker_options;
-      breaker_options.failure_threshold = flags.Get<int>("breaker_failures", 5);
-      breaker_options.open_cooldown = std::chrono::milliseconds(
-          flags.Get<int64_t>("breaker_cooldown_ms", 1000));
-      breaker_options.half_open_probes = flags.Get<int>("breaker_probes", 3);
-      engine_options.breaker = breaker_options;
-    }
-    std::string priority_name = flags.GetString("priority", "interactive");
-    goalrec::serve::QueryPriority priority =
-        goalrec::serve::QueryPriority::kInteractive;
-    if (priority_name == "batch") {
-      priority = goalrec::serve::QueryPriority::kBatch;
-    } else if (priority_name != "interactive") {
-      GOALREC_LOG(ERROR) << "--priority must be interactive|batch";
-      return 2;
-    }
     goalrec::serve::ServingEngine engine(std::move(rungs), engine_options);
     goalrec::util::StatusOr<goalrec::serve::ServeResult> served =
-        engine.Serve(*activity, static_cast<size_t>(k),
-                     goalrec::util::CancellationToken(), priority);
+        engine.Serve(*activity, static_cast<size_t>(k));
     if (!served.ok()) {
       GOALREC_LOG(ERROR) << "serve failed"
                          << goalrec::util::Kv("status",
@@ -492,13 +425,9 @@ int CmdConvert(const FlagParser& flags) {
     std::fprintf(stderr, "usage: goalrec convert <in> <out>\n");
     return 2;
   }
-  StatusOr<ImplementationLibrary> library = LoadLibrary(flags, flags.positional()[1]);
-  if (!library.ok()) {
-    GOALREC_LOG(ERROR) << "library load failed"
-                       << goalrec::util::Kv("status",
-                                            library.status().ToString());
-    return 1;
-  }
+  std::optional<ImplementationLibrary> library =
+      LoadLibrary(flags, flags.positional()[1]);
+  if (!library) return 1;
   Status saved =
       goalrec::model::SaveLibraryFile(*library, flags.positional()[2]);
   if (!saved.ok()) {
@@ -620,13 +549,9 @@ int CmdRelated(const FlagParser& flags) {
                  "usage: goalrec related <library> --action=<name> [--k=10]\n");
     return 2;
   }
-  StatusOr<ImplementationLibrary> library = LoadLibrary(flags, flags.positional()[1]);
-  if (!library.ok()) {
-    GOALREC_LOG(ERROR) << "library load failed"
-                       << goalrec::util::Kv("status",
-                                            library.status().ToString());
-    return 1;
-  }
+  std::optional<ImplementationLibrary> library =
+      LoadLibrary(flags, flags.positional()[1]);
+  if (!library) return 1;
   std::optional<uint32_t> action =
       library->actions().Find(flags.GetString("action"));
   if (!action.has_value()) {
@@ -634,11 +559,7 @@ int CmdRelated(const FlagParser& flags) {
                        << "'";
     return 1;
   }
-  const int64_t k = flags.Get<int64_t>("k", 10);
-  if (k <= 0) {
-    GOALREC_LOG(ERROR) << "--k must be a positive integer";
-    return 2;
-  }
+  const int64_t k = flags.Get<int64_t>("k", 10, {.min = 1});
   std::vector<goalrec::model::CoAction> related = goalrec::model::TopCoActions(
       *library, *action, static_cast<size_t>(k));
   if (related.empty()) {
@@ -728,27 +649,17 @@ int CmdDelta(const FlagParser& flags) {
     return 2;
   }
   const std::string& verb = args[1];
-  StatusOr<goalrec::model::LoadOptions> load_options =
-      LoadOptionsFromFlags(flags);
-  if (!load_options.ok()) {
-    GOALREC_LOG(ERROR) << load_options.status().ToString();
-    return 2;
-  }
   goalrec::model::DeltaLogOptions log_options;
-  log_options.load = *load_options;
+  log_options.load = LoadOptionsFromFlags(flags);
 
   if (verb == "init") {
     if (args.size() != 4) {
       std::fprintf(stderr, "%s", kDeltaUsage);
       return 2;
     }
-    StatusOr<ImplementationLibrary> library = LoadLibrary(flags, args[2]);
-    if (!library.ok()) {
-      GOALREC_LOG(ERROR) << "library load failed"
-                         << goalrec::util::Kv("status",
-                                              library.status().ToString());
-      return 1;
-    }
+    std::optional<ImplementationLibrary> library =
+        LoadLibrary(flags, args[2]);
+    if (!library) return 1;
     StatusOr<goalrec::model::DeltaLog> log =
         goalrec::model::DeltaLog::Create(args[3], *library, log_options);
     if (!log.ok()) {
@@ -813,8 +724,17 @@ int CmdDelta(const FlagParser& flags) {
          goalrec::util::Split(flags.GetString("tombstone_impls"), ',')) {
       std::string_view id = goalrec::util::Trim(raw);
       if (id.empty()) continue;
-      ops.tombstoned_impls.push_back(static_cast<uint32_t>(
-          std::strtoul(std::string(id).c_str(), nullptr, 10)));
+      // A malformed id must not tombstone implementation 0.
+      uint32_t impl = 0;
+      const char* end = id.data() + id.size();
+      auto [parsed_to, error] = std::from_chars(id.data(), end, impl);
+      if (error != std::errc() || parsed_to != end) {
+        GOALREC_LOG(ERROR) << "--tombstone_impls expects implementation ids, "
+                              "got '"
+                           << id << "'";
+        return 2;
+      }
+      ops.tombstoned_impls.push_back(impl);
     }
     if (ops.empty()) {
       GOALREC_LOG(ERROR)
@@ -885,8 +805,7 @@ int CmdServe(const FlagParser& flags) {
   if (flags.positional().size() != 2) {
     std::fprintf(stderr,
                  "usage: goalrec serve <library|delta-dir> "
-                 "[--strategy=breadth] "
-                 "[--shards=N] [--partition=hash|modulo] "
+                 "[--strategy=breadth] [--shards=N] "
                  "[--deadline_ms=N] [--watch_library] "
                  "[--watch_interval_ms=500] [--canary_probes=3] "
                  "[--load_mode=strict|quarantine] [--slo_objective=0.999] "
@@ -898,37 +817,35 @@ int CmdServe(const FlagParser& flags) {
     return 2;
   }
   const std::string library_path = flags.positional()[1];
-  std::error_code delta_ec;
-  const bool delta_mode =
-      std::filesystem::is_directory(library_path, delta_ec);
-  std::string strategy_name = flags.GetString("strategy", "breadth");
-  if (strategy_name != "breadth" && strategy_name != "focus_cmp" &&
-      strategy_name != "focus_cl" && strategy_name != "best_match") {
-    GOALREC_LOG(ERROR) << "unknown --strategy '" << strategy_name << "'";
+  const std::optional<goalrec::core::Strategy> strategy =
+      goalrec::core::FindStrategy(flags.GetString("strategy", "breadth"));
+  if (!strategy.has_value()) {
+    GOALREC_LOG(ERROR) << "unknown --strategy '"
+                       << flags.GetString("strategy") << "'";
     return 2;
   }
   // --shards=1 (default) serves the plain kernels; N > 1 partitions the
   // library and fans every query out (docs/serving.md, "Sharded serving").
-  const int64_t shards_flag = flags.Get<int64_t>("shards", 1);
-  if (shards_flag < 1) {
-    GOALREC_LOG(ERROR) << "--shards must be a positive integer";
-    return 2;
-  }
-  const uint32_t num_shards = static_cast<uint32_t>(shards_flag);
-  std::string partition_name = flags.GetString("partition", "hash");
-  goalrec::model::ShardingOptions sharding_options;
-  if (partition_name == "modulo") {
-    sharding_options.policy = goalrec::model::PartitionPolicy::kModuloGoal;
-  } else if (partition_name != "hash") {
-    GOALREC_LOG(ERROR) << "--partition must be hash or modulo";
-    return 2;
-  }
-  StatusOr<goalrec::model::LoadOptions> load_options =
-      LoadOptionsFromFlags(flags);
-  if (!load_options.ok()) {
-    GOALREC_LOG(ERROR) << load_options.status().ToString();
-    return 2;
-  }
+  const uint32_t num_shards =
+      static_cast<uint32_t>(flags.Get<int64_t>("shards", 1, {.min = 1}));
+  const int64_t canary_count =
+      flags.Get<int64_t>("canary_probes", 3, {.min = 0});
+  const int64_t deadline_ms =
+      flags.Get<int64_t>("deadline_ms", 0, {.min = 0});
+  const double slo_objective = flags.Get<double>(
+      "slo_objective", 0.999,
+      {.min = 0.0, .max = 1.0, .min_open = true, .max_open = true});
+  const std::string statusz_out = flags.GetString("statusz_out");
+  const int64_t statusz_every =
+      flags.Get<int64_t>("statusz_every_ms", 1000, {.min = 0});
+  const bool watch = flags.Get<bool>("watch_library", false);
+  const int64_t watch_ms =
+      flags.Get<int64_t>("watch_interval_ms", 500, {.min = 1});
+  const goalrec::model::LoadOptions load_options = LoadOptionsFromFlags(flags);
+
+  std::error_code delta_ec;
+  const bool delta_mode =
+      std::filesystem::is_directory(library_path, delta_ec);
   // Delta mode: the positional path is a delta-snapshot directory. This
   // process is a READER — it never appends or compacts (that is the single
   // writer's job, via `goalrec delta`), so stale-chain files are left for
@@ -936,11 +853,10 @@ int CmdServe(const FlagParser& flags) {
   // segments instead of an mtime.
   std::optional<goalrec::model::DeltaLog> delta_log;
   std::mutex delta_mu;  // serialises watcher poll / REPL reload / statusz
-  StatusOr<std::shared_ptr<const goalrec::model::LibrarySnapshot>> initial =
-      goalrec::util::InternalError("uninitialised");
+  std::shared_ptr<const goalrec::model::LibrarySnapshot> initial;
   if (delta_mode) {
     goalrec::model::DeltaLogOptions log_options;
-    log_options.load = *load_options;
+    log_options.load = load_options;
     log_options.remove_stale_segments = false;
     StatusOr<goalrec::model::DeltaLog> opened =
         goalrec::model::DeltaLog::Open(library_path, log_options);
@@ -953,16 +869,10 @@ int CmdServe(const FlagParser& flags) {
     delta_log.emplace(std::move(opened).value());
     initial = delta_log->snapshot();
   } else {
-    goalrec::model::LoadReport report;
-    initial = goalrec::model::LoadLibrarySnapshot(
-        library_path, RetryFromFlags(flags), *load_options, &report);
-    PrintLoadReport(report);
-  }
-  if (!initial.ok()) {
-    GOALREC_LOG(ERROR) << "library load failed"
-                       << goalrec::util::Kv("status",
-                                            initial.status().ToString());
-    return 1;
+    std::optional<ImplementationLibrary> library =
+        LoadLibrary(flags, library_path);
+    if (!library) return 1;
+    initial = goalrec::model::MakeSnapshot(std::move(*library), library_path);
   }
 
   // Reload guard: structural validation plus canary probes pinned from the
@@ -971,15 +881,9 @@ int CmdServe(const FlagParser& flags) {
   // legitimately drift between library generations), but zero passing means
   // the candidate answers nothing a known-good library answered, and the
   // reload is rejected (docs/data_plane.md, "Reload rollback").
-  const int64_t canary_count = flags.Get<int64_t>("canary_probes", 3);
-  if (canary_count < 0) {
-    GOALREC_LOG(ERROR) << "--canary_probes must be a non-negative integer";
-    return 2;
-  }
   goalrec::serve::ReloadGuardOptions guard;
   {
-    const goalrec::model::ImplementationLibrary& lib =
-        initial.value()->library;
+    const goalrec::model::ImplementationLibrary& lib = initial->library;
     const uint32_t want = static_cast<uint32_t>(canary_count);
     const uint32_t step =
         want > 0 ? std::max(1u, lib.num_implementations() / want) : 1;
@@ -1005,39 +909,22 @@ int CmdServe(const FlagParser& flags) {
   if (num_shards > 1) fanout_pool.emplace(num_shards - 1);
   goalrec::serve::ShardedLadderOptions ladder_options;
   ladder_options.num_shards = num_shards;
-  ladder_options.sharding = sharding_options;
   ladder_options.pool = fanout_pool ? &*fanout_pool : nullptr;
-  ladder_options.rungs = {
-      {strategy_name,
-       strategy_name == "focus_cmp"
-           ? goalrec::serve::ShardedStrategy::kFocusCompleteness
-       : strategy_name == "focus_cl"
-           ? goalrec::serve::ShardedStrategy::kFocusCloseness
-       : strategy_name == "best_match"
-           ? goalrec::serve::ShardedStrategy::kBestMatch
-           : goalrec::serve::ShardedStrategy::kBreadth}};
+  ladder_options.rungs = {*strategy};
   goalrec::serve::SnapshotManager manager(
-      std::move(initial).value(),
+      std::move(initial),
       goalrec::serve::MakeShardedLadderFactory(ladder_options), guard);
   // Per-shard gauges (goalrec_shard_*) through the scrape-hook path; an
   // unsharded snapshot leaves them unset.
   goalrec::serve::ShardStatsExporter shard_exporter(
       nullptr, [&manager] { return manager.Acquire()->sharded; });
   goalrec::serve::EngineOptions engine_options;
-  engine_options.deadline_ms = flags.Get<int64_t>("deadline_ms", 0);
-  if (engine_options.deadline_ms < 0) {
-    GOALREC_LOG(ERROR) << "--deadline_ms must be a non-negative integer";
-    return 2;
-  }
+  engine_options.deadline_ms = deadline_ms;
   // The observability plane: SLO accounting against the deadline, and a
   // tail exemplar reservoir feeding the statusz page and the histogram
   // exemplars (docs/observability.md).
   goalrec::obs::SloOptions slo_options;
-  slo_options.objective = flags.Get<double>("slo_objective", 0.999);
-  if (slo_options.objective <= 0.0 || slo_options.objective >= 1.0) {
-    GOALREC_LOG(ERROR) << "--slo_objective must be in (0, 1)";
-    return 2;
-  }
+  slo_options.objective = slo_objective;
   goalrec::obs::SloTracker slo(slo_options);
   goalrec::obs::ExemplarReservoir exemplars;
   engine_options.slo = &slo;
@@ -1061,12 +948,6 @@ int CmdServe(const FlagParser& flags) {
 
   // --statusz_out: the statusz page as a periodically rewritten file, the
   // same dumper lifecycle --metrics_out uses, with the page as producer.
-  std::string statusz_out = flags.GetString("statusz_out");
-  const int64_t statusz_every = flags.Get<int64_t>("statusz_every_ms", 1000);
-  if (statusz_every < 0) {
-    GOALREC_LOG(ERROR) << "--statusz_every_ms must be a non-negative integer";
-    return 2;
-  }
   std::optional<goalrec::obs::PeriodicDumper> statusz_dumper;
   if (!statusz_out.empty() && statusz_out != "-" && statusz_every > 0) {
     goalrec::obs::DumperOptions statusz_dump_options;
@@ -1088,19 +969,13 @@ int CmdServe(const FlagParser& flags) {
                          const goalrec::util::RetryOptions& retry) {
     goalrec::model::LoadReport report;
     StatusOr<uint64_t> version =
-        manager.ReloadFromFile(path, retry, *load_options, &report);
+        manager.ReloadFromFile(path, retry, load_options, &report);
     PrintLoadReport(report);
     return version;
   };
 
   // --watch_library: poll the delta directory for published segments or a
   // re-anchored base, or the library file's mtime, and hot-reload on change.
-  const bool watch = flags.Get<bool>("watch_library", false);
-  const int64_t watch_ms = flags.Get<int64_t>("watch_interval_ms", 500);
-  if (watch_ms <= 0) {
-    GOALREC_LOG(ERROR) << "--watch_interval_ms must be a positive integer";
-    return 2;
-  }
   std::atomic<bool> stop_watch{false};
   std::thread watcher;
   if (watch) {
@@ -1160,7 +1035,7 @@ int CmdServe(const FlagParser& flags) {
               "implementations)%s. Commands: perform <action> | undo "
               "<action> | recommend [k] | reload [path] | status | statusz "
               "| quit\n",
-              strategy_name.c_str(),
+              std::string(goalrec::core::StrategyKey(*strategy)).c_str(),
               static_cast<unsigned long long>(manager.current_version()),
               manager.Acquire()->library->library.num_implementations(),
               watch ? ", watching for changes" : "");
@@ -1303,13 +1178,9 @@ int CmdDot(const FlagParser& flags) {
                  "usage: goalrec dot <library> <out.dot> [--goals=g1,g2]\n");
     return 2;
   }
-  StatusOr<ImplementationLibrary> library = LoadLibrary(flags, flags.positional()[1]);
-  if (!library.ok()) {
-    GOALREC_LOG(ERROR) << "library load failed"
-                       << goalrec::util::Kv("status",
-                                            library.status().ToString());
-    return 1;
-  }
+  std::optional<ImplementationLibrary> library =
+      LoadLibrary(flags, flags.positional()[1]);
+  if (!library) return 1;
   goalrec::model::DotOptions options;
   if (flags.Has("goals")) {
     for (const std::string& raw :
@@ -1343,13 +1214,9 @@ int CmdEvaluate(const FlagParser& flags) {
                  "[--k=10] [--visible=0.3] [--seed=17] [--out=<dir>]\n");
     return 2;
   }
-  StatusOr<ImplementationLibrary> library = LoadLibrary(flags, flags.positional()[1]);
-  if (!library.ok()) {
-    GOALREC_LOG(ERROR) << "library load failed"
-                       << goalrec::util::Kv("status",
-                                            library.status().ToString());
-    return 1;
-  }
+  std::optional<ImplementationLibrary> library =
+      LoadLibrary(flags, flags.positional()[1]);
+  if (!library) return 1;
   Status valid = goalrec::model::ValidateLibrary(*library);
   if (!valid.ok()) {
     GOALREC_LOG(ERROR) << "library failed validation"
@@ -1366,13 +1233,11 @@ int CmdEvaluate(const FlagParser& flags) {
                                             activities.status().ToString());
     return 1;
   }
-  const int64_t k = flags.Get<int64_t>("k", 10);
-  const double visible = flags.Get<double>("visible", 0.3);
+  const int64_t k = flags.Get<int64_t>("k", 10, {.min = 1});
+  const double visible =
+      flags.Get<double>("visible", 0.3, {.min = 0.0, .max = 1.0,
+                                         .min_open = true});
   const int64_t seed = flags.Get<int64_t>("seed", 17);
-  if (k <= 0 || visible <= 0.0 || visible > 1.0) {
-    GOALREC_LOG(ERROR) << "invalid --k/--visible/--seed";
-    return 2;
-  }
 
   goalrec::data::Dataset dataset;
   dataset.name = flags.positional()[2];
@@ -1437,22 +1302,40 @@ int CmdEvaluate(const FlagParser& flags) {
   return 0;
 }
 
-int Dispatch(const FlagParser& flags) {
-  const std::string& command = flags.positional()[0];
-  if (command == "stats") return CmdStats(flags);
-  if (command == "spaces") return CmdSpaces(flags);
-  if (command == "recommend") return CmdRecommend(flags);
-  if (command == "convert") return CmdConvert(flags);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "evaluate") return CmdEvaluate(flags);
-  if (command == "dot") return CmdDot(flags);
-  if (command == "extract") return CmdExtract(flags);
-  if (command == "related") return CmdRelated(flags);
-  if (command == "delta") return CmdDelta(flags);
-  if (command == "serve") return CmdServe(flags);
-  std::fprintf(stderr, "unknown command '%s'\n%s", command.c_str(), kUsage);
-  return 2;
-}
+// A subcommand and the flags it takes besides kCommonFlags.
+struct Command {
+  const char* name;
+  int (*run)(const FlagParser&);
+  std::vector<std::string> flags;
+};
+
+// Observability, retry and --load_mode: every subcommand takes these.
+const char* const kCommonFlags[] = {
+    "log_level", "vlog", "metrics_out", "metrics_format", "metrics_every_ms",
+    "retry_attempts", "retry_backoff_ms", "retry_seed", "load_mode"};
+
+const Command kCommands[] = {
+    {"stats", CmdStats, {}},
+    {"spaces", CmdSpaces, {"actions"}},
+    {"recommend",
+     CmdRecommend,
+     {"actions", "strategy", "k", "explain", "metric", "deadline_ms",
+      "fallback_chain", "fault_seed", "fault_error_rate", "fault_latency_ms",
+      "fault_latency_rate", "fault_latency_burst_ms",
+      "fault_latency_burst_count", "trace_sample_rate", "trace_out"}},
+    {"convert", CmdConvert, {}},
+    {"generate", CmdGenerate, {"out", "scale", "seed"}},
+    {"evaluate", CmdEvaluate, {"k", "visible", "seed", "out"}},
+    {"dot", CmdDot, {"goals"}},
+    {"extract", CmdExtract, {"stem", "aliases"}},
+    {"related", CmdRelated, {"action", "k"}},
+    {"delta", CmdDelta, {"add", "tombstone_goals", "tombstone_impls"}},
+    {"serve",
+     CmdServe,
+     {"strategy", "shards", "deadline_ms", "canary_probes", "slo_objective",
+      "statusz_out", "statusz_every_ms", "watch_library",
+      "watch_interval_ms"}},
+};
 
 }  // namespace
 
@@ -1460,6 +1343,28 @@ int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   if (flags.positional().empty()) {
     std::fprintf(stderr, "%s", kUsage);
+    return 2;
+  }
+  const std::string& name = flags.positional()[0];
+  const Command* command = nullptr;
+  for (const Command& c : kCommands) {
+    if (name == c.name) command = &c;
+  }
+  if (command == nullptr) {
+    std::fprintf(stderr, "unknown command '%s'\n%s", name.c_str(), kUsage);
+    return 2;
+  }
+  std::vector<std::string> known = command->flags;
+  known.insert(known.end(), std::begin(kCommonFlags), std::end(kCommonFlags));
+  std::vector<std::string> unknown = flags.UnknownFlags(known);
+  for (const std::string& flag : unknown) {
+    std::fprintf(stderr, "goalrec %s: unknown flag --%s\n", command->name,
+                 flag.c_str());
+  }
+  if (!unknown.empty()) return 2;
+  const std::string load_mode = flags.GetString("load_mode", "strict");
+  if (load_mode != "strict" && load_mode != "quarantine") {
+    std::fprintf(stderr, "--load_mode must be strict|quarantine\n");
     return 2;
   }
 
@@ -1471,12 +1376,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   goalrec::util::SetMinLogLevel(level);
-  const int vlog = flags.Get<int>("vlog", 0);
-  if (vlog < 0) {
-    std::fprintf(stderr, "--vlog must be a non-negative integer\n");
-    return 2;
-  }
-  goalrec::util::SetVerbosity(vlog);
+  goalrec::util::SetVerbosity(flags.Get<int>("vlog", 0, {.min = 0}));
 
   std::string metrics_out = flags.GetString("metrics_out");
   std::string metrics_format = flags.GetString("metrics_format", "prometheus");
@@ -1484,11 +1384,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--metrics_format must be prometheus|json\n");
     return 2;
   }
-  const int64_t every_ms = flags.Get<int64_t>("metrics_every_ms", 0);
-  if (every_ms < 0) {
-    std::fprintf(stderr, "--metrics_every_ms must be a non-negative integer\n");
-    return 2;
-  }
+  const int64_t every_ms =
+      flags.Get<int64_t>("metrics_every_ms", 0, {.min = 0});
 
   goalrec::obs::MetricRegistry& registry = goalrec::obs::MetricRegistry::Default();
   goalrec::obs::DumperOptions dumper_options;
@@ -1503,7 +1400,7 @@ int main(int argc, char** argv) {
     dumper.emplace(&registry, metrics_out, dumper_options);
   }
 
-  int code = Dispatch(flags);
+  int code = command->run(flags);
 
   if (dumper.has_value()) {
     dumper.reset();  // joins the ticker and writes the final snapshot

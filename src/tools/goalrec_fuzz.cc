@@ -20,13 +20,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/best_match.h"
-#include "core/breadth.h"
-#include "core/focus.h"
 #include "core/query_workspace.h"
+#include "core/strategy.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
@@ -54,7 +54,7 @@ constexpr char kUsage[] =
 struct FuzzConfig {
   uint64_t seed = 42;
   int64_t rounds = 100;
-  std::vector<testing::OracleStrategy> strategies;
+  std::vector<core::Strategy> strategies;
   std::string out_dir = ".";
   std::string replay;
   testing::DiffOptions diff;
@@ -70,35 +70,15 @@ struct FuzzConfig {
 std::string DumpReproObservability(const testing::OracleCase& shrunk,
                                    const testing::OracleVariant& variant,
                                    const std::string& repro_path) {
-  const testing::OracleStrategy strategy = variant.strategy;
-  core::FocusRecommender focus_cmp(&shrunk.library,
-                                   core::FocusVariant::kCompleteness);
-  core::FocusRecommender focus_cl(&shrunk.library,
-                                  core::FocusVariant::kCloseness);
-  core::BreadthRecommender breadth(&shrunk.library);
-  core::BestMatchRecommender best_match(&shrunk.library, variant.best_match);
-  core::Recommender* recommender = nullptr;
-  switch (strategy) {
-    case testing::OracleStrategy::kFocusCompleteness:
-      recommender = &focus_cmp;
-      break;
-    case testing::OracleStrategy::kFocusCloseness:
-      recommender = &focus_cl;
-      break;
-    case testing::OracleStrategy::kBreadth:
-      recommender = &breadth;
-      break;
-    case testing::OracleStrategy::kBestMatch:
-      recommender = &best_match;
-      break;
-  }
-  if (recommender == nullptr) return "";
+  std::unique_ptr<core::Recommender> recommender = core::MakeStrategy(
+      shrunk.library, variant.strategy, variant.best_match);
   obs::MetricRegistry registry;
   serve::EngineOptions options;
   options.metrics = &registry;
   options.trace_sample_rate = 1.0;
   serve::ServingEngine engine(
-      {{testing::OracleVariantName(strategy, variant.best_match), recommender}},
+      {{testing::OracleVariantName(variant.strategy, variant.best_match),
+        recommender.get()}},
       options);
   util::StatusOr<serve::ServeResult> served =
       engine.Serve(shrunk.activity, shrunk.k);
@@ -115,9 +95,9 @@ std::string DumpReproObservability(const testing::OracleCase& shrunk,
 
 // Every strategy in `strategies`, Best Match under each of its variants.
 std::vector<testing::OracleVariant> AllVariants(
-    const std::vector<testing::OracleStrategy>& strategies) {
+    const std::vector<core::Strategy>& strategies) {
   std::vector<testing::OracleVariant> variants;
-  for (testing::OracleStrategy strategy : strategies) {
+  for (core::Strategy strategy : strategies) {
     for (const core::BestMatchOptions& best_match :
          testing::OracleVariants(strategy)) {
       variants.push_back(testing::OracleVariant{strategy, best_match});
@@ -146,7 +126,7 @@ int Replay(const FuzzConfig& config) {
     }
     variants.push_back(*v);
   } else {
-    variants = AllVariants(testing::AllOracleStrategies());
+    variants = AllVariants(core::AllStrategies());
   }
   // The header names the diverging strategy up front (DescribeRepro), so a
   // replay log identifies the suspect before any per-strategy output.
@@ -188,7 +168,7 @@ int Fuzz(const FuzzConfig& config) {
         shapes[static_cast<size_t>(round) % shapes.size()];
     testing::OracleCase c = testing::GenerateCase(shape, case_seed);
     for (const testing::OracleVariant& variant : variants) {
-      const testing::OracleStrategy strategy = variant.strategy;
+      const core::Strategy strategy = variant.strategy;
       const core::BestMatchOptions best_match = variant.best_match;
       const std::string name =
           testing::OracleVariantName(strategy, best_match);
@@ -296,9 +276,9 @@ int Main(int argc, char** argv) {
 
   std::string strategy = flags.GetString("strategy", "all");
   if (strategy == "all" || strategy.empty()) {
-    config.strategies = testing::AllOracleStrategies();
+    config.strategies = core::AllStrategies();
   } else {
-    auto s = testing::OracleStrategyFromName(strategy);
+    std::optional<core::Strategy> s = core::FindStrategy(strategy);
     if (!s) {
       GOALREC_LOG(ERROR) << "unknown strategy '" << strategy << "'";
       std::fprintf(stderr, "%s", kUsage);

@@ -77,6 +77,28 @@ double FlagParser::ParseDouble(const std::string& name,
   return value;
 }
 
+void FlagParser::FailRange(const std::string& name, const std::string& text,
+                           const char* kind, const std::string& min,
+                           const std::string& max, bool min_open,
+                           bool max_open) const {
+  std::string expected = kind;
+  if (min.empty()) {
+    expected += (max_open ? " < " : " <= ") + max;
+  } else if (max.empty()) {
+    expected += (min_open ? " > " : " >= ") + min;
+  } else {
+    expected += std::string(" in ") + (min_open ? "(" : "[") + min + ", " +
+                max + (max_open ? ")" : "]");
+  }
+  Fail(name, expected, text);
+}
+
+std::string FlagParser::FormatBound(double bound) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%g", bound);
+  return buffer;
+}
+
 void FlagParser::Fail(const std::string& name, const std::string& expected,
                       const std::string& text) const {
   std::fprintf(stderr, "%s: --%s expects %s, got '%s'\n", program_.c_str(),

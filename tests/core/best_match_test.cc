@@ -202,16 +202,16 @@ TEST(BestMatchTest, ScanCollectsOnlyTheActionSpaceOfH) {
   testing::DiffOptions strict;
   strict.strict_order = true;
   for (const BestMatchOptions& variant :
-       testing::OracleVariants(testing::OracleStrategy::kBestMatch)) {
+       testing::OracleVariants(core::Strategy::kBestMatch)) {
     const std::string name = testing::OracleVariantName(
-        testing::OracleStrategy::kBestMatch, variant);
+        core::Strategy::kBestMatch, variant);
     const testing::ReferenceList expected =
         testing::ReferenceBestMatch(lib, activity, 10, variant);
     ASSERT_EQ(expected.size(), 1u) << name;
     ASSERT_EQ(expected[0].action, a) << name;
     const BestMatchRecommender kernel(&lib, variant);
     const serve::ShardedRecommender fanned(
-        sharded, serve::ShardedStrategy::kBestMatch, &pool, variant);
+        sharded, core::Strategy::kBestMatch, &pool, variant);
     for (const Recommender* r :
          {static_cast<const Recommender*>(&kernel),
           static_cast<const Recommender*>(&fanned)}) {
@@ -288,9 +288,9 @@ TEST(BestMatchTest, FailedCertificateFallsBackDenselyAndMatchesOracle) {
     const uint32_t fallbacks_per_query = m == 100 ? 0 : 1;
     QueryWorkspace ws;
     for (const BestMatchOptions& variant :
-         testing::OracleVariants(testing::OracleStrategy::kBestMatch)) {
+         testing::OracleVariants(core::Strategy::kBestMatch)) {
       const std::string name =
-          testing::OracleVariantName(testing::OracleStrategy::kBestMatch,
+          testing::OracleVariantName(core::Strategy::kBestMatch,
                                      variant);
       testing::ReferenceList expected =
           CertificateAnswer(m, variant.metric, a, c);

@@ -117,14 +117,9 @@ TEST(ShardingTest, InvariantsHoldOnGeneratedLibraries) {
         shapes[static_cast<size_t>(i) % shapes.size()], seeds.NextUint64());
     auto snapshot = MakeSnapshot(std::move(c.library));
     const ImplementationLibrary& library = snapshot->library;
-    for (uint32_t num_shards : {1u, 2u, 5u, 16u}) {
-      ShardingOptions hash;
-      auto sharded = BuildShardedSnapshot(library, num_shards, hash);
-      CheckPartitionInvariants(library, *sharded);
-      ShardingOptions modulo;
-      modulo.policy = PartitionPolicy::kModuloGoal;
-      CheckPartitionInvariants(
-          library, *BuildShardedSnapshot(library, num_shards, modulo));
+    for (uint32_t num_shards : {1u, 2u, 3u, 5u, 7u, 16u}) {
+      CheckPartitionInvariants(library,
+                               *BuildShardedSnapshot(library, num_shards));
     }
   }
 }
@@ -173,37 +168,25 @@ ReplayedSplit ReplaySplit(const ImplementationLibrary& base,
 TEST(ShardingTest, ShardsAreBitIdenticalToABuilderReplay) {
   std::vector<testing::CaseShape> shapes = testing::DefaultCaseShapes();
   util::Rng seeds(20261017, /*stream=*/43);
-  ShardingOptions hash;
-  ShardingOptions modulo;
-  modulo.policy = PartitionPolicy::kModuloGoal;
-  ShardingOptions custom;
-  // Clusters low goal ids on the last shard and stripes the rest.
-  custom.custom = [](GoalId g, const ImplementationLibrary&,
-                     uint32_t num_shards) -> uint32_t {
-    return g < 3 ? num_shards - 1 : (g / 2) % num_shards;
-  };
   for (int i = 0; i < 12; ++i) {
     testing::OracleCase c = testing::GenerateCase(
         shapes[static_cast<size_t>(i) % shapes.size()], seeds.NextUint64());
     const ImplementationLibrary& library = c.library;
     for (uint32_t num_shards : {1u, 2u, 3u, 7u, 16u}) {
-      for (const ShardingOptions* options : {&hash, &modulo, &custom}) {
-        auto sharded = BuildShardedSnapshot(library, num_shards, *options);
-        ReplayedSplit replay =
-            ReplaySplit(library, sharded->goal_shard, num_shards);
-        SCOPED_TRACE("case " + std::to_string(i) + ", " +
-                     std::to_string(num_shards) + " shards, " +
-                     sharded->policy_name);
-        ASSERT_EQ(sharded->num_shards, num_shards);
-        for (uint32_t s = 0; s < num_shards; ++s) {
-          EXPECT_EQ(EncodeSnapshot(sharded->shard_library(s)),
-                    replay.shard_bytes[s])
-              << "shard " << s;
-        }
-        EXPECT_EQ(sharded->impl_shard, replay.impl_shard);
-        EXPECT_EQ(sharded->impl_local, replay.impl_local);
-        EXPECT_EQ(sharded->local_to_logical, replay.local_to_logical);
+      auto sharded = BuildShardedSnapshot(library, num_shards);
+      ReplayedSplit replay =
+          ReplaySplit(library, sharded->goal_shard, num_shards);
+      SCOPED_TRACE("case " + std::to_string(i) + ", " +
+                   std::to_string(num_shards) + " shards");
+      ASSERT_EQ(sharded->num_shards, num_shards);
+      for (uint32_t s = 0; s < num_shards; ++s) {
+        EXPECT_EQ(EncodeSnapshot(sharded->shard_library(s)),
+                  replay.shard_bytes[s])
+            << "shard " << s;
       }
+      EXPECT_EQ(sharded->impl_shard, replay.impl_shard);
+      EXPECT_EQ(sharded->impl_local, replay.impl_local);
+      EXPECT_EQ(sharded->local_to_logical, replay.local_to_logical);
     }
   }
 }
@@ -232,35 +215,12 @@ TEST(ShardingTest, ConcurrentShardBuildsMatchTheReplay) {
   }
 }
 
-TEST(ShardingTest, ModuloPolicyPinsGoalPlacement) {
+// The placement is a splitmix64 hash of the goal id, fixed across platforms
+// and releases: statusz shard sizes and a rebuilt partition depend on it.
+TEST(ShardingTest, GoalPlacementIsTheSplitmixHash) {
   ImplementationLibrary library = SmallLibrary();
-  ShardingOptions options;
-  options.policy = PartitionPolicy::kModuloGoal;
-  auto sharded = BuildShardedSnapshot(library, 3, options);
-  EXPECT_EQ(sharded->policy_name, "modulo_goal");
-  for (uint32_t g = 0; g < library.num_goals(); ++g) {
-    EXPECT_EQ(sharded->goal_shard[g], g % 3) << "goal " << g;
-  }
-  CheckPartitionInvariants(library, *sharded);
-}
-
-TEST(ShardingTest, CustomPolicyAndNameAreHonoured) {
-  ImplementationLibrary library = SmallLibrary();
-  ShardingOptions options;
-  // Everything on the last shard, by name lookup (the documented use case:
-  // goal ids renumber across reloads, names do not).
-  options.custom = [](GoalId g, const ImplementationLibrary& lib,
-                      uint32_t num_shards) -> uint32_t {
-    return lib.goals().Name(g) == "g2" ? 0 : num_shards - 1;
-  };
-  options.custom_name = "pin_g2";
-  auto sharded = BuildShardedSnapshot(library, 4, options);
-  EXPECT_EQ(sharded->policy_name, "pin_g2");
-  auto g2 = library.goals().Find("g2");
-  ASSERT_TRUE(g2.has_value());
-  for (uint32_t g = 0; g < library.num_goals(); ++g) {
-    EXPECT_EQ(sharded->goal_shard[g], g == *g2 ? 0u : 3u);
-  }
+  auto sharded = BuildShardedSnapshot(library, 3);
+  EXPECT_EQ(sharded->goal_shard, (std::vector<uint32_t>{1, 2, 1, 0}));
   CheckPartitionInvariants(library, *sharded);
 }
 
@@ -290,7 +250,7 @@ TEST(ShardingTest, ZeroShardCountClampsToOne) {
 
 TEST(ShardingTest, BaseVersionIsStamped) {
   ImplementationLibrary library = SmallLibrary();
-  auto sharded = BuildShardedSnapshot(library, 2, {}, /*base_version=*/42);
+  auto sharded = BuildShardedSnapshot(library, 2, /*base_version=*/42);
   EXPECT_EQ(sharded->base_version, 42u);
   EXPECT_EQ(BuildShardedSnapshot(library, 2)->base_version, 0u);
 }

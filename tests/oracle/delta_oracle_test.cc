@@ -161,7 +161,7 @@ void ExpectBitIdentical(const model::ImplementationLibrary& merged,
       << ")";
 }
 
-class DeltaOracleTest : public ::testing::TestWithParam<OracleStrategy> {};
+class DeltaOracleTest : public ::testing::TestWithParam<core::Strategy> {};
 
 // The tentpole invariant: after every applied segment (and across
 // compactions), queries against the merged view match queries against a
@@ -236,16 +236,16 @@ TEST_P(DeltaOracleTest, MergedViewIsBitIdenticalToRebuildAcrossSchedules) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, DeltaOracleTest,
-    ::testing::ValuesIn(AllOracleStrategies()),
-    [](const ::testing::TestParamInfo<OracleStrategy>& info) {
+    ::testing::ValuesIn(core::AllStrategies()),
+    [](const ::testing::TestParamInfo<core::Strategy>& info) {
       switch (info.param) {
-        case OracleStrategy::kFocusCompleteness:
+        case core::Strategy::kFocusCompleteness:
           return std::string("FocusCmp");
-        case OracleStrategy::kFocusCloseness:
+        case core::Strategy::kFocusCloseness:
           return std::string("FocusCl");
-        case OracleStrategy::kBreadth:
+        case core::Strategy::kBreadth:
           return std::string("Breadth");
-        case OracleStrategy::kBestMatch:
+        case core::Strategy::kBestMatch:
           return std::string("BestMatch");
       }
       return std::string("Unknown");

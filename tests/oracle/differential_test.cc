@@ -33,7 +33,7 @@ constexpr int kCasesPerStrategy = 320;  // 32 per shape × 10 shapes
 constexpr uint64_t kMasterSeed = 20260806;
 
 class OracleDifferentialTest
-    : public ::testing::TestWithParam<OracleStrategy> {};
+    : public ::testing::TestWithParam<core::Strategy> {};
 
 TEST_P(OracleDifferentialTest, MatchesReferenceOnSeededGeneratedCases) {
   std::vector<CaseShape> shapes = DefaultCaseShapes();
@@ -103,16 +103,16 @@ TEST_P(OracleDifferentialTest, MatchesReferenceOnThePaperExample) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, OracleDifferentialTest,
-    ::testing::ValuesIn(AllOracleStrategies()),
-    [](const ::testing::TestParamInfo<OracleStrategy>& info) {
+    ::testing::ValuesIn(core::AllStrategies()),
+    [](const ::testing::TestParamInfo<core::Strategy>& info) {
       switch (info.param) {
-        case OracleStrategy::kFocusCompleteness:
+        case core::Strategy::kFocusCompleteness:
           return std::string("FocusCmp");
-        case OracleStrategy::kFocusCloseness:
+        case core::Strategy::kFocusCloseness:
           return std::string("FocusCl");
-        case OracleStrategy::kBreadth:
+        case core::Strategy::kBreadth:
           return std::string("Breadth");
-        case OracleStrategy::kBestMatch:
+        case core::Strategy::kBestMatch:
           return std::string("BestMatch");
       }
       return std::string("Unknown");

@@ -14,10 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/best_match.h"
-#include "core/breadth.h"
-#include "core/focus.h"
 #include "core/query_workspace.h"
+#include "core/strategy.h"
 #include "model/library.h"
 #include "model/sharding.h"
 #include "serve/sharded.h"
@@ -34,42 +32,9 @@ namespace {
 struct Subject {
   std::string name;
   std::unique_ptr<const core::Recommender> recommender;
-  OracleStrategy strategy;
+  core::Strategy strategy;
   core::BestMatchOptions best_match;
 };
-
-serve::ShardedStrategy ToSharded(OracleStrategy strategy) {
-  switch (strategy) {
-    case OracleStrategy::kFocusCompleteness:
-      return serve::ShardedStrategy::kFocusCompleteness;
-    case OracleStrategy::kFocusCloseness:
-      return serve::ShardedStrategy::kFocusCloseness;
-    case OracleStrategy::kBreadth:
-      return serve::ShardedStrategy::kBreadth;
-    case OracleStrategy::kBestMatch:
-      return serve::ShardedStrategy::kBestMatch;
-  }
-  return serve::ShardedStrategy::kBestMatch;
-}
-
-std::unique_ptr<const core::Recommender> MakeKernel(
-    const model::ImplementationLibrary& library, OracleStrategy strategy,
-    const core::BestMatchOptions& best_match) {
-  switch (strategy) {
-    case OracleStrategy::kFocusCompleteness:
-      return std::make_unique<core::FocusRecommender>(
-          &library, core::FocusVariant::kCompleteness);
-    case OracleStrategy::kFocusCloseness:
-      return std::make_unique<core::FocusRecommender>(
-          &library, core::FocusVariant::kCloseness);
-    case OracleStrategy::kBreadth:
-      return std::make_unique<core::BreadthRecommender>(&library);
-    case OracleStrategy::kBestMatch:
-      return std::make_unique<core::BestMatchRecommender>(&library,
-                                                          best_match);
-  }
-  return nullptr;
-}
 
 // Every strategy and variant, plain and fanned out over 4 shards of
 // `library`.
@@ -78,16 +43,17 @@ class Roster {
   explicit Roster(const model::ImplementationLibrary& library)
       : library_(library),
         sharded_(model::BuildShardedSnapshot(library, /*num_shards=*/4)) {
-    for (OracleStrategy strategy : AllOracleStrategies()) {
+    for (core::Strategy strategy : core::AllStrategies()) {
       for (const core::BestMatchOptions& variant : OracleVariants(strategy)) {
         const std::string name = OracleVariantName(strategy, variant);
         subjects_.push_back(Subject{name,
-                                    MakeKernel(library, strategy, variant),
+                                    core::MakeStrategy(library, strategy,
+                                                       variant),
                                     strategy, variant});
         subjects_.push_back(Subject{
             name + "/4-shard",
             std::make_unique<serve::ShardedRecommender>(
-                sharded_, ToSharded(strategy), &pool_, variant),
+                sharded_, strategy, &pool_, variant),
             strategy, variant});
       }
     }

@@ -96,10 +96,10 @@ TEST(MetamorphicTest, UnusedActionInActivityChangesNothing) {
     with_fresh.push_back(fresh);
     util::Normalize(with_fresh);
 
-    for (OracleStrategy strategy : AllOracleStrategies()) {
+    for (core::Strategy strategy : core::AllStrategies()) {
       EXPECT_EQ(RunOptimized(extended, strategy, c.activity, c.k),
                 RunOptimized(extended, strategy, with_fresh, c.k))
-          << OracleStrategyName(strategy)
+          << core::StrategyName(strategy)
           << " changed after adding an unused action to H (trial " << trial
           << ")";
     }
@@ -133,21 +133,21 @@ TEST(MetamorphicTest, VocabularyPaddingIsBitInvariant) {
     for (uint32_t pad : kPads) {
       model::ImplementationLibrary padded =
           WithPaddedVocabulary(c.library, pad, pad);
-      for (OracleStrategy strategy : AllOracleStrategies()) {
+      for (core::Strategy strategy : core::AllStrategies()) {
         core::RecommendationList base =
             RunOptimized(c.library, strategy, c.activity, c.k);
         EXPECT_EQ(base, RunOptimized(padded, strategy, c.activity, c.k))
-            << OracleStrategyName(strategy) << " changed under +" << pad
+            << core::StrategyName(strategy) << " changed under +" << pad
             << " vocabulary padding (trial " << trial << ")";
         // The pooled kernels on both libraries, through workspaces reused
         // across trials and pad widths (the serving-path reuse pattern).
         EXPECT_EQ(base, RunOptimizedPooled(c.library, strategy, c.activity,
                                            c.k, base_ws))
-            << OracleStrategyName(strategy)
+            << core::StrategyName(strategy)
             << " pooled path diverges unpadded (trial " << trial << ")";
         EXPECT_EQ(base, RunOptimizedPooled(padded, strategy, c.activity, c.k,
                                            padded_ws))
-            << OracleStrategyName(strategy) << " pooled path changed under +"
+            << core::StrategyName(strategy) << " pooled path changed under +"
             << pad << " vocabulary padding (trial " << trial << ")";
       }
     }
@@ -211,7 +211,7 @@ TEST(MetamorphicTest, ActionIdPermutationPermutesButPreservesScores) {
     // among tied scores is id-dependent by contract, so only the unbounded
     // lists are permutation-equivariant as sets.
     size_t k = c.library.num_actions();
-    for (OracleStrategy strategy : AllOracleStrategies()) {
+    for (core::Strategy strategy : core::AllStrategies()) {
       core::RecommendationList base =
           RunOptimized(c.library, strategy, c.activity, k);
       for (core::ScoredAction& entry : base) {
@@ -221,7 +221,7 @@ TEST(MetamorphicTest, ActionIdPermutationPermutesButPreservesScores) {
           RunOptimized(permuted.library, strategy, mapped_h, k);
       EXPECT_EQ(Canonical(std::move(base)),
                 Canonical(std::move(relabeled)))
-          << OracleStrategyName(strategy)
+          << core::StrategyName(strategy)
           << " is not permutation-equivariant (trial " << trial << ")";
     }
   }

@@ -4,7 +4,7 @@
 // (Best Match under all six variants), on both the pooled (warm root
 // workspace + scratch pool) and allocating paths. A metamorphic sweep
 // additionally pins shard-count invariance (shards ∈ {1, 2, 3, 7, 16},
-// hash and modulo partitions, including the tie-storm shapes where only
+// including the tie-storm shapes where only
 // the documented (score desc, id asc) order distinguishes outputs), and
 // the Breadth dense-reset accumulator is held to the same wall with its
 // threshold forced both ways.
@@ -41,20 +41,6 @@ constexpr int kWallCasesPerStrategy = 320;
 constexpr int kMetamorphicCasesPerStrategy = 90;
 constexpr uint64_t kMasterSeed = 20260808;
 
-serve::ShardedStrategy ToSharded(OracleStrategy strategy) {
-  switch (strategy) {
-    case OracleStrategy::kFocusCompleteness:
-      return serve::ShardedStrategy::kFocusCompleteness;
-    case OracleStrategy::kFocusCloseness:
-      return serve::ShardedStrategy::kFocusCloseness;
-    case OracleStrategy::kBreadth:
-      return serve::ShardedStrategy::kBreadth;
-    case OracleStrategy::kBestMatch:
-      return serve::ShardedStrategy::kBestMatch;
-  }
-  return serve::ShardedStrategy::kBestMatch;
-}
-
 DiffOptions Strict() {
   DiffOptions strict;
   strict.strict_order = true;
@@ -62,7 +48,7 @@ DiffOptions Strict() {
   return strict;
 }
 
-class ShardedOracleTest : public ::testing::TestWithParam<OracleStrategy> {};
+class ShardedOracleTest : public ::testing::TestWithParam<core::Strategy> {};
 
 // The wall: 3-shard fan-out/merge vs the naive reference AND vs the
 // unsharded optimized path, pooled and allocating, strict order, zero
@@ -83,7 +69,7 @@ TEST_P(ShardedOracleTest, ShardedMergeIsBitIdenticalToSingleShard) {
     auto sharded = model::BuildShardedSnapshot(library, /*num_shards=*/3);
     for (const core::BestMatchOptions& variant : OracleVariants(GetParam())) {
       const std::string name = OracleVariantName(GetParam(), variant);
-      serve::ShardedRecommender recommender(sharded, ToSharded(GetParam()),
+      serve::ShardedRecommender recommender(sharded, GetParam(),
                                             &pool, variant);
 
       // Pooled path: warm root workspace, scratch pool, parallel fan-out.
@@ -117,7 +103,7 @@ TEST_P(ShardedOracleTest, ShardedMergeIsBitIdenticalToSingleShard) {
 }
 
 // Metamorphic shard-count invariance: the merged list must not depend on
-// the shard count or the partition policy.
+// the shard count.
 TEST_P(ShardedOracleTest, MergedResultsInvariantAcrossShardCounts) {
   const uint32_t kShardCounts[] = {1, 2, 3, 7, 16};
   std::vector<CaseShape> shapes = DefaultCaseShapes();
@@ -131,24 +117,20 @@ TEST_P(ShardedOracleTest, MergedResultsInvariantAcrossShardCounts) {
         shapes[static_cast<size_t>(i) % shapes.size()], case_seed);
     auto snapshot = model::MakeSnapshot(std::move(c.library));
     const model::ImplementationLibrary& library = snapshot->library;
-    model::ShardingOptions options;
-    options.policy = (i % 2 == 0) ? model::PartitionPolicy::kHashByGoal
-                                  : model::PartitionPolicy::kModuloGoal;
     for (uint32_t num_shards : kShardCounts) {
-      auto sharded = model::BuildShardedSnapshot(library, num_shards, options);
+      auto sharded = model::BuildShardedSnapshot(library, num_shards);
       for (const core::BestMatchOptions& variant :
            OracleVariants(GetParam())) {
         core::RecommendationList unsharded = RunOptimizedPooled(
             library, GetParam(), c.activity, c.k, unsharded_ws, variant);
-        serve::ShardedRecommender recommender(sharded, ToSharded(GetParam()),
+        serve::ShardedRecommender recommender(sharded, GetParam(),
                                               &pool, variant);
         core::RecommendationList merged;
         recommender.RecommendPooled(c.activity, c.k, nullptr, &root_ws,
                                     merged);
         ASSERT_EQ(merged, unsharded)
             << OracleVariantName(GetParam(), variant) << " diverged at "
-            << num_shards << " shards, policy "
-            << model::PartitionPolicyName(options.policy) << " (case seed "
+            << num_shards << " shards (case seed "
             << case_seed << ", shape " << i % shapes.size() << ")";
       }
     }
@@ -157,9 +139,9 @@ TEST_P(ShardedOracleTest, MergedResultsInvariantAcrossShardCounts) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, ShardedOracleTest,
-    ::testing::ValuesIn(AllOracleStrategies()),
-    [](const ::testing::TestParamInfo<OracleStrategy>& info) {
-      return std::string(OracleStrategyName(info.param));
+    ::testing::ValuesIn(core::AllStrategies()),
+    [](const ::testing::TestParamInfo<core::Strategy>& info) {
+      return std::string(core::StrategyName(info.param));
     });
 
 // A stop that fires partway through every shard's goal-major scan: the
@@ -183,7 +165,7 @@ TEST(ShardedBestMatchTest, StopMidScanReturnsEmptyWithStopRequested) {
   }
   util::ThreadPool pool(3);
   serve::ShardedRecommender recommender(
-      sharded, serve::ShardedStrategy::kBestMatch, &pool);
+      sharded, core::Strategy::kBestMatch, &pool);
   core::QueryWorkspace root_ws;
   util::StopToken stop(util::Deadline::AfterMillis(0),
                        util::CancellationToken(), kStride);
@@ -213,11 +195,11 @@ TEST(ShardedBestMatchTest, SlotsTouchedSummedOverShardsEqualsUnsharded) {
     auto snapshot = model::MakeSnapshot(std::move(c.library));
     const model::ImplementationLibrary& library = snapshot->library;
     unsharded_ws.kernel_stats = {};
-    RunOptimizedPooled(library, OracleStrategy::kBestMatch, c.activity, c.k,
+    RunOptimizedPooled(library, core::Strategy::kBestMatch, c.activity, c.k,
                        unsharded_ws);
     serve::ShardedRecommender recommender(
         model::BuildShardedSnapshot(library, /*num_shards=*/4),
-        serve::ShardedStrategy::kBestMatch, &pool);
+        core::Strategy::kBestMatch, &pool);
     root_ws.kernel_stats = {};
     core::RecommendationList merged;
     recommender.RecommendPooled(c.activity, c.k, nullptr, &root_ws, merged);
@@ -259,10 +241,10 @@ TEST(BreadthDenseResetOracleTest, ForcedDenseIsBitIdenticalToReference) {
     auto snapshot = model::MakeSnapshot(std::move(c.library));
     const model::ImplementationLibrary& library = snapshot->library;
     core::RecommendationList dense = RunOptimizedPooled(
-        library, OracleStrategy::kBreadth, c.activity, c.k, workspace);
+        library, core::Strategy::kBreadth, c.activity, c.k, workspace);
     DiffOutcome vs_reference = CompareLists(
         dense,
-        RunReference(library, OracleStrategy::kBreadth, c.activity, c.k),
+        RunReference(library, core::Strategy::kBreadth, c.activity, c.k),
         strict);
     ASSERT_TRUE(vs_reference.match)
         << "Breadth forced-dense vs reference: " << vs_reference.detail
@@ -270,7 +252,7 @@ TEST(BreadthDenseResetOracleTest, ForcedDenseIsBitIdenticalToReference) {
 
     auto sharded = model::BuildShardedSnapshot(library, /*num_shards=*/3);
     serve::ShardedRecommender recommender(
-        sharded, serve::ShardedStrategy::kBreadth);
+        sharded, core::Strategy::kBreadth);
     core::RecommendationList merged;
     recommender.RecommendPooled(c.activity, c.k, nullptr, &root_ws, merged);
     ASSERT_EQ(merged, dense)
@@ -295,10 +277,10 @@ TEST(BreadthDenseResetOracleTest, ForcedSparseIsBitIdenticalToReference) {
     auto snapshot = model::MakeSnapshot(std::move(c.library));
     const model::ImplementationLibrary& library = snapshot->library;
     core::RecommendationList sparse = RunOptimizedPooled(
-        library, OracleStrategy::kBreadth, c.activity, c.k, workspace);
+        library, core::Strategy::kBreadth, c.activity, c.k, workspace);
     DiffOutcome vs_reference = CompareLists(
         sparse,
-        RunReference(library, OracleStrategy::kBreadth, c.activity, c.k),
+        RunReference(library, core::Strategy::kBreadth, c.activity, c.k),
         strict);
     ASSERT_TRUE(vs_reference.match)
         << "Breadth forced-sparse vs reference: " << vs_reference.detail

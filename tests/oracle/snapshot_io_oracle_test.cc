@@ -35,7 +35,7 @@ namespace {
 constexpr int kCasesPerStrategy = 240;
 constexpr uint64_t kMasterSeed = 20260808;
 
-class SnapshotIoOracleTest : public ::testing::TestWithParam<OracleStrategy> {
+class SnapshotIoOracleTest : public ::testing::TestWithParam<core::Strategy> {
 };
 
 TEST_P(SnapshotIoOracleTest, DecodedSnapshotIsBitIdenticalToOriginal) {
@@ -50,7 +50,7 @@ TEST_P(SnapshotIoOracleTest, DecodedSnapshotIsBitIdenticalToOriginal) {
   std::string text_path =
       (std::filesystem::temp_directory_path() /
        ("goalrec_snapio_oracle_text_" +
-        std::string(OracleStrategyName(GetParam())) + ".txt"))
+        std::string(core::StrategyName(GetParam())) + ".txt"))
           .string();
   for (int i = 0; i < kCasesPerStrategy; ++i) {
     uint64_t case_seed = seeds.NextUint64();
@@ -100,14 +100,14 @@ TEST_P(SnapshotIoOracleTest, DecodedSnapshotIsBitIdenticalToOriginal) {
     core::RecommendationList persisted =
         RunOptimized(*decoded, GetParam(), c.activity, c.k);
     ASSERT_EQ(original.size(), persisted.size())
-        << OracleStrategyName(GetParam()) << " (case seed " << case_seed
+        << core::StrategyName(GetParam()) << " (case seed " << case_seed
         << ")";
     for (size_t r = 0; r < original.size(); ++r) {
       ASSERT_EQ(original[r].action, persisted[r].action)
-          << OracleStrategyName(GetParam()) << " rank " << r << " (case seed "
+          << core::StrategyName(GetParam()) << " rank " << r << " (case seed "
           << case_seed << ")";
       ASSERT_EQ(original[r].score, persisted[r].score)
-          << OracleStrategyName(GetParam()) << " rank " << r << " (case seed "
+          << core::StrategyName(GetParam()) << " rank " << r << " (case seed "
           << case_seed << ")";
     }
 
@@ -117,7 +117,7 @@ TEST_P(SnapshotIoOracleTest, DecodedSnapshotIsBitIdenticalToOriginal) {
         persisted, RunReference(c.library, GetParam(), c.activity, c.k),
         strict);
     ASSERT_TRUE(outcome.match)
-        << OracleStrategyName(GetParam()) << ": " << outcome.detail
+        << core::StrategyName(GetParam()) << ": " << outcome.detail
         << " (case seed " << case_seed << ")";
   }
   std::filesystem::remove(text_path);
@@ -132,7 +132,7 @@ TEST_P(SnapshotIoOracleTest, FileRoundTripMatchesInMemoryEncoding) {
   util::Rng seeds(kMasterSeed, /*stream=*/43);
   std::string path = (std::filesystem::temp_directory_path() /
                       ("goalrec_snapio_oracle_" +
-                       std::string(OracleStrategyName(GetParam())) + ".snap"))
+                       std::string(core::StrategyName(GetParam())) + ".snap"))
                          .string();
   for (int i = 0; i < 20; ++i) {
     uint64_t case_seed = seeds.NextUint64();
@@ -164,16 +164,16 @@ TEST_P(SnapshotIoOracleTest, FileRoundTripMatchesInMemoryEncoding) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, SnapshotIoOracleTest,
-    ::testing::ValuesIn(AllOracleStrategies()),
-    [](const ::testing::TestParamInfo<OracleStrategy>& info) {
+    ::testing::ValuesIn(core::AllStrategies()),
+    [](const ::testing::TestParamInfo<core::Strategy>& info) {
       switch (info.param) {
-        case OracleStrategy::kFocusCompleteness:
+        case core::Strategy::kFocusCompleteness:
           return std::string("FocusCmp");
-        case OracleStrategy::kFocusCloseness:
+        case core::Strategy::kFocusCloseness:
           return std::string("FocusCl");
-        case OracleStrategy::kBreadth:
+        case core::Strategy::kBreadth:
           return std::string("Breadth");
-        case OracleStrategy::kBestMatch:
+        case core::Strategy::kBestMatch:
           return std::string("BestMatch");
       }
       return std::string("Unknown");

@@ -37,7 +37,7 @@ model::IdSet Ids(std::span<const uint32_t> ids) {
   return model::IdSet(ids.begin(), ids.end());
 }
 
-class SnapshotOracleTest : public ::testing::TestWithParam<OracleStrategy> {};
+class SnapshotOracleTest : public ::testing::TestWithParam<core::Strategy> {};
 
 // The pooled path (reused workspace, spans into the CSR arena) against the
 // reference oracle, in strict order with zero score tolerance: bit-identical
@@ -61,7 +61,7 @@ TEST_P(SnapshotOracleTest, PooledPathIsBitIdenticalToReference) {
     DiffOutcome vs_reference = CompareLists(
         pooled, RunReference(library, GetParam(), c.activity, c.k), strict);
     ASSERT_TRUE(vs_reference.match)
-        << OracleStrategyName(GetParam()) << " pooled vs reference: "
+        << core::StrategyName(GetParam()) << " pooled vs reference: "
         << vs_reference.detail << " (case seed " << case_seed << ", shape "
         << i % shapes.size() << ", |H| = " << c.activity.size()
         << ", k = " << c.k << ")";
@@ -84,15 +84,15 @@ TEST_P(SnapshotOracleTest, PooledPathMatchesFreshPathExactly) {
     core::RecommendationList pooled = RunOptimizedPooled(
         c.library, GetParam(), c.activity, c.k, workspace);
     ASSERT_EQ(pooled.size(), fresh.size())
-        << OracleStrategyName(GetParam()) << " (case seed " << case_seed
+        << core::StrategyName(GetParam()) << " (case seed " << case_seed
         << ")";
     for (size_t r = 0; r < fresh.size(); ++r) {
       ASSERT_EQ(pooled[r].action, fresh[r].action)
-          << OracleStrategyName(GetParam()) << " rank " << r << " (case seed "
+          << core::StrategyName(GetParam()) << " rank " << r << " (case seed "
           << case_seed << ")";
       // Bitwise: the pooled path must take the identical float walk.
       ASSERT_EQ(pooled[r].score, fresh[r].score)
-          << OracleStrategyName(GetParam()) << " rank " << r << " (case seed "
+          << core::StrategyName(GetParam()) << " rank " << r << " (case seed "
           << case_seed << ")";
     }
   }
@@ -100,16 +100,16 @@ TEST_P(SnapshotOracleTest, PooledPathMatchesFreshPathExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, SnapshotOracleTest,
-    ::testing::ValuesIn(AllOracleStrategies()),
-    [](const ::testing::TestParamInfo<OracleStrategy>& info) {
+    ::testing::ValuesIn(core::AllStrategies()),
+    [](const ::testing::TestParamInfo<core::Strategy>& info) {
       switch (info.param) {
-        case OracleStrategy::kFocusCompleteness:
+        case core::Strategy::kFocusCompleteness:
           return std::string("FocusCmp");
-        case OracleStrategy::kFocusCloseness:
+        case core::Strategy::kFocusCloseness:
           return std::string("FocusCl");
-        case OracleStrategy::kBreadth:
+        case core::Strategy::kBreadth:
           return std::string("Breadth");
-        case OracleStrategy::kBestMatch:
+        case core::Strategy::kBestMatch:
           return std::string("BestMatch");
       }
       return std::string("Unknown");

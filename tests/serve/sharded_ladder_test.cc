@@ -34,10 +34,7 @@ ShardedLadderOptions AllStrategies(uint32_t num_shards,
   options.num_shards = num_shards;
   options.pool = pool;
   options.metrics = metrics;
-  options.rungs = {{"focus_cmp", ShardedStrategy::kFocusCompleteness},
-                   {"focus_cl", ShardedStrategy::kFocusCloseness},
-                   {"breadth", ShardedStrategy::kBreadth},
-                   {"best_match", ShardedStrategy::kBestMatch}};
+  options.rungs = core::AllStrategies();
   return options;
 }
 
@@ -68,7 +65,13 @@ TEST(ShardedLadderFactoryTest, OneShardBuildsTheCoreKernels) {
   EXPECT_NE(dynamic_cast<const core::BestMatchRecommender*>(
                 ladder.rungs[3].recommender),
             nullptr);
-  EXPECT_EQ(ladder.rungs[4].name, "popularity");
+  // Rung names are the strategies' keys; metric labels such as
+  // serve.served_by.best_match are built from them.
+  const char* const kRungNames[] = {"focus_cmp", "focus_cl", "breadth",
+                                    "best_match", "popularity"};
+  for (size_t r = 0; r < ladder.rungs.size(); ++r) {
+    EXPECT_EQ(ladder.rungs[r].name, kRungNames[r]);
+  }
   for (const ServingEngine::Rung& rung : ladder.rungs) {
     EXPECT_EQ(dynamic_cast<const ShardedRecommender*>(rung.recommender),
               nullptr)

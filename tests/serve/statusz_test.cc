@@ -239,7 +239,7 @@ TEST(StatuszTest, ShardsSectionRendersPartitionAndMergeP99) {
   sources.metrics = &metrics;
   sources.recent_events = 0;
   std::string page = RenderStatusz(sources);
-  EXPECT_NE(page.find("[shards] 3 (policy hash_goal)"), std::string::npos);
+  EXPECT_NE(page.find("[shards] 3\n"), std::string::npos);
   EXPECT_NE(page.find("shard 0: impls="), std::string::npos);
   EXPECT_NE(page.find("shard 2: impls="), std::string::npos);
   EXPECT_NE(page.find("merge_p99: "), std::string::npos);

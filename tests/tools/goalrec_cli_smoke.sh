@@ -5,8 +5,10 @@
 # roster (also into a report directory it has to create), runs `recommend` and `spaces` on it, serves a library with
 # a malformed record in quarantine mode (initial load and reload both print
 # their load report), checks that 1 and 2 shards serve identical answers,
-# that --watch_library picks up a replaced file, and that a malformed flag
-# value exits 2 with a message naming the flag.
+# that `delta append` refuses a malformed implementation id, that
+# --watch_library picks up a replaced file, and that a malformed or
+# out-of-range flag value, or a flag the command does not take, exits 2
+# with a message naming the flag.
 #
 #   tests/tools/goalrec_cli_smoke.sh <path to goalrec> <work dir>
 set -euo pipefail
@@ -99,6 +101,18 @@ code=0
 grep -q -- '--shards' "$dir/err" ||
   fail "--shards=0: error does not name the flag: $(cat "$dir/err")"
 
+# `delta append` refuses a malformed implementation id instead of
+# tombstoning implementation 0.
+"$goalrec" delta init "$lib" "$dir/delta" >/dev/null
+code=0
+"$goalrec" delta append "$dir/delta" --tombstone_impls=3,x7 \
+    >/dev/null 2>"$dir/err" || code=$?
+[[ $code == 2 ]] || fail "--tombstone_impls=3,x7 exited $code, want 2"
+grep -q -- '--tombstone_impls' "$dir/err" ||
+  fail "--tombstone_impls: error does not name the flag: $(cat "$dir/err")"
+"$goalrec" delta status "$dir/delta" | grep -q 'tombstoned: impls=0 ' ||
+  fail "a refused append still tombstoned: $("$goalrec" delta status "$dir/delta")"
+
 # --watch_library reloads a library file replaced under it, once.
 watched="$dir/watched.library.txt"
 cp "$lib" "$watched"
@@ -114,12 +128,25 @@ cp "$lib" "$watched"
 grep -q ', 1 reloads)' "$dir/watch.out" ||
   fail "--watch_library missed the replaced file: $(cat "$dir/watch.out")"
 
-for flag in --admission_limit=abc --retry_attempts=zz --k=abc --explain=maybe; do
+for flag in --deadline_ms=abc --retry_attempts=zz --k=abc --explain=maybe \
+    --k=0 --trace_sample_rate=2; do
   code=0
   "$goalrec" recommend "$lib" --actions="$actions" "$flag" \
       >/dev/null 2>"$dir/err" || code=$?
   [[ $code == 2 ]] || fail "$flag exited $code, want 2"
   grep -q -- "${flag%%=*} expects" "$dir/err" ||
+    fail "$flag: error does not name the flag: $(cat "$dir/err")"
+done
+
+# A flag the command does not take exits 2 before anything runs: a typo,
+# and an overload flag `recommend` no longer has.
+for flag in --strategey=best_match --admission_limit=8; do
+  code=0
+  "$goalrec" recommend "$lib" --actions="$actions" "$flag" \
+      >"$dir/out" 2>"$dir/err" || code=$?
+  [[ $code == 2 ]] || fail "$flag exited $code, want 2"
+  [[ ! -s "$dir/out" ]] || fail "$flag: recommend ran anyway"
+  grep -q -- "unknown flag ${flag%%=*}" "$dir/err" ||
     fail "$flag: error does not name the flag: $(cat "$dir/err")"
 done
 echo "OK: goalrec CLI smoke"

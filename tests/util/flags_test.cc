@@ -65,10 +65,10 @@ TEST(FlagParserTest, AbsentFlagsReturnTheirDefaults) {
 // A present but malformed value must stop the tool with status 2 and a
 // message naming the flag, never fall back to the default.
 TEST(FlagParserDeathTest, MalformedIntExitsNamingTheFlag) {
-  FlagParser parser = Parse({"--admission_limit=abc", "--k=12x", "--e="});
-  EXPECT_EXIT(parser.Get<int64_t>("admission_limit", 8),
+  FlagParser parser = Parse({"--deadline_ms=abc", "--k=12x", "--e="});
+  EXPECT_EXIT(parser.Get<int64_t>("deadline_ms", 8),
               ::testing::ExitedWithCode(2),
-              "tool: --admission_limit expects an integer, got 'abc'");
+              "tool: --deadline_ms expects an integer, got 'abc'");
   EXPECT_EXIT(parser.Get<int>("k", 10), ::testing::ExitedWithCode(2),
               "--k expects an integer, got '12x'");
   EXPECT_EXIT(parser.Get<int64_t>("e", 1), ::testing::ExitedWithCode(2),
@@ -98,6 +98,39 @@ TEST(FlagParserDeathTest, MalformedBoolExitsNamingTheFlag) {
               "--smoke expects a boolean, got 'maybe'");
   EXPECT_EXIT(parser.Get<bool>("quiet", true), ::testing::ExitedWithCode(2),
               "--quiet expects a boolean, got 'yes'");
+}
+
+TEST(FlagParserTest, RangedGetAcceptsValuesInTheRange) {
+  FlagParser parser = Parse({"--k=1", "--rate=1", "--share=0.5"});
+  EXPECT_EQ(parser.Get<int64_t>("k", 10, {.min = 1}), 1);
+  EXPECT_DOUBLE_EQ(parser.Get<double>("rate", 0.0, {.min = 0.0, .max = 1.0}),
+                   1.0);
+  EXPECT_DOUBLE_EQ(
+      parser.Get<double>("share", 0.1,
+                         {.min = 0.0, .max = 1.0, .min_open = true,
+                          .max_open = true}),
+      0.5);
+  // An absent flag returns its default unchecked.
+  EXPECT_EQ(parser.Get<int64_t>("missing", 0, {.min = 1}), 0);
+}
+
+// A value outside the range exits 2 and the message names the interval.
+TEST(FlagParserDeathTest, ValueOutsideTheRangeExitsNamingTheRange) {
+  FlagParser parser =
+      Parse({"--k=0", "--rate=1.5", "--share=1", "--wait=-2"});
+  EXPECT_EXIT(parser.Get<int64_t>("k", 10, {.min = 1}),
+              ::testing::ExitedWithCode(2),
+              "tool: --k expects an integer >= 1, got '0'");
+  EXPECT_EXIT(parser.Get<double>("rate", 0.0, {.min = 0.0, .max = 1.0}),
+              ::testing::ExitedWithCode(2),
+              "--rate expects a number in \\[0, 1\\], got '1.5'");
+  EXPECT_EXIT(parser.Get<double>("share", 0.5,
+                                 {.min = 0.0, .max = 1.0, .max_open = true}),
+              ::testing::ExitedWithCode(2),
+              "--share expects a number in \\[0, 1\\), got '1'");
+  EXPECT_EXIT(parser.Get<int>("wait", 0, {.max = -3, .max_open = true}),
+              ::testing::ExitedWithCode(2),
+              "--wait expects an integer < -3, got '-2'");
 }
 
 TEST(FlagParserTest, DoubleDashEndsFlagParsing) {
