@@ -185,9 +185,8 @@ void BuildEngine(EngineSetup& setup, const Rungs& rungs, bool protected_mode,
     admission_options.adaptive = true;
     // An open-loop generator keeps arriving regardless of progress: a deep
     // queue just ages every admitted query past its deadline. Keep the
-    // queues shallow so overload turns into fast kResourceExhausted sheds.
+    // queue shallow so overload turns into fast kResourceExhausted sheds.
     admission_options.max_queue_interactive = 4;
-    admission_options.max_queue_batch = 2;
     admission_options.metrics = &setup.registry;
     if (baseline_ms > 0.0) {
       admission_options.initial_baseline = std::chrono::nanoseconds(

@@ -36,7 +36,7 @@ util::DenseVector SolveRow(const util::DenseMatrix& gram,
   }
   // Weighted-λ regularisation (ALS-WR): scale λ by the row's observation
   // count. The ridge term keeps the system positive definite.
-  a.AddToDiagonal(options.lambda * static_cast<double>(observed.size()) +
+  a.AddToDiagonal(kAlsLambda * static_cast<double>(observed.size()) +
                   1e-9);
   util::StatusOr<util::DenseVector> solved = util::CholeskySolve(a, b);
   GOALREC_CHECK(solved.ok()) << solved.status().ToString();
@@ -49,7 +49,6 @@ AlsRecommender::AlsRecommender(const InteractionData* data, AlsOptions options)
     : data_(data), options_(options) {
   GOALREC_CHECK(data_ != nullptr);
   GOALREC_CHECK_GT(options_.num_factors, 0u);
-  GOALREC_CHECK_GT(options_.lambda, 0.0);
   Train();
 }
 
@@ -124,11 +123,11 @@ double AlsRecommender::Objective() const {
       double err = r - util::Dot(user_factors_[u], action_factors_[i]);
       total += c * err * err;
     }
-    total += options_.lambda * static_cast<double>(acts.size()) *
+    total += kAlsLambda * static_cast<double>(acts.size()) *
              util::Dot(user_factors_[u], user_factors_[u]);
   }
   for (model::ActionId i = 0; i < data_->num_actions(); ++i) {
-    total += options_.lambda *
+    total += kAlsLambda *
              static_cast<double>(data_->UsersOfAction(i).size()) *
              util::Dot(action_factors_[i], action_factors_[i]);
   }

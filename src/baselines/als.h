@@ -18,12 +18,13 @@
 
 namespace goalrec::baselines {
 
+/// Regularisation weight λ; each least-squares solve is regularised by
+/// λ · (#observations of that row), the "weighted-λ" scheme of ALS-WR.
+inline constexpr double kAlsLambda = 0.05;
+
 struct AlsOptions {
   uint32_t num_factors = 16;
   uint32_t num_iterations = 10;
-  /// Regularisation weight λ; each least-squares solve is regularised by
-  /// λ · (#observations of that row), the "weighted-λ" scheme of ALS-WR.
-  double lambda = 0.05;
   /// Confidence weight: observed cells get confidence 1 + alpha.
   double alpha = 40.0;
   /// Seed for factor initialisation.

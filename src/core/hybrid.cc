@@ -18,7 +18,6 @@ HybridRecommender::HybridRecommender(
   GOALREC_CHECK(features_ != nullptr);
   GOALREC_CHECK_GE(options_.alpha, 0.0);
   GOALREC_CHECK_LE(options_.alpha, 1.0);
-  GOALREC_CHECK_GE(options_.pool_factor, 1.0);
 }
 
 std::string HybridRecommender::name() const {
@@ -62,9 +61,9 @@ RecommendationList HybridRecommender::Recommend(
     const model::Activity& activity, size_t k) const {
   RecommendationList list;
   if (k == 0) return list;
-  // pool_factor · k exceeds SIZE_MAX for k near it, and converting such a
-  // double to size_t is undefined: saturate instead.
-  double pool_wanted = std::ceil(options_.pool_factor * static_cast<double>(k));
+  // kHybridPoolFactor · k exceeds SIZE_MAX for k near it, and converting
+  // such a double to size_t is undefined: saturate instead.
+  double pool_wanted = std::ceil(kHybridPoolFactor * static_cast<double>(k));
   size_t pool_size = pool_wanted < static_cast<double>(SIZE_MAX)
                          ? std::max(k, static_cast<size_t>(pool_wanted))
                          : SIZE_MAX;

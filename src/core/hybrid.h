@@ -21,12 +21,13 @@
 
 namespace goalrec::core {
 
+/// Candidate pool size requested from the goal strategy before
+/// re-ranking, as a multiple of the caller's k.
+inline constexpr double kHybridPoolFactor = 3.0;
+
 struct HybridOptions {
   /// Blend factor α ∈ [0, 1]: weight of the content component.
   double alpha = 0.3;
-  /// Candidate pool size requested from the goal strategy before
-  /// re-ranking, as a multiple of the caller's k (at least k).
-  double pool_factor = 3.0;
 };
 
 class HybridRecommender : public Recommender {

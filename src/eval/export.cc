@@ -19,8 +19,7 @@ util::Status ExportReportsCsv(const std::string& directory,
                               const data::Dataset& dataset,
                               const std::vector<data::EvalUser>& users,
                               const std::vector<model::Activity>& inputs,
-                              const std::vector<MethodResult>& results,
-                              const ExportOptions& options) {
+                              const std::vector<MethodResult>& results) {
   util::Status status = WriteCsv(directory + "/overlap.csv",
                                  BuildOverlapTable(ComputeOverlap(results)));
   if (!status.ok()) return status;
@@ -39,7 +38,7 @@ util::Status ExportReportsCsv(const std::string& directory,
   status = WriteCsv(directory + "/tpr.csv", BuildTprTable(tpr, tpr));
   if (!status.ok()) return status;
 
-  if (options.include_similarity && !dataset.features.empty()) {
+  if (!dataset.features.empty()) {
     status = WriteCsv(directory + "/pairwise_similarity.csv",
                       BuildSimilarityTable(ComputePairwiseSimilarity(
                           dataset.features, results)));

@@ -15,13 +15,6 @@
 
 namespace goalrec::eval {
 
-struct ExportOptions {
-  /// The lists' k (recorded only; lists carry their own lengths).
-  size_t k = 10;
-  /// Write pairwise_similarity.csv (needs a non-empty feature table).
-  bool include_similarity = true;
-};
-
 /// Computes overlap, popularity correlation, completeness, TPR (and, with
 /// features, pairwise similarity) from `results` and writes
 /// overlap.csv / popularity_correlation.csv / completeness.csv / tpr.csv /
@@ -31,8 +24,7 @@ util::Status ExportReportsCsv(const std::string& directory,
                               const data::Dataset& dataset,
                               const std::vector<data::EvalUser>& users,
                               const std::vector<model::Activity>& inputs,
-                              const std::vector<MethodResult>& results,
-                              const ExportOptions& options = {});
+                              const std::vector<MethodResult>& results);
 
 }  // namespace goalrec::eval
 

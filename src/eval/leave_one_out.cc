@@ -12,13 +12,12 @@ LeaveOneOutResult RunLeaveOneOut(const core::Recommender& recommender,
                                  const std::vector<model::Activity>& users,
                                  const LeaveOneOutOptions& options) {
   GOALREC_CHECK_GT(options.k, 0u);
-  GOALREC_CHECK_GE(options.min_activity_size, 2u);
   LeaveOneOutResult result;
   double hits = 0.0;
   double reciprocal_sum = 0.0;
   double ndcg_sum = 0.0;
   for (const model::Activity& activity : users) {
-    if (activity.size() < options.min_activity_size) continue;
+    if (activity.size() < kMinLeaveOneOutActivity) continue;
     size_t holdouts = activity.size();
     if (options.max_holdouts_per_user > 0) {
       holdouts = std::min(holdouts, options.max_holdouts_per_user);

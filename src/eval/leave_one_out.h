@@ -27,11 +27,12 @@ struct LeaveOneOutResult {
   size_t num_trials = 0;
 };
 
+/// Activities smaller than this are skipped (hiding the only action leaves
+/// no evidence).
+inline constexpr size_t kMinLeaveOneOutActivity = 2;
+
 struct LeaveOneOutOptions {
   size_t k = 10;
-  /// Activities smaller than this are skipped (hiding the only action
-  /// leaves no evidence).
-  size_t min_activity_size = 2;
   /// Cap on held-out trials per user, taken from the start of the sorted
   /// activity (0 = all actions). Bounds cost on large activities.
   size_t max_holdouts_per_user = 0;

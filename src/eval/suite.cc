@@ -1,6 +1,7 @@
 #include "eval/suite.h"
 
 #include "baselines/content_based.h"
+#include "baselines/knn.h"
 #include "baselines/popularity.h"
 #include "core/hybrid.h"
 #include "core/strategy.h"
@@ -39,14 +40,12 @@ void Suite::Init(std::vector<model::Activity> training_activities,
         std::move(training_activities), library.num_actions());
   }
 
-  if (options.include_goal_based) {
-    for (const core::StrategyInfo& info : core::kStrategies) {
-      recommenders_.push_back(core::MakeStrategy(library, info.strategy));
-    }
+  for (const core::StrategyInfo& info : core::kStrategies) {
+    recommenders_.push_back(core::MakeStrategy(library, info.strategy));
   }
   if (options.include_cf_knn) {
-    recommenders_.push_back(std::make_unique<baselines::KnnRecommender>(
-        interactions_.get(), options.knn));
+    recommenders_.push_back(
+        std::make_unique<baselines::KnnRecommender>(interactions_.get()));
   }
   if (options.include_cf_mf) {
     recommenders_.push_back(std::make_unique<baselines::AlsRecommender>(
@@ -63,10 +62,8 @@ void Suite::Init(std::vector<model::Activity> training_activities,
   }
   if (options.include_hybrid && has_features) {
     wrapper_base_ = core::MakeStrategy(library, core::Strategy::kBreadth);
-    core::HybridOptions hybrid_options;
-    hybrid_options.alpha = options.hybrid_alpha;
     recommenders_.push_back(std::make_unique<core::HybridRecommender>(
-        wrapper_base_.get(), &dataset_->features, hybrid_options));
+        wrapper_base_.get(), &dataset_->features));
   }
 }
 

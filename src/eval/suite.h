@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "baselines/als.h"
-#include "baselines/knn.h"
 #include "core/query_workspace.h"
 #include "core/recommender.h"
 #include "data/dataset.h"
@@ -22,8 +21,10 @@
 
 namespace goalrec::eval {
 
+/// The four goal-based strategies are always in the roster; CF kNN runs
+/// with the default KnnOptions and Hybrid(Breadth) with the default
+/// HybridOptions.
 struct SuiteOptions {
-  bool include_goal_based = true;
   bool include_cf_knn = true;
   bool include_cf_mf = true;
   /// Skipped automatically when the dataset has no feature table (43T).
@@ -31,9 +32,7 @@ struct SuiteOptions {
   bool include_popularity = false;
   /// Hybrid(Breadth) — requires a feature table; skipped without one.
   bool include_hybrid = false;
-  baselines::KnnOptions knn;
   baselines::AlsOptions als;
-  double hybrid_alpha = 0.3;
 };
 
 /// One run output: the method name and one list per evaluation user.

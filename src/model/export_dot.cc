@@ -25,7 +25,7 @@ std::string Quote(const std::string& name) {
 std::string ToDot(const ImplementationLibrary& library,
                   const DotOptions& options) {
   std::ostringstream out;
-  out << "graph " << Quote(options.graph_name) << " {\n";
+  out << "graph \"goalrec\" {\n";
   out << "  graph [rankdir=LR];\n";
   out << "  node [fontsize=10];\n";
 

@@ -18,8 +18,6 @@ struct DotOptions {
   /// Restrict the rendering to these goals; empty = all goals (use with
   /// care on large libraries — DOT rendering degrades fast).
   IdSet goals;
-  /// Graph name in the output.
-  std::string graph_name = "goalrec";
 };
 
 /// Renders the DOT source.

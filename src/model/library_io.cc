@@ -156,8 +156,7 @@ util::StatusOr<ImplementationLibrary> LoadLibraryTextImpl(
   // Canonical "<goal>\n<sorted actions>" keys of every record loaded so far;
   // maintained only when someone can observe the answer (dedup tracking on a
   // 100M-record load is pure overhead otherwise).
-  const bool track_duplicates =
-      report != nullptr || options.drop_duplicates;
+  const bool track_duplicates = report != nullptr;
   std::unordered_set<std::string> seen;
 
   // Flags one bad record: records it (with provenance) in the report, and
@@ -167,7 +166,7 @@ util::StatusOr<ImplementationLibrary> LoadLibraryTextImpl(
                         std::string reason) -> util::Status {
     ++rep.issues_total;
     std::string clipped = ClipToken(token);
-    if (rep.issues.size() < options.max_reported_issues) {
+    if (rep.issues.size() < kMaxReportedIssues) {
       rep.issues.push_back(LoadIssue{path, line_number, clipped, reason});
     }
     if (!quarantine) {
@@ -274,17 +273,13 @@ util::StatusOr<ImplementationLibrary> LoadLibraryTextImpl(
       if (!seen.insert(std::move(key)).second) {
         ++rep.duplicates;
         ++rep.issues_total;
-        if (rep.issues.size() < options.max_reported_issues) {
+        if (rep.issues.size() < kMaxReportedIssues) {
           rep.issues.push_back(LoadIssue{
               path, line_number, ClipToken(goal),
               "duplicate implementation (same goal and action set)"});
         }
         // Duplicates are structurally legal, so they never fail a strict
-        // load; they are only dropped on explicit request.
-        if (options.drop_duplicates) {
-          ++rep.records_quarantined;
-          continue;
-        }
+        // load and are kept.
       }
     }
 

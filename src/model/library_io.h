@@ -68,15 +68,15 @@ enum class ValidationMode {
   kQuarantine,  // bad records dropped + reported, rest loads
 };
 
+/// Issues recorded in a LoadReport beyond this many are counted, not stored.
+inline constexpr size_t kMaxReportedIssues = 64;
+
+/// Records that duplicate an earlier (goal, action-set) record are
+/// structurally legal (two users can describe the same implementation), so
+/// they are reported but kept in either mode.
 struct LoadOptions {
   ValidationMode mode = ValidationMode::kStrict;
   LoadLimits limits;
-  /// Also drop records that duplicate an earlier (goal, action-set) record.
-  /// Duplicates are structurally legal (two users can describe the same
-  /// implementation) so they are reported but kept by default.
-  bool drop_duplicates = false;
-  /// Issues recorded in the report beyond this many are counted, not stored.
-  size_t max_reported_issues = 64;
 };
 
 /// One bad (or suspicious) record, with enough provenance to act on: which
@@ -95,10 +95,10 @@ struct LoadIssue {
 struct LoadReport {
   size_t records_total = 0;        // data lines / records seen
   size_t records_loaded = 0;       // records that made it into the library
-  size_t records_quarantined = 0;  // dropped (kQuarantine or duplicates)
+  size_t records_quarantined = 0;  // dropped (kQuarantine)
   size_t duplicates = 0;           // duplicate (goal, action-set) records seen
   size_t issues_total = 0;         // all issues, stored or not
-  std::vector<LoadIssue> issues;   // first max_reported_issues of them
+  std::vector<LoadIssue> issues;   // first kMaxReportedIssues of them
 
   /// One-line summary for logs.
   std::string Summary() const;

@@ -149,16 +149,9 @@ FlightRecorder::FlightRecorder(size_t capacity)
 FlightRecorder::~FlightRecorder() = default;
 
 int64_t FlightRecorder::NowNs() {
-#if defined(CLOCK_MONOTONIC_COARSE)
   std::timespec ts{};
-  if (clock_gettime(CLOCK_MONOTONIC_COARSE, &ts) == 0) {
-    return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
-  }
-#endif
-  std::timespec fallback{};
-  clock_gettime(CLOCK_MONOTONIC, &fallback);
-  return static_cast<int64_t>(fallback.tv_sec) * 1000000000 +
-         fallback.tv_nsec;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
 FlightRecorder& FlightRecorder::Default() {
@@ -259,8 +252,8 @@ std::string FormatRecorderEvents(const std::vector<RecorderEvent>& events) {
     switch (e.type) {
       case RecorderEventType::kQueryStart:
         std::snprintf(buffer, sizeof(buffer),
-                      "+%.3fms query_start priority=%u k=%u id=%llu\n", ms,
-                      e.a, e.b, static_cast<unsigned long long>(e.c));
+                      "+%.3fms query_start k=%u id=%llu\n", ms, e.b,
+                      static_cast<unsigned long long>(e.c));
         break;
       case RecorderEventType::kQueryEnd:
         std::snprintf(buffer, sizeof(buffer),

@@ -20,7 +20,7 @@
 // serving thread are always available* for after-the-fact decoding.
 //
 // Cost model. Recording one event is a runtime-enabled check (one relaxed
-// load + branch), one coarse-clock read, three relaxed atomic stores into
+// load + branch), one monotonic-clock read, three relaxed atomic stores into
 // the thread's own ring slot and one relaxed head bump — no locks, no
 // allocation after the thread's first event, no cross-core traffic (each
 // thread writes only its own cache lines). Building with -DGOALREC_OBS_NOOP
@@ -42,7 +42,7 @@ namespace goalrec::obs {
 
 enum class RecorderEventType : uint16_t {
   kNone = 0,
-  kQueryStart = 1,        // a=priority, b=k, c=query id
+  kQueryStart = 1,        // b=k, c=query id
   kQueryEnd = 2,          // a=serving rung (0xFFFF none), b=result, c=latency ns
   kRungEnter = 3,         // a=rung index
   kRungExit = 4,          // a=rung index, b=RungOutcome, c=rung latency ns
@@ -59,14 +59,13 @@ enum class KernelStage : uint16_t { kScatter = 0, kRank = 1, kEmit = 2 };
 enum class RecorderResult : uint32_t {
   kOk = 0,
   kShed = 1,
-  kCancelled = 2,
-  kUnavailable = 3,
+  kUnavailable = 2,
 };
 
 const char* RecorderEventTypeToString(RecorderEventType type);
 const char* KernelStageToString(KernelStage stage);
 
-/// One decoded event. `ts_ns` is the recorder's coarse monotonic clock
+/// One decoded event. `ts_ns` is the recorder's monotonic clock
 /// (FlightRecorder::NowNs); `seq` is the global write index within its ring.
 struct RecorderEvent {
   int64_t ts_ns = 0;
@@ -118,9 +117,9 @@ class FlightRecorder {
   /// Threads that have recorded at least one event.
   size_t threads_seen() const;
 
-  /// The recorder's clock: coarse monotonic nanoseconds
-  /// (CLOCK_MONOTONIC_COARSE where available, steady_clock otherwise).
-  /// Comparable across threads within a process.
+  /// The recorder's clock: CLOCK_MONOTONIC nanoseconds, fine enough to
+  /// order and time the events of one query (a vDSO read, no system call,
+  /// on a TSC clocksource). Comparable across threads within a process.
   static int64_t NowNs();
 
   /// The process-wide recorder every built-in instrumentation site (serving

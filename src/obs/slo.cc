@@ -56,7 +56,7 @@ SloTracker::SloTracker(SloOptions options)
 }
 
 void SloTracker::AdvanceLocked(int64_t now) const {
-  if (now <= current_second_) return;  // coarse clock may briefly read back
+  if (now <= current_second_) return;  // same second, or a test clock read back
   int64_t skipped = now - current_second_;
   if (skipped >= kRingSpan) {
     for (Bucket& bucket : ring_) bucket = Bucket{};

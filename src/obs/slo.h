@@ -38,8 +38,8 @@ struct SloOptions {
   /// Registry for goalrec_slo_* metrics; null = MetricRegistry::Default().
   /// Not owned; must outlive the tracker.
   MetricRegistry* metrics = nullptr;
-  /// Test seam: monotonic seconds. Defaults to the flight recorder's coarse
-  /// clock divided down.
+  /// Test seam: monotonic seconds. Defaults to the flight recorder's clock
+  /// divided down.
   std::function<int64_t()> now_s;
 };
 

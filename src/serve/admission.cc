@@ -18,22 +18,16 @@ const char* RejectReasonLabel(AdmissionRejectReason reason) {
       return "deadline";
     case AdmissionRejectReason::kQueueTimeout:
       return "queue_timeout";
-    case AdmissionRejectReason::kCancelled:
-      return "cancelled";
   }
   return "unknown";
 }
 
 /// How long a queued waiter sleeps between grant checks. Short enough to
-/// keep cancellation and deadline expiry responsive; Release() notifies the
-/// condition variable, so the poll only bounds the unhappy paths.
+/// keep deadline expiry responsive; Release() notifies the condition
+/// variable, so the poll only bounds the unhappy path.
 constexpr std::chrono::milliseconds kWaitSlice{1};
 
 }  // namespace
-
-const char* QueryPriorityLabel(QueryPriority priority) {
-  return priority == QueryPriority::kInteractive ? "interactive" : "batch";
-}
 
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(std::move(options)) {
@@ -44,9 +38,6 @@ AdmissionController::AdmissionController(AdmissionOptions options)
   if (options_.initial_baseline.count() > 0) {
     baseline_us_ =
         static_cast<double>(options_.initial_baseline.count()) / 1e3;
-  }
-  if (!options_.now) {
-    options_.now = [] { return Clock::now(); };
   }
   obs::MetricRegistry* metrics = options_.metrics != nullptr
                                      ? options_.metrics
@@ -71,56 +62,34 @@ AdmissionController::AdmissionController(AdmissionOptions options)
   queue_wait_us_ = metrics->GetHistogram(
       "goalrec_admission_queue_wait_us", obs::DefaultLatencyBucketsUs(), {},
       "Time admitted queries spent waiting for a slot (microseconds)");
-  for (QueryPriority priority :
-       {QueryPriority::kInteractive, QueryPriority::kBatch}) {
-    ClassState& cls = classes_[static_cast<size_t>(priority)];
-    const std::string label = QueryPriorityLabel(priority);
-    cls.depth = metrics->GetGauge("goalrec_admission_queue_depth",
-                                  {{"priority", label}},
-                                  "Waiters queued for a slot, by priority");
-    cls.admitted = metrics->GetCounter("goalrec_admission_admitted_total",
-                                       {{"priority", label}},
-                                       "Queries granted a slot, by priority");
-    for (AdmissionRejectReason reason :
-         {AdmissionRejectReason::kQueueFull, AdmissionRejectReason::kDeadline,
-          AdmissionRejectReason::kQueueTimeout,
-          AdmissionRejectReason::kCancelled}) {
-      cls.rejected[static_cast<size_t>(reason)] = metrics->GetCounter(
-          "goalrec_admission_rejected_total",
-          {{"priority", label}, {"reason", RejectReasonLabel(reason)}},
-          "Queries shed at admission, by priority and reason");
-    }
+  depth_gauge_ = metrics->GetGauge("goalrec_admission_queue_depth", {},
+                                   "Waiters queued for a slot");
+  admitted_ = metrics->GetCounter("goalrec_admission_admitted_total", {},
+                                  "Queries granted a slot");
+  for (AdmissionRejectReason reason :
+       {AdmissionRejectReason::kQueueFull, AdmissionRejectReason::kDeadline,
+        AdmissionRejectReason::kQueueTimeout}) {
+    rejected_[static_cast<size_t>(reason)] = metrics->GetCounter(
+        "goalrec_admission_rejected_total",
+        {{"reason", RejectReasonLabel(reason)}},
+        "Queries shed at admission, by reason");
   }
 }
 
-bool AdmissionController::CanGrantLocked(QueryPriority priority) const {
-  if (in_flight_ >= limit_) return false;
-  // Batch yields to any queued interactive traffic.
-  if (priority == QueryPriority::kBatch &&
-      classes_[static_cast<size_t>(QueryPriority::kInteractive)].waiting > 0) {
-    return false;
-  }
-  return true;
+util::Status AdmissionController::Reject(AdmissionRejectReason reason,
+                                         std::string message) {
+  rejected_[static_cast<size_t>(reason)]->Increment();
+  return util::ResourceExhaustedError(std::move(message));
 }
 
-void AdmissionController::RejectLocked(QueryPriority priority,
-                                       AdmissionRejectReason reason) {
-  classes_[static_cast<size_t>(priority)]
-      .rejected[static_cast<size_t>(reason)]
-      ->Increment();
-}
-
-util::Status AdmissionController::Admit(QueryPriority priority,
-                                        const util::Deadline& deadline,
-                                        const util::CancellationToken& cancel) {
+util::Status AdmissionController::Admit(const util::Deadline& deadline) {
   std::unique_lock<std::mutex> lock(mutex_);
-  ClassState& cls = classes_[static_cast<size_t>(priority)];
 
-  // Fast path: a free slot and nobody of this class ahead of us.
-  if (cls.waiting == 0 && CanGrantLocked(priority)) {
+  // Fast path: a free slot and nobody queued ahead of us.
+  if (waiting_ == 0 && in_flight_ < limit_) {
     ++in_flight_;
     in_flight_gauge_->Set(in_flight_);
-    cls.admitted->Increment();
+    admitted_->Increment();
     queue_wait_us_->Observe(0.0);
     return util::Status::Ok();
   }
@@ -128,73 +97,59 @@ util::Status AdmissionController::Admit(QueryPriority priority,
   // Shed rather than queue when the queue is full or the budget cannot
   // cover the predicted wait — failing in microseconds here is the whole
   // point; timing out inside a strategy later costs the full deadline.
-  const size_t capacity = priority == QueryPriority::kInteractive
-                              ? options_.max_queue_interactive
-                              : options_.max_queue_batch;
-  if (cls.waiting >= capacity) {
-    RejectLocked(priority, AdmissionRejectReason::kQueueFull);
-    return util::ResourceExhaustedError(
-        std::string("admission queue full (") + QueryPriorityLabel(priority) +
-        ", depth " + std::to_string(cls.waiting) + ")");
+  if (waiting_ >= options_.max_queue_interactive) {
+    return Reject(AdmissionRejectReason::kQueueFull,
+                  "admission queue full (depth " + std::to_string(waiting_) +
+                      ")");
   }
-  if (options_.deadline_aware && !deadline.is_infinite()) {
+  if (!deadline.is_infinite()) {
     // The query must fit the predicted queue wait AND the service itself:
     // admitting a query whose budget covers only the wait hands a doomed
     // query to the engine, which burns a slot to produce a deadline miss.
     // baseline_us_ is the limiter's service-time EWMA (0 until the first
     // release, which degrades this to a wait-only check).
     const double predicted_us =
-        predicted_wait_us_ * static_cast<double>(cls.waiting + 1) +
+        predicted_wait_us_ * static_cast<double>(waiting_ + 1) +
         baseline_us_;
     const double remaining_us =
         static_cast<double>(deadline.Remaining().count()) / 1e3;
     if (predicted_us > remaining_us) {
-      RejectLocked(priority, AdmissionRejectReason::kDeadline);
-      return util::ResourceExhaustedError(
-          "predicted queue wait " + std::to_string(predicted_us / 1e3) +
-          " ms exceeds remaining budget " + std::to_string(remaining_us / 1e3) +
-          " ms");
+      return Reject(AdmissionRejectReason::kDeadline,
+                    "predicted queue wait " +
+                        std::to_string(predicted_us / 1e3) +
+                        " ms exceeds remaining budget " +
+                        std::to_string(remaining_us / 1e3) + " ms");
     }
   }
 
-  // Queue until a slot frees, the budget expires, or the caller hangs up.
-  ++cls.waiting;
-  cls.depth->Set(static_cast<int64_t>(cls.waiting));
-  const Clock::time_point enqueued = options_.now();
+  // Queue until a slot frees or the budget expires.
+  ++waiting_;
+  depth_gauge_->Set(static_cast<int64_t>(waiting_));
+  const Clock::time_point enqueued = Clock::now();
   util::Status verdict;
   while (true) {
-    if (cancel.Cancelled()) {
-      RejectLocked(priority, AdmissionRejectReason::kCancelled);
-      verdict = util::CancelledError("query cancelled while queued");
-      break;
-    }
     if (!deadline.is_infinite() && deadline.Expired()) {
-      RejectLocked(priority, AdmissionRejectReason::kQueueTimeout);
-      verdict = util::ResourceExhaustedError(
-          "deadline expired while queued for admission");
+      verdict = Reject(AdmissionRejectReason::kQueueTimeout,
+                       "deadline expired while queued for admission");
       break;
     }
-    if (CanGrantLocked(priority)) {
-      verdict = util::Status::Ok();
-      break;
-    }
+    if (in_flight_ < limit_) break;
     slot_freed_.wait_for(lock, kWaitSlice);
   }
-  --cls.waiting;
-  cls.depth->Set(static_cast<int64_t>(cls.waiting));
+  --waiting_;
+  depth_gauge_->Set(static_cast<int64_t>(waiting_));
   if (!verdict.ok()) return verdict;
 
   ++in_flight_;
   in_flight_gauge_->Set(in_flight_);
-  cls.admitted->Increment();
-  const double waited_us = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(options_.now() -
-                                                           enqueued)
-          .count()) /
+  admitted_->Increment();
+  const double waited_us =
+      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              Clock::now() - enqueued)
+                              .count()) /
       1e3;
   queue_wait_us_->Observe(waited_us);
-  predicted_wait_us_ += options_.queue_wait_alpha *
-                        (waited_us - predicted_wait_us_);
+  predicted_wait_us_ += kQueueWaitAlpha * (waited_us - predicted_wait_us_);
   return util::Status::Ok();
 }
 
@@ -220,23 +175,23 @@ void AdmissionController::UpdateLimitLocked(std::chrono::nanoseconds latency) {
   if (baseline_us_ <= 0.0) {
     baseline_us_ = us;
   } else if (us < baseline_us_) {
-    baseline_us_ += options_.baseline_alpha * (us - baseline_us_);
+    baseline_us_ += kBaselineAlpha * (us - baseline_us_);
   } else {
-    baseline_us_ += (options_.baseline_alpha / 8.0) * (us - baseline_us_);
+    baseline_us_ += (kBaselineAlpha / 8.0) * (us - baseline_us_);
   }
   if (!options_.adaptive) return;
-  if (us > options_.latency_threshold * baseline_us_) {
+  if (us > kLatencyThreshold * baseline_us_) {
     good_streak_ = 0;
     const int next = std::max(
         options_.min_limit,
         static_cast<int>(std::floor(static_cast<double>(limit_) *
-                                    options_.backoff_ratio)));
+                                    kBackoffRatio)));
     if (next < limit_) {
       limit_ = next;
       limit_gauge_->Set(limit_);
       limit_backoffs_->Increment();
     }
-  } else if (++good_streak_ >= options_.increase_after) {
+  } else if (++good_streak_ >= kIncreaseAfter) {
     good_streak_ = 0;
     if (limit_ < options_.max_limit) {
       ++limit_;
@@ -256,9 +211,9 @@ int AdmissionController::in_flight() const {
   return in_flight_;
 }
 
-size_t AdmissionController::queue_depth(QueryPriority priority) const {
+size_t AdmissionController::queue_depth() const {
   std::unique_lock<std::mutex> lock(mutex_);
-  return classes_[static_cast<size_t>(priority)].waiting;
+  return waiting_;
 }
 
 std::chrono::nanoseconds AdmissionController::latency_baseline() const {

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 
@@ -21,19 +20,18 @@
 //
 // Three cooperating pieces:
 //
-//  * A bounded, deadline-aware wait queue with two priority classes.
-//    Interactive queries queue ahead of batch ones and batch is shed
-//    first; a query whose remaining deadline budget cannot cover the
-//    EWMA-predicted queue wait is rejected on arrival instead of timing
-//    out inside a strategy.
+//  * A bounded, deadline-aware wait queue. A query whose remaining
+//    deadline budget cannot cover the EWMA-predicted queue wait plus the
+//    service estimate is rejected on arrival instead of timing out inside
+//    a strategy.
 //  * An adaptive concurrency limiter (AIMD): the in-flight cap creeps up
-//    by one after a streak of queries whose latency stayed near the EWMA
-//    no-load baseline, and backs off multiplicatively when latency
-//    inflates past `latency_threshold` × baseline — discovering the
-//    sustainable parallelism instead of requiring a hand-tuned count.
-//  * Metrics: admitted/rejected counters (by priority and reason), queue
-//    depth and in-flight gauges, the live concurrency limit, and a queue
-//    wait histogram, all through src/obs/.
+//    by one after kIncreaseAfter queries whose latency stayed near the
+//    EWMA no-load baseline, and backs off multiplicatively (kBackoffRatio)
+//    when latency inflates past kLatencyThreshold × baseline — discovering
+//    the sustainable parallelism instead of requiring a hand-tuned count.
+//  * Metrics: admitted/rejected counters (by reason), queue depth and
+//    in-flight gauges, the live concurrency limit, and a queue wait
+//    histogram, all through src/obs/.
 //
 // The controller is deliberately engine-agnostic: Admit() blocks until a
 // slot is granted (or sheds), Release() returns the slot and feeds the
@@ -43,19 +41,26 @@
 
 namespace goalrec::serve {
 
-/// Who is asking. Interactive traffic (a user waiting on the answer) is
-/// admitted ahead of batch/eval traffic and shed last.
-enum class QueryPriority { kInteractive = 0, kBatch = 1 };
-
-const char* QueryPriorityLabel(QueryPriority priority);
-
 /// Why an admission was refused (the `reason` metric label).
 enum class AdmissionRejectReason {
-  kQueueFull,      // the priority class's queue is at capacity
+  kQueueFull,      // the wait queue is at capacity
   kDeadline,       // predicted queue wait exceeds the remaining budget
   kQueueTimeout,   // budget expired while waiting in the queue
-  kCancelled,      // caller cancelled while waiting
 };
+
+// The controller's fixed tuning, the same for every deployment.
+
+/// EWMA smoothing factor for the no-load latency baseline.
+inline constexpr double kBaselineAlpha = 0.2;
+/// Multiplicative backoff fires when a sample exceeds
+/// kLatencyThreshold × baseline.
+inline constexpr double kLatencyThreshold = 2.0;
+/// New limit on backoff: max(min_limit, limit × kBackoffRatio).
+inline constexpr double kBackoffRatio = 0.9;
+/// Consecutive in-threshold samples before an additive +1 increase.
+inline constexpr int kIncreaseAfter = 16;
+/// EWMA smoothing factor for the predicted queue wait.
+inline constexpr double kQueueWaitAlpha = 0.3;
 
 struct AdmissionOptions {
   /// Starting in-flight cap; the limiter adapts from here.
@@ -64,26 +69,10 @@ struct AdmissionOptions {
   int max_limit = 128;
   /// Disables adaptation: the limit stays at initial_limit.
   bool adaptive = true;
-  /// EWMA smoothing factor for the no-load latency baseline.
-  double baseline_alpha = 0.2;
-  /// Multiplicative backoff fires when a sample exceeds
-  /// latency_threshold × baseline.
-  double latency_threshold = 2.0;
-  /// New limit on backoff: max(min_limit, limit × backoff_ratio).
-  double backoff_ratio = 0.9;
-  /// Consecutive in-threshold samples before an additive +1 increase.
-  int increase_after = 16;
-  /// Wait-queue capacity per priority class. Zero means that class is
-  /// never queued: it is admitted immediately or shed.
+  /// Capacity of the one wait queue. Zero means a query is admitted
+  /// immediately or shed, never queued. The name predates the single
+  /// queue; the benchmark driver (perfbench/goalrec_bench.cc) spells it.
   size_t max_queue_interactive = 64;
-  size_t max_queue_batch = 16;
-  /// Reject on arrival when the EWMA-predicted queue wait plus the
-  /// service-time estimate (the limiter's latency baseline) exceeds the
-  /// query's remaining deadline budget — a budget that only covers the
-  /// wait admits a query that is already doomed.
-  bool deadline_aware = true;
-  /// EWMA smoothing factor for the predicted queue wait.
-  double queue_wait_alpha = 0.3;
   /// Operator-provided service-time estimate that seeds the latency
   /// baseline (and therefore the deadline-aware service estimate) before
   /// the first sample arrives. Zero means learn from the first Release().
@@ -95,11 +84,6 @@ struct AdmissionOptions {
   /// obs::MetricRegistry::Default(). Not owned; must outlive the
   /// controller.
   obs::MetricRegistry* metrics = nullptr;
-  /// Test seam: the controller's notion of "now" for queue-wait
-  /// accounting. Defaults to the steady clock. (Blocking waits still use
-  /// the real clock; tests that need exact wait control drive Release()
-  /// from a second thread instead.)
-  std::function<std::chrono::steady_clock::time_point()> now;
 };
 
 class AdmissionController {
@@ -108,13 +92,10 @@ class AdmissionController {
 
   /// Admits one query or sheds it. Returns OK once an in-flight slot is
   /// held; every OK return must be paired with exactly one Release().
-  /// Sheds with kResourceExhausted when the class queue is full, when the
+  /// Sheds with kResourceExhausted when the queue is full, when the
   /// predicted queue wait cannot fit in `deadline`, or when the budget
-  /// expires while queued; returns kCancelled when `cancel` fires while
-  /// waiting. Thread-safe; interactive waiters are granted before batch
-  /// waiters regardless of arrival order.
-  util::Status Admit(QueryPriority priority, const util::Deadline& deadline,
-                     const util::CancellationToken& cancel = {});
+  /// expires while queued. Thread-safe.
+  util::Status Admit(const util::Deadline& deadline);
 
   /// Returns the slot taken by a successful Admit() and feeds the limiter
   /// one latency sample. Pass service time only (the engine passes ladder
@@ -133,26 +114,17 @@ class AdmissionController {
   int concurrency_limit() const;
   /// Queries currently holding slots.
   int in_flight() const;
-  /// Waiters currently queued in `priority`'s class.
-  size_t queue_depth(QueryPriority priority) const;
+  /// Waiters currently queued.
+  size_t queue_depth() const;
   /// The limiter's current no-load latency estimate (0 until the first
   /// sample).
   std::chrono::nanoseconds latency_baseline() const;
 
  private:
-  struct ClassState {
-    size_t waiting = 0;  // waiters in this class (FIFO within the class)
-    obs::Gauge* depth = nullptr;
-    obs::Counter* admitted = nullptr;
-    obs::Counter* rejected[4] = {nullptr, nullptr, nullptr, nullptr};
-  };
-
-  /// True when a waiter of `priority` may take a slot now. Caller holds
-  /// mutex_.
-  bool CanGrantLocked(QueryPriority priority) const;
   /// Feeds one latency sample to the AIMD limiter. Caller holds mutex_.
   void UpdateLimitLocked(std::chrono::nanoseconds latency);
-  void RejectLocked(QueryPriority priority, AdmissionRejectReason reason);
+  /// Counts the rejection and returns its kResourceExhausted status.
+  util::Status Reject(AdmissionRejectReason reason, std::string message);
 
   AdmissionOptions options_;
   mutable std::mutex mutex_;
@@ -162,10 +134,13 @@ class AdmissionController {
   int good_streak_ = 0;
   double baseline_us_ = 0.0;
   double predicted_wait_us_ = 0.0;
-  ClassState classes_[2];
+  size_t waiting_ = 0;  // queued waiters
 
   obs::Gauge* limit_gauge_ = nullptr;
   obs::Gauge* in_flight_gauge_ = nullptr;
+  obs::Gauge* depth_gauge_ = nullptr;
+  obs::Counter* admitted_ = nullptr;
+  obs::Counter* rejected_[3] = {nullptr, nullptr, nullptr};
   obs::Counter* limit_increases_ = nullptr;
   obs::Counter* limit_backoffs_ = nullptr;
   obs::Counter* deadline_met_ = nullptr;

@@ -1,7 +1,5 @@
 #include "serve/circuit_breaker.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace goalrec::serve {
@@ -9,9 +7,6 @@ namespace goalrec::serve {
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
     : options_(std::move(options)), rng_(options_.seed) {
   GOALREC_CHECK(options_.failure_threshold >= 1);
-  GOALREC_CHECK(options_.half_open_probes >= 1);
-  options_.half_open_successes =
-      std::clamp(options_.half_open_successes, 1, options_.half_open_probes);
   if (!options_.now) {
     options_.now = [] { return std::chrono::steady_clock::now(); };
   }
@@ -27,8 +22,8 @@ bool CircuitBreaker::Allow() {
       if (state_ != State::kHalfOpen) return false;
       [[fallthrough]];
     case State::kHalfOpen:
-      if (probes_issued_ >= options_.half_open_probes) {
-        // All probes issued but none resolved (e.g. cancelled mid-flight):
+      if (probes_issued_ >= kHalfOpenProbes) {
+        // All probes issued but none resolved (e.g. abandoned mid-flight):
         // after another cooldown, grant a fresh probe round rather than
         // refusing forever.
         if (options_.now() - half_open_since_ < options_.open_cooldown) {
@@ -51,7 +46,7 @@ void CircuitBreaker::RecordSuccess() {
       consecutive_failures_ = 0;
       break;
     case State::kHalfOpen:
-      if (++probe_successes_ >= options_.half_open_successes) {
+      if (++probe_successes_ >= kHalfOpenSuccesses) {
         TransitionLocked(State::kClosed);
       }
       break;

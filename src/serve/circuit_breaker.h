@@ -20,8 +20,8 @@
 //   open      → every attempt refused until `open_cooldown` has elapsed
 //               (optionally stretched by seeded jitter so a fleet of
 //               breakers does not re-probe in lockstep).
-//   half-open → up to `half_open_probes` attempts are let through as
-//               probes; `half_open_successes` successes close the breaker,
+//   half-open → up to kHalfOpenProbes attempts are let through as
+//               probes; kHalfOpenSuccesses successes close the breaker,
 //               any failure re-opens it (cooldown restarts).
 //
 // Time is read through an injectable clock and jitter through a seeded
@@ -30,15 +30,16 @@
 
 namespace goalrec::serve {
 
+/// Attempts admitted as probes while half-open.
+inline constexpr int kHalfOpenProbes = 3;
+/// Probe successes required to close again.
+inline constexpr int kHalfOpenSuccesses = 2;
+
 struct CircuitBreakerOptions {
   /// Consecutive failures (while closed) that trip the breaker.
   int failure_threshold = 5;
   /// How long an open breaker refuses attempts before probing.
   std::chrono::milliseconds open_cooldown{1000};
-  /// Attempts admitted as probes while half-open.
-  int half_open_probes = 3;
-  /// Probe successes required to close again (<= half_open_probes).
-  int half_open_successes = 2;
   /// Each open cooldown is stretched by a factor drawn uniformly from
   /// [1, 1 + cooldown_jitter]; 0 disables jitter.
   double cooldown_jitter = 0.0;

@@ -111,8 +111,6 @@ void ServingEngine::InitInstruments() {
   unavailable_ = metrics_->GetCounter(
       "goalrec_serve_unavailable_total", {},
       "Queries where every rung failed (kUnavailable)");
-  cancelled_ = metrics_->GetCounter("goalrec_serve_cancelled_total", {},
-                                    "Queries aborted by caller cancellation");
   shed_ = metrics_->GetCounter(
       "goalrec_serve_shed_total", {},
       "Queries rejected by admission control (kResourceExhausted)");
@@ -157,16 +155,14 @@ void ServingEngine::InitInstruments() {
 }
 
 util::StatusOr<ServeResult> ServingEngine::Serve(
-    const model::Activity& activity, size_t k, util::CancellationToken cancel,
-    QueryPriority priority) const {
+    const model::Activity& activity, size_t k) const {
   Clock::time_point query_start = Clock::now();
   // Recorder-clock stamp of arrival: the TailSince bound that scopes this
   // query's recorder slice when it turns out to be a tail exemplar.
   int64_t recorder_start_ns = obs::FlightRecorder::NowNs();
   uint64_t query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
-  recorder.Record(obs::RecorderEventType::kQueryStart,
-                  static_cast<uint16_t>(priority),
+  recorder.Record(obs::RecorderEventType::kQueryStart, 0,
                   static_cast<uint32_t>(std::min<size_t>(k, UINT32_MAX)),
                   query_id);
   queries_->Increment();
@@ -178,21 +174,15 @@ util::StatusOr<ServeResult> ServingEngine::Serve(
           : util::Deadline::Infinite();
   if (options_.admission != nullptr) {
     Clock::time_point admit_start = Clock::now();
-    util::Status admitted =
-        options_.admission->Admit(priority, deadline, cancel);
+    util::Status admitted = options_.admission->Admit(deadline);
     uint64_t wait_ns = ToNs(Clock::now() - admit_start);
     if (!admitted.ok()) {
-      obs::RecorderResult why = obs::RecorderResult::kShed;
-      if (admitted.code() == util::StatusCode::kCancelled) {
-        cancelled_->Increment();
-        why = obs::RecorderResult::kCancelled;
-      } else {
-        shed_->Increment();
-      }
+      shed_->Increment();
       recorder.Record(obs::RecorderEventType::kAdmissionWait, 0,
-                      static_cast<uint32_t>(why), wait_ns);
+                      static_cast<uint32_t>(obs::RecorderResult::kShed),
+                      wait_ns);
       recorder.Record(obs::RecorderEventType::kQueryEnd, kNoServingRung,
-                      static_cast<uint32_t>(why),
+                      static_cast<uint32_t>(obs::RecorderResult::kShed),
                       ToNs(Clock::now() - query_start));
       if (options_.slo != nullptr) options_.slo->Record(false);
       return admitted;
@@ -206,11 +196,10 @@ util::StatusOr<ServeResult> ServingEngine::Serve(
   if (sampler_.Sample()) trace = std::make_shared<obs::Trace>("serve");
   Clock::time_point ladder_start = Clock::now();
   util::StatusOr<ServeResult> result = RunLadder(
-      activity, k, cancel, deadline, query_start, trace, query_id,
-      recorder_start_ns);
+      activity, k, deadline, query_start, trace, query_id, recorder_start_ns);
   // One SLO event per query that reached the ladder: good means it produced
-  // an answer AND the answer landed inside the deadline. (Shed and
-  // admission-cancelled queries were recorded as bad above.)
+  // an answer AND the answer landed inside the deadline. (Shed queries were
+  // recorded as bad above.)
   if (options_.slo != nullptr) {
     bool met = deadline.is_infinite() || !deadline.Expired();
     options_.slo->Record(result.ok() && met);
@@ -243,8 +232,7 @@ util::StatusOr<ServeResult> ServingEngine::Serve(
 }
 
 util::StatusOr<ServeResult> ServingEngine::RunLadder(
-    const model::Activity& activity, size_t k,
-    const util::CancellationToken& cancel, const util::Deadline& deadline,
+    const model::Activity& activity, size_t k, const util::Deadline& deadline,
     Clock::time_point query_start, const std::shared_ptr<obs::Trace>& trace,
     uint64_t query_id, int64_t recorder_start_ns) const {
   obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
@@ -340,18 +328,6 @@ util::StatusOr<ServeResult> ServingEngine::RunLadder(
       publish_breaker_state();
     };
 
-    if (cancel.Cancelled()) {
-      cancelled_->Increment();
-      latency_us_->Observe(
-          static_cast<double>((Clock::now() - query_start).count()) / 1e3);
-      recorder.Record(obs::RecorderEventType::kQueryEnd, kNoServingRung,
-                      static_cast<uint32_t>(obs::RecorderResult::kCancelled),
-                      ToNs(Clock::now() - query_start));
-      rung_span.Annotate("outcome", "cancelled");
-      serve_span.Annotate("outcome", "cancelled");
-      return util::CancelledError("query cancelled before rung '" +
-                                  rung.name + "'");
-    }
     // Breaker check first: skipping an unhealthy rung must cost
     // microseconds, not a fault-plane sleep or a doomed attempt. The final
     // rung is never gated — the floor always runs.
@@ -390,9 +366,8 @@ util::StatusOr<ServeResult> ServingEngine::RunLadder(
     }
 
     // The final rung runs unbounded (see header); others under the budget.
-    util::StopToken stop = is_last
-                               ? util::StopToken()
-                               : util::StopToken(deadline, cancel);
+    util::StopToken stop =
+        is_last ? util::StopToken() : util::StopToken(deadline);
     // Fresh kernel stats per attempt: RecommendPooled's strategy accumulates
     // into them and a tail exemplar snapshots them for the serving rung.
     workspace->kernel_stats = {};
@@ -400,18 +375,6 @@ util::StatusOr<ServeResult> ServingEngine::RunLadder(
                                       list);
     report.latency = Clock::now() - rung_start;
 
-    if (cancel.Cancelled()) {
-      cancelled_->Increment();
-      latency_us_->Observe(
-          static_cast<double>((Clock::now() - query_start).count()) / 1e3);
-      recorder.Record(obs::RecorderEventType::kQueryEnd, kNoServingRung,
-                      static_cast<uint32_t>(obs::RecorderResult::kCancelled),
-                      ToNs(Clock::now() - query_start));
-      rung_span.Annotate("outcome", "cancelled");
-      serve_span.Annotate("outcome", "cancelled");
-      return util::CancelledError("query cancelled in rung '" + rung.name +
-                                  "'");
-    }
     if (!is_last && stop.StopRequested()) {
       // The budget fired mid-rung: the list is a partial answer; discard it
       // and degrade.

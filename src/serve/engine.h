@@ -35,9 +35,7 @@
 // spent queued for admission. Non-final rungs run under it and are abandoned
 // the moment it expires; the FINAL rung always runs unbounded, because a
 // floor that can also time out would turn overload into outages — so make it
-// structurally cheap (LibraryPopularity is). Cancellation, by contrast,
-// aborts the whole query: a caller that hung up does not want a cheaper
-// answer.
+// structurally cheap (LibraryPopularity is).
 //
 // Overload protection (optional, see serve/admission.h and
 // serve/circuit_breaker.h): an AdmissionController in front of the ladder
@@ -164,17 +162,13 @@ class ServingEngine {
   /// owned and must outlive the engine.
   ServingEngine(SnapshotManager* snapshots, EngineOptions options = {});
 
-  /// Serves one query. Returns an error only when the query was cancelled
-  /// (kCancelled), shed by admission control (kResourceExhausted), or every
-  /// rung failed (kUnavailable); a deadline alone never produces an error,
-  /// it produces a degraded answer. `cancel` lets the caller abort the
-  /// query from another thread; batch `priority` traffic is shed first
-  /// under overload (see serve/admission.h). One call: admission (exactly
-  /// once per query), trace sampling, the ladder walk, slot release.
-  util::StatusOr<ServeResult> Serve(
-      const model::Activity& activity, size_t k,
-      util::CancellationToken cancel = util::CancellationToken(),
-      QueryPriority priority = QueryPriority::kInteractive) const;
+  /// Serves one query. Returns an error only when the query was shed by
+  /// admission control (kResourceExhausted) or every rung failed
+  /// (kUnavailable); a deadline alone never produces an error, it produces
+  /// a degraded answer. One call: admission (exactly once per query), trace
+  /// sampling, the ladder walk, slot release.
+  util::StatusOr<ServeResult> Serve(const model::Activity& activity,
+                                    size_t k) const;
 
   size_t num_rungs() const { return rungs_.size(); }
   /// The ladder shape. In snapshot mode the `recommender` pointers are null
@@ -207,7 +201,6 @@ class ServingEngine {
   /// and exemplar, `recorder_start_ns` bounds the TailSince slice.
   util::StatusOr<ServeResult> RunLadder(const model::Activity& activity,
                                         size_t k,
-                                        const util::CancellationToken& cancel,
                                         const util::Deadline& deadline,
                                         std::chrono::steady_clock::time_point
                                             query_start,
@@ -235,7 +228,6 @@ class ServingEngine {
   obs::Counter* queries_ = nullptr;
   obs::Counter* degraded_ = nullptr;
   obs::Counter* unavailable_ = nullptr;
-  obs::Counter* cancelled_ = nullptr;
   obs::Counter* shed_ = nullptr;
   obs::Histogram* latency_us_ = nullptr;
   obs::Counter* fault_errors_ = nullptr;

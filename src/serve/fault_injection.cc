@@ -42,17 +42,6 @@ std::chrono::milliseconds FaultInjector::MaybeDelay(std::string_view /*op*/) {
   return std::chrono::milliseconds(options_.latency_ms);
 }
 
-bool FaultInjector::MaybeTruncate(std::string* bytes) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ++counters_.calls;
-  if (bytes->empty() || !rng_.Bernoulli(options_.partial_read_rate)) {
-    return false;
-  }
-  ++counters_.truncations;
-  bytes->resize(rng_.UniformUint32(static_cast<uint32_t>(bytes->size())));
-  return true;
-}
-
 std::string_view FsFaultToString(FsFault fault) {
   switch (fault) {
     case FsFault::kNone:

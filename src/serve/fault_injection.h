@@ -12,11 +12,11 @@
 
 // Deterministic fault plane for robustness testing. A FaultInjector is a
 // seeded source of synthetic failures — injected Status errors, latency
-// spikes, and partial reads — that the serving engine, the retry-aware
-// loaders, and the benchmarks consult at their failure points. Because every
-// decision flows from one seeded util::Rng, a fixed seed replays the exact
-// same fault schedule, so tests can assert that the degradation ladder and
-// the retry loops actually engaged (and benches such as
+// spikes, and corrupted or stalled file writes — that the serving engine,
+// the chaos harness and the benchmarks consult at their failure points.
+// Because every decision flows from one seeded util::Rng, a fixed seed
+// replays the exact same fault schedule, so tests can assert that the
+// degradation ladder actually engaged (and benches such as
 // bench/micro_recorder can force reproducible slow queries). Production
 // code paths simply pass no injector; the hooks cost one null check.
 
@@ -39,8 +39,6 @@ struct FaultInjectionOptions {
   /// which is what trips a circuit breaker end-to-end.
   int latency_burst_count = 0;
   int64_t latency_burst_ms = 0;
-  /// Probability that MaybeTruncate cuts a payload to a strict prefix.
-  double partial_read_rate = 0.0;
 
   // Filesystem fault plane (the chaos harness drives these against staged
   // snapshot bytes before they hit disk). Rates are evaluated in the order
@@ -77,10 +75,6 @@ class FaultInjector {
   /// it (the engine sleeps, capped at the query's remaining budget).
   std::chrono::milliseconds MaybeDelay(std::string_view op);
 
-  /// With probability partial_read_rate truncates `bytes` to a random strict
-  /// prefix, returning true. Simulates torn reads for loader tests.
-  bool MaybeTruncate(std::string* bytes);
-
   /// Corrupts `bytes` in place with at most one filesystem fault per the
   /// fs_* rates: truncation at a random offset, a single bit flip, or — when
   /// `old_bytes` (the file content being replaced) is given — a torn
@@ -98,7 +92,6 @@ class FaultInjector {
     uint64_t calls = 0;        // total decisions drawn
     uint64_t errors = 0;       // injected failures
     uint64_t delays = 0;       // injected latency spikes
-    uint64_t truncations = 0;  // injected partial reads
     uint64_t bursts = 0;       // sustained-spike bursts started
     uint64_t fs_truncations = 0;    // fs: truncate-at-offset faults
     uint64_t fs_bitflips = 0;       // fs: single-bit corruption faults

@@ -25,8 +25,8 @@ struct ShardedRecommender::FanoutScratch {
   // Per-shard copies of the query's StopToken. The token's strided poll
   // counter is deliberately non-atomic (its contract is "poll from one
   // thread at a time"), so the shard tasks must not share the engine's
-  // per-query token; each copy observes the same deadline and the same
-  // cancellation flag with private poll state.
+  // per-query token; each copy observes the same deadline with private
+  // poll state.
   std::vector<util::StopToken> shard_stops;
 
   // Phase join state. `body` is stored here so the Submit lambdas capture
@@ -161,10 +161,10 @@ void ShardedRecommender::ServeSharded(util::IdSpan normalized, size_t k,
     scratch.shard_ws[s]->kernel_stats = core::QueryWorkspace::KernelStats{};
   }
   // Each shard task polls its own copy of the caller's token: the copies
-  // observe the same deadline and cancellation flag, but with private
-  // (non-thread-safe) poll counters, so concurrent shard tasks never share
-  // the caller's poll state. The root-side merge, which runs on the calling
-  // thread after the join, keeps polling the original.
+  // observe the same deadline, but with private (non-thread-safe) poll
+  // counters, so concurrent shard tasks never share the caller's poll
+  // state. The root-side merge, which runs on the calling thread after the
+  // join, keeps polling the original.
   if (stop != nullptr) {
     for (uint32_t s = 0; s < n; ++s) scratch.shard_stops[s] = *stop;
   }

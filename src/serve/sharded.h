@@ -25,15 +25,15 @@
 // the global (score desc, logical id asc) tie order.
 //
 // A ShardedRecommender IS a core::Recommender, so it slots into the
-// serving engine's degradation ladder unchanged: deadlines, cancellation,
-// admission control and circuit breakers all operate per QUERY at the
-// engine, never per shard. The shard fan-out happens inside one rung
-// attempt; every shard kernel polls a per-shard COPY of the engine's
-// StopToken (same deadline, same cancellation flag, private poll counters —
-// the token's poll state is single-thread by contract) and the root merge
-// polls the original, so a deadline cancels the whole fan (the root always
-// joins its shard tasks before returning — partial shard buffers are
-// discarded with the rung attempt, never merged into a served answer).
+// serving engine's degradation ladder unchanged: deadlines, admission
+// control and circuit breakers all operate per QUERY at the engine, never
+// per shard. The shard fan-out happens inside one rung attempt; every shard
+// kernel polls a per-shard COPY of the engine's StopToken (same deadline,
+// private poll counters — the token's poll state is single-thread by
+// contract) and the root merge polls the original, so a deadline stops the
+// whole fan (the root always joins its shard tasks before returning —
+// partial shard buffers are discarded with the rung attempt, never merged
+// into a served answer).
 //
 // MakeShardedLadderFactory is the one serving ladder factory. Its default
 // of one shard builds no ShardedRecommender at all: the rungs are the plain

@@ -207,7 +207,7 @@ util::Status SnapshotManager::RunGuard(const ServingSnapshot& built,
     util::Normalize(activity);
     bool passed = false;
     if (!activity.empty()) {
-      passed = !top.Recommend(activity, guard_.canary_k).empty();
+      passed = !top.Recommend(activity, kCanaryK).empty();
     }
     if (passed) {
       ++passes;

@@ -77,6 +77,9 @@ struct ServingSnapshot {
 using LadderFactory = std::function<void(const model::ImplementationLibrary&,
                                          ServingSnapshot& out)>;
 
+/// Recommendations requested per canary probe (ReloadGuardOptions).
+inline constexpr size_t kCanaryK = 5;
+
 /// Pre-publish checks a candidate snapshot must pass before it replaces the
 /// serving one. Failing candidates are discarded; the current snapshot keeps
 /// serving untouched.
@@ -90,8 +93,6 @@ struct ReloadGuardOptions {
   /// and queries the candidate's top rung: the probe passes when at least
   /// one name resolves and at least one recommendation comes back.
   std::vector<std::vector<std::string>> canary_probes;
-  /// Recommendations requested per canary probe.
-  size_t canary_k = 5;
   /// Probes that must pass for the candidate to publish. Clamped to
   /// canary_probes.size(); the default requires every probe to pass.
   size_t min_canary_passes = static_cast<size_t>(-1);

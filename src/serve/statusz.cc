@@ -23,8 +23,6 @@ const char* RecorderResultLabel(uint32_t result) {
       return "ok";
     case obs::RecorderResult::kShed:
       return "shed";
-    case obs::RecorderResult::kCancelled:
-      return "cancelled";
     case obs::RecorderResult::kUnavailable:
       return "unavailable";
   }
@@ -107,10 +105,8 @@ std::string FormatServeEvents(const std::vector<obs::RecorderEvent>& events,
     out += obs::RecorderEventTypeToString(event.type);
     switch (event.type) {
       case obs::RecorderEventType::kQueryStart:
-        std::snprintf(buffer, sizeof(buffer),
-                      " id=%016" PRIx64 " priority=%s k=%u", event.c,
-                      QueryPriorityLabel(static_cast<QueryPriority>(event.a)),
-                      event.b);
+        std::snprintf(buffer, sizeof(buffer), " id=%016" PRIx64 " k=%u",
+                      event.c, event.b);
         out += buffer;
         break;
       case obs::RecorderEventType::kQueryEnd:
@@ -235,9 +231,7 @@ std::string RenderStatusz(const StatuszSources& sources) {
     out << "\n[admission]\n";
     out << "  in_flight: " << admission.in_flight() << " / limit "
         << admission.concurrency_limit() << "\n";
-    out << "  queued: interactive="
-        << admission.queue_depth(QueryPriority::kInteractive)
-        << " batch=" << admission.queue_depth(QueryPriority::kBatch) << "\n";
+    out << "  queued: " << admission.queue_depth() << "\n";
     std::snprintf(
         buffer, sizeof(buffer), "  latency_baseline: %.2fms\n",
         static_cast<double>(admission.latency_baseline().count()) / 1e6);

@@ -35,7 +35,7 @@ std::string ExtractActionPhrase(std::string_view step,
     if (phrase.empty() && IsNarrationCue(token)) continue;
     phrase.push_back(token);
   }
-  if (phrase.size() < options.min_phrase_words) return "";
+  if (phrase.empty()) return "";  // narration only: no content words
   std::string joined = util::Join(phrase, " ");
   if (options.stem_words) joined = StemPhrase(joined);
   if (options.aliases != nullptr) return options.aliases->Resolve(joined);

@@ -27,8 +27,6 @@ struct HowToDocument {
 struct ExtractorOptions {
   /// Maximum content words kept per action phrase.
   size_t max_phrase_words = 4;
-  /// Steps with fewer content words than this are discarded as narration.
-  size_t min_phrase_words = 1;
   /// Stem the words of each phrase (textmine/normalize.h) so inflected
   /// retellings ("drinking more water" / "drink more water") dedup onto one
   /// action. Off by default: stems are not display-friendly.

@@ -108,7 +108,9 @@ inline std::atomic<LogSinkFn>& SinkVar() {
   return sink;
 }
 
-/// Basename of a __FILE__ path, for compact caller= fields.
+/// Basename of a source path, for compact caller= fields. The macros below
+/// pass __FILE_NAME__, which is already a basename and keeps the checkout
+/// path out of the binary; RenderLogfmt's other callers may pass a path.
 inline const char* Basename(const char* path) {
   const char* base = path;
   for (const char* p = path; *p != '\0'; ++p) {
@@ -314,7 +316,7 @@ class LogMessage {
 #define GOALREC_CHECK(condition)                                       \
   if (condition) {                                                     \
   } else                                                               \
-    ::goalrec::util::CheckFailure(#condition, __FILE__, __LINE__)
+    ::goalrec::util::CheckFailure(#condition, __FILE_NAME__, __LINE__)
 
 #define GOALREC_CHECK_EQ(a, b) GOALREC_CHECK((a) == (b))
 #define GOALREC_CHECK_NE(a, b) GOALREC_CHECK((a) != (b))
@@ -331,14 +333,14 @@ class LogMessage {
           ::goalrec::util::logging_internal::kLevel##severity)) {         \
   } else                                                                  \
     ::goalrec::util::LogMessage(                                          \
-        ::goalrec::util::logging_internal::kLevel##severity, __FILE__,    \
-        __LINE__)
+        ::goalrec::util::logging_internal::kLevel##severity,              \
+        __FILE_NAME__, __LINE__)
 
 // Verbose diagnostics, emitted at info level when n <= Verbosity().
 #define GOALREC_VLOG(n)                                                   \
   if ((n) > ::goalrec::util::Verbosity()) {                               \
   } else                                                                  \
     ::goalrec::util::LogMessage(::goalrec::util::LogLevel::kInfo,         \
-                                __FILE__, __LINE__)
+                                __FILE_NAME__, __LINE__)
 
 #endif  // GOALREC_UTIL_LOGGING_H_

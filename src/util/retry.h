@@ -6,7 +6,6 @@
 #include <functional>
 #include <utility>
 
-#include "util/deadline.h"
 #include "util/status.h"
 
 // Status-aware retry with exponential backoff and decorrelated jitter
@@ -20,27 +19,21 @@
 
 namespace goalrec::util {
 
+/// Upper cap on any single backoff.
+inline constexpr int64_t kMaxBackoffMs = 2000;
+
 struct RetryOptions {
   /// Total attempts including the first (1 = no retry).
   int max_attempts = 3;
   /// Lower bound of every backoff draw.
   int64_t initial_backoff_ms = 10;
-  /// Upper cap on any single backoff.
-  int64_t max_backoff_ms = 2000;
   /// Seed for the jitter stream; equal seeds give equal schedules.
   uint64_t jitter_seed = 1;
   /// Test seam: invoked instead of actually sleeping when set.
   std::function<void(std::chrono::milliseconds)> sleeper;
-  /// Which errors are worth retrying; default: kIoError and kUnavailable.
-  std::function<bool(const Status&)> retriable;
-  /// Overall wall-time budget, typically the deadline of the query this
-  /// retry sequence serves. No backoff sleep is started that the remaining
-  /// budget cannot cover, and no attempt starts past expiry — a retry loop
-  /// must never outlive its caller's deadline. Default: infinite.
-  Deadline deadline;
 };
 
-/// Default retry predicate: transient I/O and availability failures.
+/// The retry predicate: transient I/O and availability failures.
 bool IsRetriableStatus(const Status& status);
 
 /// Stateful decorrelated-jitter schedule. Next() draws the following delay.
@@ -80,7 +73,7 @@ template <typename Fn>
 auto RetryCall(const RetryOptions& options, Fn&& fn, int* attempts_out = nullptr)
     -> decltype(fn()) {
   const int max_attempts = options.max_attempts < 1 ? 1 : options.max_attempts;
-  BackoffPolicy backoff(options.initial_backoff_ms, options.max_backoff_ms,
+  BackoffPolicy backoff(options.initial_backoff_ms, kMaxBackoffMs,
                         options.jitter_seed);
   for (int attempt = 1;; ++attempt) {
     auto result = fn();
@@ -91,24 +84,13 @@ auto RetryCall(const RetryOptions& options, Fn&& fn, int* attempts_out = nullptr
       internal::RecordRetryOutcome(attempt, /*ok=*/true, /*exhausted=*/false);
       return result;
     }
-    bool retriable = options.retriable ? options.retriable(status)
-                                       : IsRetriableStatus(status);
+    bool retriable = IsRetriableStatus(status);
     if (attempt >= max_attempts || !retriable) {
       internal::RecordRetryOutcome(attempt, /*ok=*/false,
                                    /*exhausted=*/retriable);
       return result;
     }
-    std::chrono::milliseconds delay = backoff.Next();
-    if (!options.deadline.is_infinite() &&
-        (options.deadline.Expired() ||
-         delay > std::chrono::duration_cast<std::chrono::milliseconds>(
-                     options.deadline.Remaining()))) {
-      // The budget cannot cover another backoff + attempt: give up with
-      // the last error instead of sleeping past the caller's deadline.
-      internal::RecordRetryOutcome(attempt, /*ok=*/false, /*exhausted=*/true);
-      return result;
-    }
-    internal::SleepOrInvoke(options, delay);
+    internal::SleepOrInvoke(options, backoff.Next());
   }
 }
 

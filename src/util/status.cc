@@ -22,8 +22,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "IO_ERROR";
     case StatusCode::kUnavailable:
       return "UNAVAILABLE";
-    case StatusCode::kCancelled:
-      return "CANCELLED";
     case StatusCode::kResourceExhausted:
       return "RESOURCE_EXHAUSTED";
   }
@@ -63,9 +61,6 @@ Status IoError(std::string message) {
 }
 Status UnavailableError(std::string message) {
   return Status(StatusCode::kUnavailable, std::move(message));
-}
-Status CancelledError(std::string message) {
-  return Status(StatusCode::kCancelled, std::move(message));
 }
 Status ResourceExhaustedError(std::string message) {
   return Status(StatusCode::kResourceExhausted, std::move(message));

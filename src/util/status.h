@@ -23,7 +23,6 @@ enum class StatusCode {
   kInternal,
   kIoError,
   kUnavailable,
-  kCancelled,
   kResourceExhausted,
 };
 
@@ -60,7 +59,6 @@ Status OutOfRangeError(std::string message);
 Status InternalError(std::string message);
 Status IoError(std::string message);
 Status UnavailableError(std::string message);
-Status CancelledError(std::string message);
 Status ResourceExhaustedError(std::string message);
 
 /// Either a value of type T or an error Status. Mirrors absl::StatusOr.

@@ -139,7 +139,7 @@ TEST(AlsTest, FoldInSolvesAgainstTheFinalActionGram) {
       rhs[d] += (1.0 + options.alpha) * factors[j][d];
     }
   }
-  system.AddToDiagonal(options.lambda * static_cast<double>(activity.size()) +
+  system.AddToDiagonal(kAlsLambda * static_cast<double>(activity.size()) +
                        1e-9);
   util::StatusOr<util::DenseVector> expected = util::CholeskySolve(system, rhs);
   ASSERT_TRUE(expected.ok());

@@ -169,8 +169,7 @@ TEST(BestMatchTest, StopMidScanReturnsEmptyAndLeavesWorkspaceClean) {
       ASSERT_FALSE(full.empty());
 
       QueryWorkspace ws;
-      util::StopToken stop(util::Deadline::AfterMillis(0),
-                           util::CancellationToken(), kStride);
+      util::StopToken stop(util::Deadline::AfterMillis(0), kStride);
       RecommendationList out = full;
       best_match.RecommendPooled(activity, 10, &stop, &ws, out);
       EXPECT_TRUE(stop.StopRequested());

@@ -347,23 +347,25 @@ TEST(LibraryIoValidationTest, QuarantineModeDropsBadRecordsKeepsGood) {
 TEST(LibraryIoValidationTest, IssueListIsCappedButCountIsNot) {
   std::string path = TempPath("goalrec_lib_capped_issues.txt");
   std::string contents = "# goalrec-library v1\n";
-  for (int i = 0; i < 10; ++i) contents += "bad_record_" + std::to_string(i) + "\n";
+  for (int i = 0; i < 70; ++i) {
+    contents += "bad_record_" + std::to_string(i) + "\n";
+  }
   contents += "g1\ta1\ta2\n";
   WriteTextFile(path, contents);
   LoadOptions options;
   options.mode = ValidationMode::kQuarantine;
-  options.max_reported_issues = 3;
   LoadReport report;
   util::StatusOr<ImplementationLibrary> loaded =
       LoadLibraryText(path, options, &report);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(report.issues.size(), 3u);     // stored: capped
-  EXPECT_EQ(report.issues_total, 10u);     // counted: all of them
+  ASSERT_EQ(kMaxReportedIssues, 64u);
+  EXPECT_EQ(report.issues.size(), 64u);    // stored: capped
+  EXPECT_EQ(report.issues_total, 70u);     // counted: all of them
   EXPECT_EQ(loaded->num_implementations(), 1u);
   std::remove(path.c_str());
 }
 
-TEST(LibraryIoValidationTest, DuplicateRecordsReportedAndOptionallyDropped) {
+TEST(LibraryIoValidationTest, DuplicateRecordsReportedAndKept) {
   std::string path = TempPath("goalrec_lib_dupes.txt");
   WriteTextFile(path,
                 "# goalrec-library v1\n"
@@ -374,20 +376,21 @@ TEST(LibraryIoValidationTest, DuplicateRecordsReportedAndOptionallyDropped) {
   util::StatusOr<ImplementationLibrary> kept =
       LoadLibraryText(path, LoadOptions{}, &report);
   ASSERT_TRUE(kept.ok());
-  // Duplicates are legal by default (multiplicity is a real signal the
-  // strategies exploit); they are reported, not dropped.
+  // Duplicates are legal (multiplicity is a real signal the strategies
+  // exploit); they are reported, not dropped.
   EXPECT_EQ(kept->num_implementations(), 3u);
   EXPECT_EQ(report.duplicates, 1u);
 
-  LoadOptions drop;
-  drop.drop_duplicates = true;
-  LoadReport drop_report;
-  util::StatusOr<ImplementationLibrary> deduped =
-      LoadLibraryText(path, drop, &drop_report);
-  ASSERT_TRUE(deduped.ok());
-  EXPECT_EQ(deduped->num_implementations(), 2u);
-  EXPECT_EQ(drop_report.duplicates, 1u);
-  EXPECT_EQ(drop_report.records_quarantined, 1u);
+  // Quarantine mode keeps them too: a duplicate is not a bad record.
+  LoadOptions quarantine;
+  quarantine.mode = ValidationMode::kQuarantine;
+  LoadReport quarantine_report;
+  util::StatusOr<ImplementationLibrary> also_kept =
+      LoadLibraryText(path, quarantine, &quarantine_report);
+  ASSERT_TRUE(also_kept.ok());
+  EXPECT_EQ(also_kept->num_implementations(), 3u);
+  EXPECT_EQ(quarantine_report.duplicates, 1u);
+  EXPECT_EQ(quarantine_report.records_quarantined, 0u);
   std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 
 #include "obs/recorder.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -113,6 +114,21 @@ TEST(FlightRecorderTest, NowNsIsMonotonic) {
   int64_t a = FlightRecorder::NowNs();
   int64_t b = FlightRecorder::NowNs();
   EXPECT_LE(a, b);
+}
+
+TEST(FlightRecorderTest, NowNsResolvesWithinAQuery) {
+  // A served query takes 0.1-1.5 ms, so the clock must tick well inside
+  // that or a query's events share one timestamp. A coarse clock (4 ms
+  // ticks) fails this on every try; the smallest step over a few tries
+  // tolerates a preemption landing inside one of them.
+  int64_t smallest_step = INT64_MAX;
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    const int64_t start = FlightRecorder::NowNs();
+    int64_t next = start;
+    while (next == start) next = FlightRecorder::NowNs();
+    smallest_step = std::min(smallest_step, next - start);
+  }
+  EXPECT_LT(smallest_step, 1'000'000);
 }
 
 TEST(RecorderDecodeTest, EventTypeAndStageLabels) {

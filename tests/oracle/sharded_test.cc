@@ -167,8 +167,7 @@ TEST(ShardedBestMatchTest, StopMidScanReturnsEmptyWithStopRequested) {
   serve::ShardedRecommender recommender(
       sharded, core::Strategy::kBestMatch, &pool);
   core::QueryWorkspace root_ws;
-  util::StopToken stop(util::Deadline::AfterMillis(0),
-                       util::CancellationToken(), kStride);
+  util::StopToken stop(util::Deadline::AfterMillis(0), kStride);
   core::RecommendationList out = {{0, 1.0}};
   recommender.RecommendPooled(activity, 10, &stop, &root_ws, out);
   EXPECT_TRUE(stop.StopRequested());

@@ -1,6 +1,5 @@
 #include "serve/admission.h"
 
-#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -14,10 +13,10 @@
 #include "util/status.h"
 
 // Overload-semantics tests for the admission controller: shed-before-burn,
-// priority ordering, queue timeouts, cancellation, and the AIMD limiter's
-// deterministic trajectory. Limiter tests drive Admit/Release sequentially
-// on one thread — the limiter is a pure function of the latency sample
-// sequence, so no timing enters the assertions. Threaded tests synchronize
+// queue timeouts, and the AIMD limiter's deterministic trajectory. Limiter
+// tests drive Admit/Release sequentially on one thread — the limiter is a
+// pure function of the latency sample sequence, so no timing enters the
+// assertions. Threaded tests synchronize
 // on observable controller state (queue_depth), never on sleeps alone.
 
 namespace goalrec::serve {
@@ -57,24 +56,17 @@ TEST(AdmissionControllerTest, AdmitsUpToLimitThenShedsWhenUnqueued) {
   options.max_queue_interactive = 0;  // shed instead of queueing
   AdmissionController controller(options);
 
-  EXPECT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
-  EXPECT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
-  util::Status shed = controller.Admit(QueryPriority::kInteractive,
-                                       util::Deadline::Infinite());
+  EXPECT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
+  EXPECT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
+  util::Status shed = controller.Admit(util::Deadline::Infinite());
   EXPECT_EQ(shed.code(), util::StatusCode::kResourceExhausted);
   EXPECT_EQ(controller.in_flight(), 2);
   EXPECT_EQ(CounterValue(registry, "goalrec_admission_rejected_total",
-                         {{"priority", "interactive"}, {"reason", "queue_full"}}),
+                         {{"reason", "queue_full"}}),
             1);
 
   controller.Release(milliseconds(1), /*deadline_met=*/true);
-  EXPECT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
+  EXPECT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
   controller.Release(milliseconds(1), true);
   controller.Release(milliseconds(1), true);
   EXPECT_EQ(controller.in_flight(), 0);
@@ -88,35 +80,26 @@ TEST(AdmissionControllerTest, DeadlineAwareRejectionIsImmediate) {
   AdmissionOptions options = FixedOptions(&registry, 1);
   AdmissionController controller(options);
 
-  ASSERT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
+  ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
   std::thread waiter([&] {
-    ASSERT_TRUE(
-        controller
-            .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-            .ok());
+    ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
     controller.Release(milliseconds(1), true);
   });
-  ASSERT_TRUE(SpinUntil(
-      [&] { return controller.queue_depth(QueryPriority::kInteractive) == 1; }));
+  ASSERT_TRUE(SpinUntil([&] { return controller.queue_depth() == 1; }));
   std::this_thread::sleep_for(milliseconds(50));
   controller.Release(milliseconds(1), true);  // waiter admitted after ~50 ms
   waiter.join();
 
   // Occupy the slot again so the next arrival would have to queue.
-  ASSERT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
+  ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
   const auto start = std::chrono::steady_clock::now();
-  util::Status shed = controller.Admit(QueryPriority::kInteractive,
-                                       util::Deadline::AfterMillis(5));
+  util::Status shed = controller.Admit(util::Deadline::AfterMillis(5));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(shed.code(), util::StatusCode::kResourceExhausted);
   // Rejected at arrival, not after burning the 5 ms budget in the queue.
   EXPECT_LT(elapsed, milliseconds(5));
   EXPECT_EQ(CounterValue(registry, "goalrec_admission_rejected_total",
-                         {{"priority", "interactive"}, {"reason", "deadline"}}),
+                         {{"reason", "deadline"}}),
             1);
   controller.Release(milliseconds(1), true);
 }
@@ -124,98 +107,11 @@ TEST(AdmissionControllerTest, DeadlineAwareRejectionIsImmediate) {
 TEST(AdmissionControllerTest, QueueTimeoutShedsWithResourceExhausted) {
   obs::MetricRegistry registry;
   AdmissionController controller(FixedOptions(&registry, 1));
-  ASSERT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
-  util::Status shed = controller.Admit(QueryPriority::kInteractive,
-                                       util::Deadline::AfterMillis(20));
-  EXPECT_EQ(shed.code(), util::StatusCode::kResourceExhausted);
-  EXPECT_EQ(
-      CounterValue(registry, "goalrec_admission_rejected_total",
-                   {{"priority", "interactive"}, {"reason", "queue_timeout"}}),
-      1);
-  controller.Release(milliseconds(1), true);
-}
-
-TEST(AdmissionControllerTest, CancellationWhileQueuedReturnsCancelled) {
-  obs::MetricRegistry registry;
-  AdmissionController controller(FixedOptions(&registry, 1));
-  ASSERT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
-  util::CancellationSource source;
-  std::atomic<bool> done{false};
-  util::Status verdict;
-  std::thread waiter([&] {
-    verdict = controller.Admit(QueryPriority::kInteractive,
-                               util::Deadline::Infinite(), source.token());
-    done.store(true);
-  });
-  ASSERT_TRUE(SpinUntil(
-      [&] { return controller.queue_depth(QueryPriority::kInteractive) == 1; }));
-  source.Cancel();
-  ASSERT_TRUE(SpinUntil([&] { return done.load(); }));
-  waiter.join();
-  EXPECT_EQ(verdict.code(), util::StatusCode::kCancelled);
-  EXPECT_EQ(CounterValue(registry, "goalrec_admission_rejected_total",
-                         {{"priority", "interactive"}, {"reason", "cancelled"}}),
-            1);
-  controller.Release(milliseconds(1), true);
-}
-
-TEST(AdmissionControllerTest, InteractiveGrantedBeforeEarlierBatchWaiter) {
-  obs::MetricRegistry registry;
-  AdmissionController controller(FixedOptions(&registry, 1));
-  ASSERT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
-
-  std::atomic<int> order{0};
-  int batch_rank = 0;
-  int interactive_rank = 0;
-  std::thread batch([&] {
-    ASSERT_TRUE(
-        controller.Admit(QueryPriority::kBatch, util::Deadline::Infinite())
-            .ok());
-    batch_rank = ++order;
-    controller.Release(milliseconds(1), true);
-  });
-  // Batch is queued first...
-  ASSERT_TRUE(SpinUntil(
-      [&] { return controller.queue_depth(QueryPriority::kBatch) == 1; }));
-  std::thread interactive([&] {
-    ASSERT_TRUE(
-        controller
-            .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-            .ok());
-    interactive_rank = ++order;
-    controller.Release(milliseconds(1), true);
-  });
-  ASSERT_TRUE(SpinUntil(
-      [&] { return controller.queue_depth(QueryPriority::kInteractive) == 1; }));
-
-  // ...but the interactive arrival takes the freed slot first.
-  controller.Release(milliseconds(1), true);
-  interactive.join();
-  batch.join();
-  EXPECT_EQ(interactive_rank, 1);
-  EXPECT_EQ(batch_rank, 2);
-}
-
-TEST(AdmissionControllerTest, BatchShedFirstViaSmallerQueue) {
-  obs::MetricRegistry registry;
-  AdmissionOptions options = FixedOptions(&registry, 1);
-  options.max_queue_interactive = 4;
-  options.max_queue_batch = 0;  // batch never queues under saturation
-  AdmissionController controller(options);
-  ASSERT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
-  util::Status shed =
-      controller.Admit(QueryPriority::kBatch, util::Deadline::Infinite());
+  ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
+  util::Status shed = controller.Admit(util::Deadline::AfterMillis(20));
   EXPECT_EQ(shed.code(), util::StatusCode::kResourceExhausted);
   EXPECT_EQ(CounterValue(registry, "goalrec_admission_rejected_total",
-                         {{"priority", "batch"}, {"reason", "queue_full"}}),
+                         {{"reason", "queue_timeout"}}),
             1);
   controller.Release(milliseconds(1), true);
 }
@@ -229,17 +125,11 @@ std::vector<int> LimitTrajectory(const std::vector<nanoseconds>& samples) {
   options.min_limit = 1;
   options.max_limit = 8;
   options.adaptive = true;
-  options.increase_after = 4;
-  options.latency_threshold = 2.0;
-  options.backoff_ratio = 0.9;
   options.metrics = &registry;
   AdmissionController controller(options);
   std::vector<int> limits;
   for (nanoseconds sample : samples) {
-    EXPECT_TRUE(
-        controller
-            .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-            .ok());
+    EXPECT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
     controller.Release(sample, /*deadline_met=*/true);
     limits.push_back(controller.concurrency_limit());
   }
@@ -247,33 +137,39 @@ std::vector<int> LimitTrajectory(const std::vector<nanoseconds>& samples) {
 }
 
 TEST(AdmissionControllerTest, LimiterClimbsUnderHealthyLatency) {
-  // 20 samples at the 1 ms baseline with increase_after=4: +1 every 4
-  // samples, from 4 up to the max of 8 (cap reached after 16).
-  std::vector<nanoseconds> healthy(20, milliseconds(1));
+  // 70 samples at the 1 ms baseline: +1 every kIncreaseAfter = 16 samples,
+  // from 4 up to the max of 8 (cap reached after 64).
+  ASSERT_EQ(kIncreaseAfter, 16);
+  std::vector<nanoseconds> healthy(70, milliseconds(1));
   std::vector<int> limits = LimitTrajectory(healthy);
   EXPECT_EQ(limits.front(), 4);
-  EXPECT_EQ(limits[3], 5);
-  EXPECT_EQ(limits[7], 6);
-  EXPECT_EQ(limits[15], 8);
+  EXPECT_EQ(limits[14], 4);
+  EXPECT_EQ(limits[15], 5);
+  EXPECT_EQ(limits[31], 6);
+  EXPECT_EQ(limits[47], 7);
+  EXPECT_EQ(limits[63], 8);
   EXPECT_EQ(limits.back(), 8);  // clamped at max_limit
 }
 
 TEST(AdmissionControllerTest, LimiterBacksOffUnderInflatedLatency) {
   // Establish a 1 ms baseline, then feed 10 ms samples (10x baseline,
-  // beyond the 2x threshold): multiplicative 0.9 backoff per sample down
-  // to min_limit, then recovery once latency returns to baseline.
+  // beyond the kLatencyThreshold = 2x): multiplicative kBackoffRatio = 0.9
+  // backoff per sample down to min_limit, then recovery once latency
+  // returns to baseline.
   std::vector<nanoseconds> schedule;
-  schedule.insert(schedule.end(), 16, milliseconds(1));   // climb to 8
+  schedule.insert(schedule.end(), 64, milliseconds(1));   // climb to 8
   schedule.insert(schedule.end(), 12, milliseconds(10));  // congestion
-  schedule.insert(schedule.end(), 8, milliseconds(1));    // recovery
+  schedule.insert(schedule.end(), 20, milliseconds(1));   // recovery
   std::vector<int> limits = LimitTrajectory(schedule);
-  EXPECT_EQ(limits[15], 8);
+  EXPECT_EQ(limits[63], 8);
   // floor(8*.9)=7, 6, 5, 4, 3, 2, 1, then pinned at min_limit.
-  EXPECT_EQ(limits[16], 7);
-  EXPECT_EQ(limits[22], 1);
-  EXPECT_EQ(limits[27], 1);
-  // Healthy again: climbs off the floor.
-  EXPECT_GT(limits.back(), 1);
+  EXPECT_EQ(limits[64], 7);
+  EXPECT_EQ(limits[70], 1);
+  EXPECT_EQ(limits[75], 1);
+  // Healthy again: 16 good samples climb one step off the floor.
+  EXPECT_EQ(limits[90], 1);
+  EXPECT_EQ(limits[91], 2);
+  EXPECT_EQ(limits.back(), 2);
 }
 
 TEST(AdmissionControllerTest, LimiterTrajectoryIsDeterministic) {
@@ -293,19 +189,13 @@ TEST(AdmissionControllerTest, BaselineResistsCongestionPoisoning) {
   options.adaptive = true;
   AdmissionController controller(options);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(
-        controller
-            .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-            .ok());
+    ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
     controller.Release(milliseconds(1), true);
   }
   EXPECT_NEAR(static_cast<double>(controller.latency_baseline().count()), 1e6,
               1e4);
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(
-        controller
-            .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-            .ok());
+    ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
     controller.Release(milliseconds(20), true);
   }
   EXPECT_LT(controller.latency_baseline(), nanoseconds(milliseconds(8)));
@@ -319,17 +209,12 @@ TEST(AdmissionControllerTest, WithheldSamplesLeaveLimiterUntouched) {
   AdmissionOptions options = FixedOptions(&registry, 4);
   options.adaptive = true;
   AdmissionController controller(options);
-  ASSERT_TRUE(
-      controller.Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-          .ok());
+  ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
   controller.Release(milliseconds(10), true);
   const nanoseconds baseline = controller.latency_baseline();
   const int limit = controller.concurrency_limit();
   for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(
-        controller
-            .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-            .ok());
+    ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
     controller.Release(std::chrono::microseconds(3), true,
                        /*limiter_sample=*/false);
   }
@@ -350,20 +235,14 @@ TEST(AdmissionControllerTest, SeededBaselineShedsDoomedColdStartQuery) {
   EXPECT_EQ(controller.latency_baseline(), nanoseconds(milliseconds(20)));
   // Occupy the only slot so the next arrival takes the queueing path where
   // the deadline-aware check runs.
-  ASSERT_TRUE(
-      controller.Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-          .ok());
-  util::Status doomed = controller.Admit(QueryPriority::kInteractive,
-                                         util::Deadline::AfterMillis(5));
+  ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
+  util::Status doomed = controller.Admit(util::Deadline::AfterMillis(5));
   EXPECT_EQ(doomed.code(), util::StatusCode::kResourceExhausted);
   controller.Release(milliseconds(1), true);
   // With the slot free again a 5 ms budget is admitted on the fast path:
   // the seeded estimate only sheds queries that would have to queue behind
   // a service they cannot afford.
-  EXPECT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive,
-                         util::Deadline::AfterMillis(5))
-                  .ok());
+  EXPECT_TRUE(controller.Admit(util::Deadline::AfterMillis(5)).ok());
   controller.Release(milliseconds(1), true);
   EXPECT_EQ(controller.in_flight(), 0);
 }
@@ -371,29 +250,25 @@ TEST(AdmissionControllerTest, SeededBaselineShedsDoomedColdStartQuery) {
 TEST(AdmissionMetricsTest, PrometheusExportGolden) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "built with GOALREC_OBS_NOOP";
   // Full-document golden over a deterministic admission sequence: one
-  // interactive fast-path admit+release (queue wait 0), one batch shed on a
-  // zero-capacity queue. Every admission counter/gauge/histogram family
-  // must appear exactly as written here.
+  // fast-path admit+release (queue wait 0), one shed on a zero-capacity
+  // queue. Every admission counter/gauge/histogram family must appear
+  // exactly as written here.
   obs::MetricRegistry registry;
   AdmissionOptions options;
   options.initial_limit = 1;
   options.adaptive = false;
-  options.max_queue_batch = 0;
+  options.max_queue_interactive = 0;
   options.metrics = &registry;
   AdmissionController controller(options);
-  ASSERT_TRUE(controller
-                  .Admit(QueryPriority::kInteractive, util::Deadline::Infinite())
-                  .ok());
-  EXPECT_EQ(controller.Admit(QueryPriority::kBatch, util::Deadline::Infinite())
-                .code(),
+  ASSERT_TRUE(controller.Admit(util::Deadline::Infinite()).ok());
+  EXPECT_EQ(controller.Admit(util::Deadline::Infinite()).code(),
             util::StatusCode::kResourceExhausted);
   controller.Release(milliseconds(1), /*deadline_met=*/true);
 
   std::string expected =
-      "# HELP goalrec_admission_admitted_total Queries granted a slot, by priority\n"
+      "# HELP goalrec_admission_admitted_total Queries granted a slot\n"
       "# TYPE goalrec_admission_admitted_total counter\n"
-      "goalrec_admission_admitted_total{priority=\"batch\"} 0\n"
-      "goalrec_admission_admitted_total{priority=\"interactive\"} 1\n"
+      "goalrec_admission_admitted_total 1\n"
       "# HELP goalrec_admission_in_flight Queries currently holding a slot\n"
       "# TYPE goalrec_admission_in_flight gauge\n"
       "goalrec_admission_in_flight 0\n"
@@ -404,10 +279,9 @@ TEST(AdmissionMetricsTest, PrometheusExportGolden) {
       "# TYPE goalrec_admission_limit_changes_total counter\n"
       "goalrec_admission_limit_changes_total{direction=\"backoff\"} 0\n"
       "goalrec_admission_limit_changes_total{direction=\"increase\"} 0\n"
-      "# HELP goalrec_admission_queue_depth Waiters queued for a slot, by priority\n"
+      "# HELP goalrec_admission_queue_depth Waiters queued for a slot\n"
       "# TYPE goalrec_admission_queue_depth gauge\n"
-      "goalrec_admission_queue_depth{priority=\"batch\"} 0\n"
-      "goalrec_admission_queue_depth{priority=\"interactive\"} 0\n"
+      "goalrec_admission_queue_depth 0\n"
       "# HELP goalrec_admission_queue_wait_us Time admitted queries spent waiting for a slot (microseconds)\n"
       "# TYPE goalrec_admission_queue_wait_us histogram\n";
   // One observation of 0 us falls into every finite bucket of the default
@@ -421,16 +295,11 @@ TEST(AdmissionMetricsTest, PrometheusExportGolden) {
       "goalrec_admission_queue_wait_us_bucket{le=\"+Inf\"} 1\n"
       "goalrec_admission_queue_wait_us_sum 0\n"
       "goalrec_admission_queue_wait_us_count 1\n"
-      "# HELP goalrec_admission_rejected_total Queries shed at admission, by priority and reason\n"
+      "# HELP goalrec_admission_rejected_total Queries shed at admission, by reason\n"
       "# TYPE goalrec_admission_rejected_total counter\n"
-      "goalrec_admission_rejected_total{priority=\"batch\",reason=\"cancelled\"} 0\n"
-      "goalrec_admission_rejected_total{priority=\"batch\",reason=\"deadline\"} 0\n"
-      "goalrec_admission_rejected_total{priority=\"batch\",reason=\"queue_full\"} 1\n"
-      "goalrec_admission_rejected_total{priority=\"batch\",reason=\"queue_timeout\"} 0\n"
-      "goalrec_admission_rejected_total{priority=\"interactive\",reason=\"cancelled\"} 0\n"
-      "goalrec_admission_rejected_total{priority=\"interactive\",reason=\"deadline\"} 0\n"
-      "goalrec_admission_rejected_total{priority=\"interactive\",reason=\"queue_full\"} 0\n"
-      "goalrec_admission_rejected_total{priority=\"interactive\",reason=\"queue_timeout\"} 0\n"
+      "goalrec_admission_rejected_total{reason=\"deadline\"} 0\n"
+      "goalrec_admission_rejected_total{reason=\"queue_full\"} 1\n"
+      "goalrec_admission_rejected_total{reason=\"queue_timeout\"} 0\n"
       "# HELP goalrec_admission_released_total Admitted queries released, by whether they met their deadline\n"
       "# TYPE goalrec_admission_released_total counter\n"
       "goalrec_admission_released_total{deadline=\"met\"} 1\n"

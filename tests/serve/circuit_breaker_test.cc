@@ -33,8 +33,6 @@ CircuitBreakerOptions BaseOptions(ManualClock* clock) {
   CircuitBreakerOptions options;
   options.failure_threshold = 3;
   options.open_cooldown = milliseconds(100);
-  options.half_open_probes = 2;
-  options.half_open_successes = 2;
   options.cooldown_jitter = 0.0;
   options.now = clock->fn();
   return options;
@@ -95,7 +93,8 @@ TEST(CircuitBreakerTest, HalfOpenSuccessesClose) {
   clock.now_ms = 100;
   ASSERT_TRUE(breaker.Allow());
   breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), State::kHalfOpen);  // needs 2 successes
+  // kHalfOpenSuccesses = 2: one success is not enough.
+  EXPECT_EQ(breaker.state(), State::kHalfOpen);
   ASSERT_TRUE(breaker.Allow());
   breaker.RecordSuccess();
   EXPECT_EQ(breaker.state(), State::kClosed);
@@ -127,23 +126,24 @@ TEST(CircuitBreakerTest, HalfOpenProbeBudgetIsBounded) {
   CircuitBreaker breaker(BaseOptions(&clock));
   for (int i = 0; i < 3; ++i) breaker.RecordFailure();
   clock.now_ms = 100;
+  ASSERT_EQ(kHalfOpenProbes, 3);
   EXPECT_TRUE(breaker.Allow());
   EXPECT_TRUE(breaker.Allow());
-  // Budget (2) consumed, no outcome reported yet: further attempts refused.
+  EXPECT_TRUE(breaker.Allow());
+  // Budget (3) consumed, no outcome reported yet: further attempts refused.
   EXPECT_FALSE(breaker.Allow());
   EXPECT_EQ(breaker.state(), State::kHalfOpen);
 }
 
 TEST(CircuitBreakerTest, StuckHalfOpenRecoversAfterAnotherCooldown) {
-  // Probes can be consumed but never resolved (e.g. the query was cancelled
-  // mid-rung). The breaker must not wedge: after another cooldown in
+  // Probes can be consumed but never resolved (e.g. the caller abandoned
+  // the attempt). The breaker must not wedge: after another cooldown in
   // half-open it grants a fresh probe round.
   ManualClock clock;
   CircuitBreaker breaker(BaseOptions(&clock));
   for (int i = 0; i < 3; ++i) breaker.RecordFailure();
   clock.now_ms = 100;
-  EXPECT_TRUE(breaker.Allow());
-  EXPECT_TRUE(breaker.Allow());
+  for (int i = 0; i < kHalfOpenProbes; ++i) EXPECT_TRUE(breaker.Allow());
   EXPECT_FALSE(breaker.Allow());
   clock.now_ms = 200;  // another full cooldown with no probe outcome
   EXPECT_TRUE(breaker.Allow());
@@ -181,8 +181,6 @@ TEST(CircuitBreakerTest, IdenticalHistoriesProduceIdenticalTrajectories) {
     CircuitBreakerOptions options;
     options.failure_threshold = 2;
     options.open_cooldown = milliseconds(50);
-    options.half_open_probes = 1;
-    options.half_open_successes = 1;
     options.cooldown_jitter = 0.5;
     options.seed = 42;
     options.now = clock.fn();

@@ -122,8 +122,6 @@ TEST(EngineOverloadTest, BreakerTripsSkipsFailingRungAndRecovers) {
   CircuitBreakerOptions breaker_options;
   breaker_options.failure_threshold = 2;
   breaker_options.open_cooldown = milliseconds(100);
-  breaker_options.half_open_probes = 1;
-  breaker_options.half_open_successes = 1;
   breaker_options.now = [&now_ms] {
     return std::chrono::steady_clock::time_point(milliseconds(now_ms.load()));
   };
@@ -162,14 +160,19 @@ TEST(EngineOverloadTest, BreakerTripsSkipsFailingRungAndRecovers) {
   EXPECT_EQ(engine.breaker(0)->state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(engine.breaker(0)->transitions_to(CircuitBreaker::State::kOpen), 2);
 
-  // The rung heals; after another cooldown the probe succeeds and the
-  // breaker closes — full-quality serving resumes.
+  // The rung heals; after another cooldown kHalfOpenSuccesses = 2 probes
+  // succeed and the breaker closes — full-quality serving resumes.
   flaky.set_slow(false);
   now_ms.store(200);
-  util::StatusOr<ServeResult> recovered = engine.Serve({A(1)}, 10);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered->rung_index, 0u);
-  EXPECT_FALSE(recovered->degraded);
+  for (int probe_index = 0; probe_index < kHalfOpenSuccesses; ++probe_index) {
+    EXPECT_EQ(engine.breaker(0)->state(),
+              probe_index == 0 ? CircuitBreaker::State::kOpen
+                               : CircuitBreaker::State::kHalfOpen);
+    util::StatusOr<ServeResult> recovered = engine.Serve({A(1)}, 10);
+    ASSERT_TRUE(recovered.ok());
+    EXPECT_EQ(recovered->rung_index, 0u);
+    EXPECT_FALSE(recovered->degraded);
+  }
   EXPECT_EQ(engine.breaker(0)->state(), CircuitBreaker::State::kClosed);
 
   // The whole episode is visible in metrics: one breaker_open skip, and the
@@ -231,7 +234,6 @@ TEST(EngineOverloadTest, AdmissionShedsExcessQueriesBeforeTheLadder) {
   admission_options.initial_limit = 1;
   admission_options.adaptive = false;
   admission_options.max_queue_interactive = 0;
-  admission_options.max_queue_batch = 0;
   admission_options.metrics = &registry;
   AdmissionController admission(admission_options);
 
@@ -282,22 +284,13 @@ TEST(EngineOverloadTest, AllServeOverloadsPassThroughAdmissionOnce) {
   options.metrics = &registry;
   ServingEngine engine({{"fixed", &fixed}}, options);
 
-  EXPECT_TRUE(engine.Serve({A(1)}, 5).ok());
-  EXPECT_TRUE(engine.Serve({A(1)}, 5, util::CancellationToken()).ok());
-  EXPECT_TRUE(engine
-                  .Serve({A(1)}, 5, util::CancellationToken(),
-                         QueryPriority::kBatch)
-                  .ok());
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(engine.Serve({A(1)}, 5).ok());
   EXPECT_EQ(admission.in_flight(), 0);  // every Admit paired with a Release
   const obs::RegistrySnapshot snapshot = registry.Snapshot();
-  const obs::MetricSnapshot* interactive = snapshot.Find(
-      "goalrec_admission_admitted_total", {{"priority", "interactive"}});
-  const obs::MetricSnapshot* batch = snapshot.Find(
-      "goalrec_admission_admitted_total", {{"priority", "batch"}});
-  ASSERT_NE(interactive, nullptr);
-  ASSERT_NE(batch, nullptr);
-  EXPECT_EQ(interactive->value, 2);
-  EXPECT_EQ(batch->value, 1);
+  const obs::MetricSnapshot* admitted =
+      snapshot.Find("goalrec_admission_admitted_total");
+  ASSERT_NE(admitted, nullptr);
+  EXPECT_EQ(admitted->value, 3);
 }
 
 }  // namespace

@@ -214,18 +214,6 @@ TEST(ServingEngineTest, EmptyAnswerFromFinalRungIsServed) {
   EXPECT_FALSE(result->degraded);
 }
 
-TEST(ServingEngineTest, CancelledQueryAbortsInsteadOfDegrading) {
-  SlowCooperativeRecommender slow;
-  FixedRecommender fallback(SomeList(), "Fallback");
-  ServingEngine engine({{"slow", &slow}, {"fallback", &fallback}});
-  util::CancellationSource source;
-  source.Cancel();
-  util::StatusOr<ServeResult> result =
-      engine.Serve({A(1)}, 5, source.token());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kCancelled);
-}
-
 TEST(ServingEngineTest, FinalRungRunsUnboundedAfterDeadlineExpiry) {
   SlowCooperativeRecommender slow;
   model::ImplementationLibrary library = PaperLibrary();

@@ -14,12 +14,8 @@ TEST(FaultInjectorTest, ZeroRatesInjectNothing) {
     EXPECT_TRUE(injector.MaybeFail("op").ok());
     EXPECT_EQ(injector.MaybeDelay("op").count(), 0);
   }
-  std::string bytes = "payload";
-  EXPECT_FALSE(injector.MaybeTruncate(&bytes));
-  EXPECT_EQ(bytes, "payload");
   EXPECT_EQ(injector.counters().errors, 0u);
   EXPECT_EQ(injector.counters().delays, 0u);
-  EXPECT_EQ(injector.counters().truncations, 0u);
 }
 
 TEST(FaultInjectorTest, CertainErrorAlwaysFails) {
@@ -41,21 +37,6 @@ TEST(FaultInjectorTest, CertainLatencyReturnsConfiguredSpike) {
   FaultInjector injector(options);
   EXPECT_EQ(injector.MaybeDelay("rung").count(), 25);
   EXPECT_EQ(injector.counters().delays, 1u);
-}
-
-TEST(FaultInjectorTest, TruncationProducesStrictPrefix) {
-  FaultInjectionOptions options;
-  options.seed = 11;
-  options.partial_read_rate = 1.0;
-  FaultInjector injector(options);
-  std::string original = "0123456789";
-  std::string bytes = original;
-  EXPECT_TRUE(injector.MaybeTruncate(&bytes));
-  EXPECT_LT(bytes.size(), original.size());
-  EXPECT_EQ(bytes, original.substr(0, bytes.size()));
-  // Empty payloads cannot be truncated further.
-  std::string empty;
-  EXPECT_FALSE(injector.MaybeTruncate(&empty));
 }
 
 TEST(FaultInjectorTest, EqualSeedsReplayEqualSchedules) {

@@ -50,8 +50,7 @@ TEST(FormatServeEventsTest, DecodesWithRungNamesAndLabels) {
                     2'000'000});
   std::string text =
       FormatServeEvents(events, {"best_match", "popularity"});
-  EXPECT_NE(text.find("+0.000ms query_start id=000000000000002a "
-                      "priority=interactive k=10"),
+  EXPECT_NE(text.find("+0.000ms query_start id=000000000000002a k=10"),
             std::string::npos);
   EXPECT_NE(text.find("+0.500ms stage stage=scatter items=117"),
             std::string::npos);
